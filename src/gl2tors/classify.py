@@ -8,7 +8,7 @@ from enum import Enum
 from sympy import isprime
 
 from .errors import LemmaViolationError, PreconditionError
-from .modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root, unipotent
+from .modarith import Mat2, element_order, mat_inv, primitive_root, unipotent
 from .groups import (
     NamedGroupId,
     Subgroup,
@@ -17,8 +17,8 @@ from .groups import (
     subgroup_from_elements,
     tau,
 )
-from .lemmas import conjugate_into_normalizer, NormalizerTarget
-from .stabilizers import ProjPoint, exhaustive_spectrum, stabilizer
+from .lemmas import _conjugates_into, conjugate_into_normalizer, NormalizerTarget
+from .stabilizers import ProjPoint, act_row, exhaustive_spectrum, stabilizer
 
 INERTIA_EXPONENTS = (1, 2, 3, 4, 6)
 MOD36_RESIDUES = frozenset({7, 11, 23, 31, 35})
@@ -94,11 +94,7 @@ class ClassifyVerdict:
             ClassifyTarget.NORM_SPLIT: NamedGroupId.NORM_SPLIT,
             ClassifyTarget.NORM_NONSPLIT: NamedGroupId.NORM_NONSPLIT,
         }[self.target]
-        target = named_group(gid, g.n)
-        tinv = mat_inv(self.conjugator)
-        return all(
-            mat_mul(mat_mul(tinv, x), self.conjugator) in target for x in g.elements
-        )
+        return _conjugates_into(g.elements, self.conjugator, named_group(gid, g.n))
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +108,7 @@ def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
     ell = g.n
     for p in ProjPoint.all_points(ell):
         if all(
-            ProjPoint.from_vector(ell, *_row_image(p, x)) == p for x in g.generators
+            ProjPoint.from_vector(ell, *act_row(p.c, p.d, x)) == p for x in g.generators
         ):
             # second row of T^-1 spans the stable line
             tinv = (
@@ -124,10 +120,6 @@ def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
                 tinv = Mat2(ell, 1, 0, p.c, p.d)
             return mat_inv(tinv)
     return None
-
-
-def _row_image(p: ProjPoint, x: Mat2) -> tuple[int, int]:
-    return ((p.c * x.a + p.d * x.c) % x.n, (p.c * x.b + p.d * x.d) % x.n)
 
 
 def classify_image(g: Subgroup, witness: ProjPoint) -> ClassifyVerdict:

@@ -8,7 +8,7 @@ import sys
 from .errors import Gl2Error, LemmaViolationError, PreconditionError
 from .modarith import Mat2, gl2_order
 from .groups import subgroup_from_json
-from .stabilizers import degree_spectrum, exhaustive_spectrum
+from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
 from .lemmas import decompose_sl2
 from .classify import BlHypotheses, ClassifyTarget, classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
@@ -98,21 +98,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = subgroup_from_json(_read_file(args.input))
-    spec = degree_spectrum(g)
     if args.witness is not None:
-        c, d = (int(x) for x in args.witness.split(","))
-        from .stabilizers import ProjPoint
-
+        try:
+            c, d = (int(x) for x in args.witness.split(","))
+        except ValueError as exc:
+            print("error: witness must be two integers c,d", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from exc
         witness = ProjPoint.from_vector(g.n, c, d)
     else:
-        witness = next(
-            (
-                p
-                for p, idx in sorted(spec.entries.items(), key=lambda kv: (kv[0].c, kv[0].d))
-                if idx % 2 == 1
-            ),
-            None,
-        )
+        witness = degree_spectrum(g).odd_index_point()
         if witness is None:
             raise PreconditionError("no projective point with odd stabilizer index")
     verdict = classify_image(g, witness)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
@@ -23,10 +23,14 @@ DEFAULT_CLOSURE_CAP = 10**7
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of GL2(Z/nZ) held as generators plus its full element set."""
+    """A subgroup of GL2(Z/nZ) held as generators plus its full element set.
+
+    The generators generate the element set. Equality and hashing use only
+    (n, elements), so one group with two generating sets compares equal.
+    """
 
     n: int
-    generators: tuple[Mat2, ...]
+    generators: tuple[Mat2, ...] = field(compare=False)
     elements: frozenset[Mat2]
 
     @property
@@ -46,9 +50,10 @@ class Subgroup:
         return sorted(self.elements, key=Mat2.entries)
 
     def is_abelian(self) -> bool:
-        elems = list(self.elements)
-        for i, x in enumerate(elems):
-            for y in elems[i + 1 :]:
+        """Whether the generators commute pairwise, which makes the group abelian."""
+        gens = self.generators
+        for i, x in enumerate(gens):
+            for y in gens[i + 1 :]:
                 if mat_mul(x, y) != mat_mul(y, x):
                     return False
         return True

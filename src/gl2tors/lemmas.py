@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Iterable
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import (
@@ -19,7 +20,7 @@ from .modarith import (
     unipotent,
     unipotent_lower,
 )
-from .groups import NamedGroupId, Subgroup, named_group
+from .groups import NamedGroupId, Subgroup, named_group, subgroup_from_elements
 from .stabilizers import sl_part
 
 NORMALIZER_SCAN_CAP = 13
@@ -46,7 +47,7 @@ class CartanEmbedding:
             if self.target is CartanTarget.SPLIT
             else NamedGroupId.NONSPLIT_CARTAN
         )
-        return _conjugates_into(h, self.conjugator, named_group(gid, h.n))
+        return _conjugates_into(h.elements, self.conjugator, named_group(gid, h.n))
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,13 @@ class NormalizerEmbedding:
             if self.target is NormalizerTarget.NORM_SPLIT
             else NamedGroupId.NORM_NONSPLIT
         )
-        return _conjugates_into(h, self.conjugator, named_group(gid, h.n))
+        return _conjugates_into(h.elements, self.conjugator, named_group(gid, h.n))
 
 
-def _conjugates_into(h: Subgroup, t: Mat2, target: Subgroup) -> bool:
+def _conjugates_into(xs: Iterable[Mat2], t: Mat2, target: Subgroup) -> bool:
+    """Whether t^-1 x t lies in the target for every x given."""
     tinv = mat_inv(t)
-    return all(mat_mul(mat_mul(tinv, x), t) in target for x in h.elements)
+    return all(mat_mul(mat_mul(tinv, x), t) in target for x in xs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,6 @@ def decompose_sl2(x: Mat2) -> SL2Word:
         parts = [("U", a * cinv), ("L", -c * d)] + _antidiag_word(ell, c)
     else:
         # c = 0 forces a invertible; peel off the diagonal part
-        ainv = pow(a, -1, ell)
         parts = [("U", a * b)] + [("L", -1), ("U", 1), ("L", -1)] + _antidiag_word(ell, a)
     word = SL2Word(ell, _word(ell, parts))
     assert word.evaluate() == x
@@ -150,11 +151,9 @@ def brute_force_cartan_conjugator(h: Subgroup) -> CartanEmbedding | None:
     cns = named_group(NamedGroupId.NONSPLIT_CARTAN, h.n)
     gens = h.generators if h.generators else tuple(h.elements)
     for t in _gl2_elements(h.n):
-        tinv = mat_inv(t)
-        conj = [mat_mul(mat_mul(tinv, g), t) for g in gens]
-        if all(x in cs for x in conj):
+        if _conjugates_into(gens, t, cs):
             return CartanEmbedding(t, CartanTarget.SPLIT)
-        if all(x in cns for x in conj):
+        if _conjugates_into(gens, t, cns):
             return CartanEmbedding(t, CartanTarget.NONSPLIT)
     return None
 
@@ -309,13 +308,8 @@ def normalizer_in_gl2(h: Subgroup) -> Subgroup:
             f"normalizer scan is capped at ell <= {NORMALIZER_SCAN_CAP}"
         )
     gens = h.generators if h.generators else tuple(h.elements)
-    out = []
-    for x in _gl2_elements(ell):
-        xinv = mat_inv(x)
-        if all(mat_mul(mat_mul(x, g), xinv) in h for g in gens):
-            out.append(x)
-    from .groups import subgroup_from_elements
-
+    # h is finite, so t^-1 h t lies in h exactly when t normalizes h
+    out = [t for t in _gl2_elements(ell) if _conjugates_into(gens, t, h)]
     return subgroup_from_elements(ell, out)
 
 

@@ -17,7 +17,7 @@ def act_row(c: int, d: int, x: Mat2) -> tuple[int, int]:
     return ((c * x.a + d * x.c) % x.n, (c * x.b + d * x.d) % x.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ProjPoint:
     """A point of the projective line over F_ell, held as a canonical row vector.
 
@@ -51,13 +51,9 @@ class ProjPoint:
         return f"({self.c}:{self.d})"
 
 
-def _check_prime_group(g: Subgroup) -> None:
-    _check_odd_prime(g.n)
-
-
 def vector_stabilizer(g: Subgroup, c: int, d: int) -> Subgroup:
     """Elements of g fixing the row vector (c d) itself, not just its line."""
-    _check_prime_group(g)
+    _check_odd_prime(g.n)
     c, d = c % g.n, d % g.n
     fixed = [x for x in g.elements if act_row(c, d, x) == (c, d)]
     return subgroup_from_elements(g.n, fixed)
@@ -71,7 +67,7 @@ def stabilizer(g: Subgroup, p: ProjPoint) -> Subgroup:
 
 def sl_part(g: Subgroup) -> Subgroup:
     """Intersection with the determinant-1 subgroup."""
-    _check_prime_group(g)
+    _check_odd_prime(g.n)
     return subgroup_from_elements(g.n, [x for x in g.elements if x.det() == 1])
 
 
@@ -131,22 +127,26 @@ class DegreeSpectrum:
     sl_index: int
 
     def values(self) -> list[int]:
-        return [self.entries[p] for p in sorted(self.entries, key=lambda q: (q.c, q.d))]
+        return [self.entries[p] for p in sorted(self.entries)]
+
+    def odd_index_point(self) -> ProjPoint | None:
+        """The first point, in sorted order, whose stabilizer index is odd."""
+        return next((p for p in sorted(self.entries) if self.entries[p] % 2 == 1), None)
 
     def as_rows(self) -> list[tuple[str, int, int]]:
         rows = []
-        for p in sorted(self.entries, key=lambda q: (q.c, q.d)):
+        for p in sorted(self.entries):
             idx = self.entries[p]
             rows.append((repr(p), self.group_order // idx, idx))
         return rows
 
     def __hash__(self):  # pragma: no cover
-        return hash((self.group_order, tuple(sorted(self.entries.items(), key=lambda kv: (kv[0].c, kv[0].d))), self.sl_index))
+        return hash((self.group_order, tuple(sorted(self.entries.items())), self.sl_index))
 
 
 def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
-    _check_prime_group(g)
+    _check_odd_prime(g.n)
     entries = {}
     for p in ProjPoint.all_points(g.n):
         stab = stabilizer(g, p)
@@ -156,7 +156,7 @@ def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
     """Stabilizer index for every nonzero row vector, not just line representatives."""
-    _check_prime_group(g)
+    _check_odd_prime(g.n)
     ell = g.n
     elems = list(g.elements)
     a = np.array([x.a for x in elems], dtype=np.int64)
@@ -202,12 +202,3 @@ def fixed_module(g: Subgroup) -> FixedModule:
     m = size // n
     assert n % m == 0 and big_n % n == 0
     return FixedModule(big_n, m, n)
-
-
-def spectrum_table(spec: DegreeSpectrum) -> str:
-    """Tabular text: point, stabilizer order, index."""
-    lines = ["point\tstab_order\tindex"]
-    for point, stab_order, idx in spec.as_rows():
-        lines.append(f"{point}\t{stab_order}\t{idx}")
-    lines.append(f"sl_index\t-\t{spec.sl_index}")
-    return "\n".join(lines)

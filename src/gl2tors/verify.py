@@ -5,13 +5,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import Mat2, element_order, mat_mul
 from .groups import NamedGroupId, Subgroup, closure, named_group, subgroup_from_elements
-from .stabilizers import ProjPoint, degree_spectrum, unipotent_class
+from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
 from .lemmas import (
     _gl2_elements,
     brute_force_cartan_conjugator,
@@ -54,7 +55,7 @@ class HarnessResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.checked > 0 and not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +69,19 @@ class HarnessResult:
 
 # ---------------------------------------------------------------------------
 # integer-indexed multiplication tables for exhaustive subgroup enumeration
+
+
+def _table_closure(table: np.ndarray, identity: int, gen_ids: Iterable[int]) -> frozenset[int]:
+    """Closure of a set of ids under an int32 Cayley table of a finite group."""
+    gens = np.array(sorted(set(gen_ids) | {identity}), dtype=np.int64)
+    elems = set(gens.tolist())
+    frontier = gens
+    while frontier.size:
+        prods = np.unique(table[np.ix_(frontier, gens)])
+        fresh = [p for p in prods.tolist() if p not in elems]
+        elems.update(fresh)
+        frontier = np.array(fresh, dtype=np.int64)
+    return frozenset(elems)
 
 
 class _MulTable:
@@ -95,15 +109,7 @@ class _MulTable:
         assert self.elements[self.identity].is_identity()
 
     def close(self, gen_ids: list[int]) -> frozenset[int]:
-        gens = np.array(sorted(set(gen_ids) | {self.identity}), dtype=np.int64)
-        elems = set(gens.tolist())
-        frontier = gens
-        while frontier.size:
-            prods = np.unique(self.table[np.ix_(frontier, gens)])
-            fresh = [p for p in prods.tolist() if p not in elems]
-            elems.update(fresh)
-            frontier = np.array(fresh, dtype=np.int64)
-        return frozenset(elems)
+        return _table_closure(self.table, self.identity, gen_ids)
 
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """Distinct cyclic subgroups as element-id sets, with one generator each."""
@@ -135,14 +141,14 @@ class _MulTable:
         return subgroup_from_elements(self.n, [self.elements[i] for i in ids])
 
 
-def _cyclic_elems(x: Mat2) -> frozenset[Mat2]:
-    ident = Mat2.identity(x.n)
-    out = {ident}
-    y = x
-    while y != ident:
-        out.add(y)
-        y = mat_mul(y, x)
-    return frozenset(out)
+def _cyclic_subgroups(elements: Iterable[Mat2]) -> list[Subgroup]:
+    """The distinct cyclic subgroups the elements generate, in order of first
+    appearance, each generated by the first element that generates it."""
+    out: dict[frozenset[Mat2], Subgroup] = {}
+    for x in elements:
+        h = closure(x.n, [x])
+        out.setdefault(h.elements, h)
+    return list(out.values())
 
 
 @lru_cache(maxsize=None)
@@ -157,32 +163,16 @@ def _gl2_two_generated(ell: int) -> tuple[frozenset[int], ...]:
     return tuple(_gl2_table(ell).two_generated())
 
 
-def _spectrum_divisors(elements: list[Mat2], ell: int) -> dict[tuple[int, int], int]:
-    """Exhaustive vector-stabilizer indices, vectorized over the element list."""
-    a = np.array([x.a for x in elements], dtype=np.int64)
-    b = np.array([x.b for x in elements], dtype=np.int64)
-    c = np.array([x.c for x in elements], dtype=np.int64)
-    d = np.array([x.d for x in elements], dtype=np.int64)
-    out = {}
-    size = len(elements)
-    for u in range(ell):
-        for v in range(ell):
-            if (u, v) == (0, 0):
-                continue
-            fixed = np.count_nonzero(
-                ((u * a + v * c) % ell == u) & ((u * b + v * d) % ell == v)
-            )
-            out[(u, v)] = size // int(fixed)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # individual harnesses
 
 
 def _ells(ell_max: int | None, pool: tuple[int, ...]) -> list[int]:
     cap = pool[-1] if ell_max is None else ell_max
-    return [ell for ell in pool if ell <= cap]
+    ells = [ell for ell in pool if ell <= cap]
+    if not ells:
+        raise PreconditionError(f"ell_max = {ell_max} leaves none of the primes {pool}")
+    return ells
 
 
 def harness_sl(ell_max: int | None = None, **_) -> HarnessResult:
@@ -227,17 +217,10 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0, **_) -> HarnessResult:
     rng = random.Random(seed)
     violations = []
     checked = 0
-    seen: set[frozenset[Mat2]] = set()
     cyclic_count = 0
-    for x in _gl2_elements(11):
-        order = element_order(x)
-        if order % 11 == 0:
-            continue
-        elems = _cyclic_elems(x)
-        if elems in seen:
-            continue
-        seen.add(elems)
-        h = Subgroup(11, (x,), elems)
+    prime_to_11 = (x for x in _gl2_elements(11) if element_order(x) % 11)
+    for h in _cyclic_subgroups(prime_to_11):
+        x = h.generators[0]
         checked += 1
         cyclic_count += 1
         emb = conjugate_into_cartan(h)
@@ -270,15 +253,12 @@ def harness_cyclic(**_) -> HarnessResult:
     sl2 = named_group(NamedGroupId.SL2, ell)
     # odd orders prime to 11 divide 15, so generators have order 1, 3, 5, or 15
     small = [x for x in sl2.elements if 15 % element_order(x) == 0]
-    cyclics: dict[frozenset[Mat2], Mat2] = {}
-    for x in small:
-        cyclics.setdefault(_cyclic_elems(x), x)
-    keys = sorted(cyclics, key=lambda s: (len(s), sorted(m.entries() for m in s)))
-    candidates: set[frozenset[Mat2]] = set(keys)
-    for i, first in enumerate(keys):
-        for second in keys[i + 1 :]:
+    cyclics = _cyclic_subgroups(small)
+    candidates = {h.elements for h in cyclics}
+    for i, first in enumerate(cyclics):
+        for second in cyclics[i + 1 :]:
             try:
-                h = closure(ell, [cyclics[first], cyclics[second]], cap=15)
+                h = closure(ell, first.generators + second.generators, cap=15)
             except ResourceLimitError:
                 continue  # order exceeds 15, so it is even or divisible by 11
             candidates.add(h.elements)
@@ -309,13 +289,10 @@ def harness_normalizers(ell_max: int | None = None, **_) -> HarnessResult:
         for cartan_id, norm_id in pairs:
             cartan = named_group(cartan_id, ell)
             norm = named_group(norm_id, ell)
-            seen: set[frozenset[Mat2]] = set()
-            for x in cartan.elements:
-                elems = _cyclic_elems(x)
-                if elems in seen or all(m.is_scalar() for m in elems):
+            for h in _cyclic_subgroups(cartan.elements):
+                if all(m.is_scalar() for m in h.elements):
                     continue
-                seen.add(elems)
-                h = Subgroup(ell, (x,), elems)
+                x = h.generators[0]
                 n = normalizer_in_gl2(h)
                 checked += 1
                 count += 1
@@ -335,21 +312,15 @@ def harness_ns_nns(trials: int = 100, seed: int = 0, **_) -> HarnessResult:
     violations = []
     checked = 0
     for ell in (5, 7, 11):
-        seen: set[frozenset[Mat2]] = set()
-        for x in _gl2_elements(ell):
-            elems = _cyclic_elems(x)
-            if elems in seen:
-                continue
-            seen.add(elems)
-            h = Subgroup(ell, (x,), elems)
-            det1 = sum(1 for m in elems if m.det() == 1)
+        for h in _cyclic_subgroups(_gl2_elements(ell)):
+            det1 = sum(1 for m in h.elements if m.det() == 1)
             if det1 % 2 == 0 or det1 % ell == 0:
                 continue
             checked += 1
             try:
                 conjugate_into_normalizer(h)
             except LemmaViolationError as exc:
-                violations.append(f"ell = {ell}, generator {x}: {exc}")
+                violations.append(f"ell = {ell}, generator {h.generators[0]}: {exc}")
         for _ in range(trials):
             h = _random_abelian(rng, ell)
             det1 = sum(1 for m in h.elements if m.det() == 1)
@@ -406,11 +377,7 @@ def harness_classify(ell_max: int | None = None, **_) -> HarnessResult:
         table = _gl2_table(ell)
         for ids in _gl2_two_generated(ell):
             g = table.to_subgroup(ids)
-            spec = degree_spectrum(g)
-            witness = next(
-                (p for p, idx in sorted(spec.entries.items(), key=lambda kv: (kv[0].c, kv[0].d)) if idx % 2 == 1),
-                None,
-            )
+            witness = degree_spectrum(g).odd_index_point()
             if witness is None:
                 continue
             checked += 1
@@ -437,33 +404,16 @@ def _subgroups_between(ambient: Subgroup, normal: frozenset[Mat2]) -> list[froze
         cosets.append(coset)
         for m in coset:
             loc[m] = idx
-    k = len(reps)
-    mul = [[loc[mat_mul(reps[i], reps[j])] for j in range(k)] for i in range(k)]
+    mul = np.array([[loc[mat_mul(x, y)] for y in reps] for x in reps], dtype=np.int32)
     ident = loc[Mat2.identity(ambient.n)]
-
-    def close_ids(ids: frozenset[int]) -> frozenset[int]:
-        elems = set(ids) | {ident}
-        frontier = list(elems)
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in ids:
-                    p = mul[i][j]
-                    if p not in elems:
-                        elems.add(p)
-                        nxt.append(p)
-            ids = frozenset(elems)
-            frontier = nxt
-        return frozenset(elems)
-
     subs: set[frozenset[int]] = {frozenset({ident})}
     queue = [frozenset({ident})]
     while queue:
         base = queue.pop()
-        for q in range(k):
+        for q in range(len(reps)):
             if q in base:
                 continue
-            grown = close_ids(base | {q})
+            grown = _table_closure(mul, ident, base | {q})
             if grown not in subs:
                 subs.add(grown)
                 queue.append(grown)
@@ -498,7 +448,7 @@ def harness_not_bl(ell_max: int | None = None, **_) -> HarnessResult:
                     g = subgroup_from_elements(ell, elems)
                     if nonsplit:
                         # divisibility holds with no extra hypotheses here
-                        for vec, idx in _spectrum_divisors(list(elems), ell).items():
+                        for vec, idx in exhaustive_spectrum(g).items():
                             if idx % 2 and idx % 3:
                                 violations.append(
                                     f"ell = {ell}, e = {e}, order {len(elems)}: "
@@ -531,8 +481,7 @@ def harness_bl(**_) -> HarnessResult:
         g = table.to_subgroup(frozenset(ids))
         if not cong_check(stripped_diagonal(g)):
             continue
-        spec = _spectrum_divisors(elems, ell)
-        if not any(math.gcd(idx, 6) == 1 for idx in spec.values()):
+        if not any(math.gcd(idx, 6) == 1 for idx in exhaustive_spectrum(g).values()):
             continue
         checked += 1
         try:
@@ -606,5 +555,10 @@ def run_harness(
         )
     kwargs = {"ell_max": ell_max, "seed": seed}
     if trials is not None:
+        if trials < 0:
+            raise PreconditionError(f"trials must be non-negative, got {trials}")
         kwargs["trials"] = trials
-    return _HARNESSES[harness_id](**kwargs)
+    result = _HARNESSES[harness_id](**kwargs)
+    if result.checked == 0:
+        raise PreconditionError(f"harness {harness_id} has nothing to check with these arguments")
+    return result

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gl2tors.cli import main
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
@@ -93,6 +95,32 @@ def test_verify_json(capsys):
     assert main(["--format", "json", "verify", "l-part", "--trials", "50"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True and payload["checked"] == 50
+
+
+@pytest.mark.parametrize(
+    "argv", [["sl", "--ell-max", "3"], ["l-part", "--trials", "-5"], ["l-part", "--trials", "0"]]
+)
+def test_verify_nothing_to_check_exit_2(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("witness", ["a,b", "1", "1,2,3", ""])
+def test_classify_bad_witness_exit_1(witness, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(DELTA_U1_11)
+    assert main(["classify", "--input", str(path), "--witness", witness]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: witness must be two integers c,d\n"
+
+
+def test_classify_explicit_witness(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(DELTA_U1_11)
+    assert main(["--format", "json", "classify", "--input", str(path), "--witness", "1,3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["target"] == "Borel" and payload["witness"] == [1, 3]
 
 
 def test_missing_input_file():

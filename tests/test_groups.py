@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.modarith import Mat2, unipotent, unipotent_lower
+from gl2tors.modarith import Mat2, mat_mul, unipotent, unipotent_lower
 from gl2tors.groups import (
     NamedGroupId,
     closure,
@@ -30,6 +31,43 @@ def test_closure_cap():
 def test_closure_rejects_singular_generator():
     with pytest.raises(PreconditionError):
         closure(5, [Mat2(5, 1, 2, 2, 4)])
+
+
+def test_equality_ignores_generators():
+    u = unipotent(11)
+    g, h = closure(11, [u]), closure(11, [u**2])
+    assert g.generators != h.generators
+    assert g == h and hash(g) == hash(h)
+    assert g != closure(11, [Mat2.diag(11, 2, 1)])
+
+
+def _is_abelian_elementwise(g):
+    return all(mat_mul(x, y) == mat_mul(y, x) for x in g.elements for y in g.elements)
+
+
+@st.composite
+def _small_groups(draw):
+    """1- or 2-generated subgroups mod 5 or 7; the second generator is often a
+    polynomial s + t*x in the first, so that abelian groups are common."""
+    ell = draw(st.sampled_from([5, 7]))
+    entries = st.tuples(*[st.integers(0, ell - 1)] * 4)
+    x = Mat2(ell, *draw(entries))
+    assume(x.is_invertible())
+    gens = [x]
+    kind = draw(st.sampled_from(["one", "commuting", "random"]))
+    if kind == "commuting":
+        s, t = draw(st.integers(0, ell - 1)), draw(st.integers(0, ell - 1))
+        gens.append(Mat2(ell, s + t * x.a, t * x.b, t * x.c, s + t * x.d))
+    elif kind == "random":
+        gens.append(Mat2(ell, *draw(entries)))
+    assume(all(y.is_invertible() for y in gens))
+    return closure(ell, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_groups())
+def test_is_abelian_matches_elementwise(g):
+    assert g.is_abelian() == _is_abelian_elementwise(g)
 
 
 def test_named_orders_ell5():

@@ -1,12 +1,17 @@
 import pytest
 
 from gl2tors.errors import PreconditionError
-from gl2tors.verify import HARNESS_IDS, run_harness
+from gl2tors.verify import HARNESS_IDS, HarnessResult, run_harness
 
 
 def test_unknown_harness():
     with pytest.raises(PreconditionError):
         run_harness("nope")
+
+
+def test_ok_requires_checks():
+    assert not HarnessResult("sl", 0, ()).ok
+    assert HarnessResult("sl", 1, ()).ok
 
 
 def test_sl_small():
