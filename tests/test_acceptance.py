@@ -63,7 +63,11 @@ def test_criterion_3_cartan_conjugation():
 
 def test_criterion_4_unipotent_stabilizers():
     result = run_harness("easy-d", ell_max=7)
-    ok = result.ok
+    ok = (
+        result.ok
+        and result.details == {"ell_5_subgroups": 461, "ell_7_subgroups": 1704}
+        and result.checked == 461 * 6 + 1704 * 8
+    )
     _report(
         4,
         ok,

@@ -50,6 +50,12 @@ def test_not_bl_small():
     assert r.details == {"precondition_excluded": 25, "verified": 31}
 
 
+def test_bl():
+    r = run_harness("bl")
+    assert r.ok and r.checked == 24
+    assert r.details == {"verified": 2, "rejected_no_inertia": 22}
+
+
 def test_ab_subgp_random_only_smoke():
     r = run_harness("ab-subgp", trials=5)
     assert r.ok
