@@ -12,6 +12,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     SingularMatrixError,
+    UsageError,
 )
 from .modarith import Mat2, QuadExtElem, eigenvalues, element_order, gl2_order, primitive_root
 from .groups import (

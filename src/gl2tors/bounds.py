@@ -43,16 +43,18 @@ class FieldInput:
     def from_json(text: str) -> "FieldInput":
         try:
             payload = json.loads(text)
-            return FieldInput(
-                label=str(payload["label"]),
-                merel_constant=int(payload["merel_constant"]),
-                lv14_bound=int(payload["lv14_bound"]),
-                pdi2_primes=tuple(int(x) for x in payload.get("pdi2_primes", [])),
-            )
+            merel, lv14 = payload["merel_constant"], payload["lv14_bound"]
+            pdi2 = tuple(payload.get("pdi2_primes", []))
+            label = str(payload["label"])
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            if isinstance(exc, PreconditionError):
-                raise
             raise PreconditionError(f"malformed field input: {exc}") from exc
+        # type(...) is int also turns away JSON true/false, which Python reads as ints
+        if not all(type(v) is int for v in (merel, lv14, *pdi2)):
+            raise PreconditionError(
+                "malformed field input: merel_constant, lv14_bound and pdi2_primes "
+                "must be integers"
+            )
+        return FieldInput(label, merel, lv14, pdi2)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from .errors import Gl2Error, LemmaViolationError, PreconditionError
+from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
 from .groups import subgroup_from_json
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
@@ -37,7 +37,7 @@ def _build_parser() -> _Parser:
     p.add_argument("harness", choices=HARNESS_IDS)
     p.add_argument("--ell-max", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("classify", help="classify a subgroup's ambient shape")
     p.add_argument("--input", required=True, help="subgroup JSON file")
@@ -229,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except LemmaViolationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Gl2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

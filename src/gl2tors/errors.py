@@ -5,6 +5,10 @@ class Gl2Error(Exception):
     """Base class for errors raised by this package."""
 
 
+class UsageError(Gl2Error):
+    """A call asked for an option the operation does not take."""
+
+
 class PreconditionError(Gl2Error):
     """An operation was called on inputs violating its stated hypotheses."""
 

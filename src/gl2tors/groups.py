@@ -248,10 +248,13 @@ def subgroup_from_json(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
         payload = json.loads(text)
         n = payload["modulus"]
         raw = payload["generators"]
-        gens = [Mat2(n, row[0][0], row[0][1], row[1][0], row[1][1]) for row in raw]
+        entries = [(row[0][0], row[0][1], row[1][0], row[1][1]) for row in raw]
     except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"malformed subgroup input: {exc}") from exc
-    return closure(n, gens, cap=cap)
+    # type(...) is int also turns away JSON true/false, which Python reads as ints
+    if not all(type(v) is int for v in (n, *(v for e in entries for v in e))):
+        raise PreconditionError("malformed subgroup input: modulus and entries must be integers")
+    return closure(n, [Mat2(n, *e) for e in entries], cap=cap)
 
 
 def verify_named_orders(ell: int) -> dict[str, tuple[int, int]]:

@@ -1,6 +1,7 @@
 """Falsification harnesses: exhaustive or randomized scans for each structure result."""
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -9,7 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
+from .errors import LemmaViolationError, PreconditionError, ResourceLimitError, UsageError
 from .modarith import Mat2, element_order, mat_mul
 from .groups import NamedGroupId, Subgroup, closure, named_group, subgroup_from_elements
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
@@ -125,16 +126,58 @@ class _MulTable:
         return out
 
     def two_generated(self) -> set[frozenset[int]]:
-        """All subgroups generated by at most two elements, deduplicated."""
+        """All subgroups generated by at most two elements, deduplicated.
+
+        Every such subgroup is conjugate to one ⟨H₁, g₂⟩ with H₁ = ⟨g₁⟩ one
+        cyclic subgroup per conjugacy class and ⟨g₂⟩ one cyclic subgroup per
+        orbit of the normalizer N(H₁). Those are closed, and the answer is
+        the union of their conjugation orbits.
+        """
+        table = self.table
+        k = len(table)
+        inv = np.argmax(table == self.identity, axis=1)
+        conj = table[table[inv, :], np.arange(k)[:, None]]  # conj[g, x] = g⁻¹·x·g
         cyclic = self.cyclic_subgroups()
         keys = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
-        subgroups: set[frozenset[int]] = set(keys)
-        for i, first in enumerate(keys):
-            g1 = cyclic[first]
-            for second in keys[i + 1 :]:
-                if cyclic[second] in first or g1 in second:
+        gens = np.array([cyclic[s] for s in keys])
+        # cyc_of[x] is the index in keys of ⟨x⟩, the least cyclic subgroup
+        # holding x: keys grow in size, so writing them in reverse leaves it last
+        cyc_of = np.empty(k, dtype=np.int64)
+        for idx in reversed(range(len(keys))):
+            cyc_of[list(keys[idx])] = idx
+
+        def normalizer(h: np.ndarray) -> np.ndarray:
+            inside = np.zeros(k, dtype=bool)
+            inside[h] = True
+            return np.flatnonzero(inside[conj[:, h]].all(axis=1))
+
+        def orbit_reps(conjugators: np.ndarray) -> list[int]:
+            """One index in keys per orbit of the conjugators on cyclic subgroups."""
+            images = cyc_of[conj[np.ix_(conjugators, gens)]]
+            seen = np.zeros(len(keys), dtype=bool)
+            reps = []
+            for j in range(len(keys)):
+                if not seen[j]:
+                    seen[images[:, j]] = True
+                    reps.append(j)
+            return reps
+
+        found: set[frozenset[int]] = set()
+        for i in orbit_reps(np.arange(k)):
+            first, g1 = keys[i], int(gens[i])
+            for j in orbit_reps(normalizer(np.fromiter(first, dtype=np.int64))):
+                g2 = int(gens[j])
+                if g2 in first or g1 in keys[j]:
                     continue
-                subgroups.add(self.close([g1, cyclic[second]]))
+                found.add(self.close([g1, g2]))
+        subgroups: set[frozenset[int]] = set(keys)
+        for h in found:
+            if h in subgroups:
+                continue
+            ids = np.fromiter(h, dtype=np.int64)
+            # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
+            cosets = np.unique(table[normalizer(ids), :].min(axis=0))
+            subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
         return subgroups
 
     def to_subgroup(self, ids: frozenset[int]) -> Subgroup:
@@ -175,7 +218,7 @@ def _ells(ell_max: int | None, pool: tuple[int, ...]) -> list[int]:
     return ells
 
 
-def harness_sl(ell_max: int | None = None, **_) -> HarnessResult:
+def harness_sl(ell_max: int | None = None) -> HarnessResult:
     violations = []
     details = {}
     checked = 0
@@ -213,7 +256,7 @@ def _random_abelian(rng: random.Random, ell: int) -> Subgroup:
             return closure(ell, [x, y])
 
 
-def harness_ab_subgp(trials: int = 500, seed: int = 0, **_) -> HarnessResult:
+def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -247,7 +290,7 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0, **_) -> HarnessResult:
     )
 
 
-def harness_cyclic(**_) -> HarnessResult:
+def harness_cyclic() -> HarnessResult:
     """Every odd-order prime-to-11 subgroup of SL2(F_11) from ≤ 2 generators is cyclic."""
     ell = 11
     sl2 = named_group(NamedGroupId.SL2, ell)
@@ -276,7 +319,7 @@ def harness_cyclic(**_) -> HarnessResult:
     return HarnessResult("cyclic", checked, tuple(violations), {"subgroups": checked})
 
 
-def harness_normalizers(ell_max: int | None = None, **_) -> HarnessResult:
+def harness_normalizers(ell_max: int | None = None) -> HarnessResult:
     violations = []
     checked = 0
     details = {}
@@ -307,7 +350,7 @@ def harness_normalizers(ell_max: int | None = None, **_) -> HarnessResult:
     return HarnessResult("normalizers", checked, tuple(violations), details)
 
 
-def harness_ns_nns(trials: int = 100, seed: int = 0, **_) -> HarnessResult:
+def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -334,9 +377,7 @@ def harness_ns_nns(trials: int = 100, seed: int = 0, **_) -> HarnessResult:
     return HarnessResult("ns-nns", checked, tuple(violations), {"groups": checked})
 
 
-def harness_easy_d(
-    ell_max: int | None = None, trials: int = 100, seed: int = 0, **_
-) -> HarnessResult:
+def harness_easy_d(ell_max: int | None = None, trials: int = 100, seed: int = 0) -> HarnessResult:
     violations = []
     checked = 0
     details = {}
@@ -369,7 +410,7 @@ def harness_easy_d(
     return HarnessResult("easy-d", checked, tuple(violations), details)
 
 
-def harness_classify(ell_max: int | None = None, **_) -> HarnessResult:
+def harness_classify(ell_max: int | None = None) -> HarnessResult:
     violations = []
     checked = 0
     targets: dict[str, int] = {}
@@ -426,7 +467,7 @@ def _subgroups_between(ambient: Subgroup, normal: frozenset[Mat2]) -> list[froze
     return out
 
 
-def harness_not_bl(ell_max: int | None = None, **_) -> HarnessResult:
+def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
     violations = []
     checked = 0
     details = {"precondition_excluded": 0, "verified": 0}
@@ -465,7 +506,7 @@ def harness_not_bl(ell_max: int | None = None, **_) -> HarnessResult:
     return HarnessResult("not-bl", checked, tuple(violations), details)
 
 
-def harness_bl(**_) -> HarnessResult:
+def harness_bl() -> HarnessResult:
     """Exhaustive scan of 2-generated upper-triangular subgroups mod 11."""
     ell = 11
     borel = named_group(NamedGroupId.BOREL, ell)
@@ -515,7 +556,7 @@ def _random_l_part_instance(rng: random.Random):
     return a, b, emb, ell, n, n + rng.randint(1, 2)
 
 
-def harness_l_part(trials: int = 10000, seed: int = 0, **_) -> HarnessResult:
+def harness_l_part(trials: int = 10000, seed: int = 0) -> HarnessResult:
     rng = random.Random(seed)
     counts = {v.value: 0 for v in LPartVerdict}
     violations = []
@@ -547,18 +588,24 @@ def run_harness(
     harness_id: str,
     ell_max: int | None = None,
     trials: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> HarnessResult:
+    """Run one harness with the options given; an option left None keeps the
+    harness default, and one the harness does not take is a UsageError."""
     if harness_id not in _HARNESSES:
         raise PreconditionError(
             f"unknown harness {harness_id!r}; known: {', '.join(HARNESS_IDS)}"
         )
-    kwargs = {"ell_max": ell_max, "seed": seed}
-    if trials is not None:
-        if trials < 0:
-            raise PreconditionError(f"trials must be non-negative, got {trials}")
-        kwargs["trials"] = trials
-    result = _HARNESSES[harness_id](**kwargs)
+    harness = _HARNESSES[harness_id]
+    given = {"ell_max": ell_max, "trials": trials, "seed": seed}
+    kwargs = {name: value for name, value in given.items() if value is not None}
+    ignored = [name for name in kwargs if name not in inspect.signature(harness).parameters]
+    if ignored:
+        options = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        raise UsageError(f"harness {harness_id} does not take {options}")
+    if trials is not None and trials < 0:
+        raise PreconditionError(f"trials must be non-negative, got {trials}")
+    result = harness(**kwargs)
     if result.checked == 0:
         raise PreconditionError(f"harness {harness_id} has nothing to check with these arguments")
     return result

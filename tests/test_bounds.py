@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
@@ -60,6 +62,24 @@ def test_field_input_json_round_trip():
     assert FieldInput.from_json(inp.to_json()) == inp
     with pytest.raises(PreconditionError):
         FieldInput.from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("merel_constant", 2.9),
+        ("merel_constant", True),
+        ("lv14_bound", True),
+        ("lv14_bound", "13"),
+        ("pdi2_primes", [7.0]),
+        ("pdi2_primes", [False]),
+    ],
+)
+def test_field_input_json_rejects_non_integers(field, value):
+    payload = {"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7]}
+    payload[field] = value
+    with pytest.raises(PreconditionError, match="malformed field input"):
+        FieldInput.from_json(json.dumps(payload))
 
 
 def test_p_bound_examples():

@@ -77,6 +77,13 @@ def test_spectrum_exhaustive_json(tmp_path, capsys):
     assert len(payload["entries"]) == 120
 
 
+def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"modulus": 5, "generators": [[[1.0, 1], [0, 1]]]}')
+    assert main(["spectrum", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed subgroup input")
+
+
 def test_bound_json(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(FIELD)
@@ -104,6 +111,22 @@ def test_verify_nothing_to_check_exit_2(argv, capsys):
     assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (["cyclic", "--trials", "3"], "--trials"),
+        (["sl", "--ell-max", "5", "--trials", "7", "--seed", "9"], "--trials, --seed"),
+        (["classify", "--ell-max", "5", "--seed", "0"], "--seed"),
+        (["bl", "--ell-max", "11"], "--ell-max"),
+    ],
+)
+def test_verify_ignored_option_exit_1(argv, ignored, capsys):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: harness {argv[0]} does not take {ignored}\n"
 
 
 @pytest.mark.parametrize("witness", ["a,b", "1", "1,2,3", ""])

@@ -151,6 +151,20 @@ def test_json_malformed():
         subgroup_from_json("not json")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"modulus": 5, "generators": [[[1.0, 1], [0, 1]]]}',
+        '{"modulus": 5, "generators": [[[1, true], [0, 1]]]}',
+        '{"modulus": 5.0, "generators": [[[1, 1], [0, 1]]]}',
+        '{"modulus": true, "generators": [[[1, 1], [0, 1]]]}',
+    ],
+)
+def test_json_rejects_non_integers(text):
+    with pytest.raises(PreconditionError, match="malformed subgroup input"):
+        subgroup_from_json(text)
+
+
 def test_det_image():
     sl2 = named_group(NamedGroupId.SL2, 5)
     assert sl2.det_image() == frozenset({1})

@@ -1,7 +1,69 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gl2tors.errors import PreconditionError
-from gl2tors.verify import HARNESS_IDS, HarnessResult, run_harness
+from gl2tors.errors import PreconditionError, ResourceLimitError, UsageError
+from gl2tors.groups import NamedGroupId, closure, named_group
+from gl2tors.modarith import Mat2
+from gl2tors.verify import (
+    HARNESS_IDS,
+    HarnessResult,
+    _gl2_table,
+    _gl2_two_generated,
+    _MulTable,
+    run_harness,
+)
+
+
+def _two_generated_reference(table: _MulTable) -> set[frozenset[int]]:
+    """Every subgroup generated by at most two elements, by closing all pairs
+    of cyclic subgroups: the slow reference for _MulTable.two_generated."""
+    cyclic = table.cyclic_subgroups()
+    keys = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
+    subgroups: set[frozenset[int]] = set(keys)
+    for i, first in enumerate(keys):
+        g1 = cyclic[first]
+        for second in keys[i + 1 :]:
+            if cyclic[second] in first or g1 in second:
+                continue
+            subgroups.add(table.close([g1, cyclic[second]]))
+    return subgroups
+
+
+def test_two_generated_gl2_5_matches_reference():
+    subgroups = _gl2_two_generated(5)
+    assert len(subgroups) == 461
+    assert set(subgroups) == _two_generated_reference(_gl2_table(5))
+
+
+def test_two_generated_borel_7_matches_reference():
+    table = _MulTable(7, sorted(named_group(NamedGroupId.BOREL, 7).elements, key=Mat2.entries))
+    assert table.two_generated() == _two_generated_reference(table)
+
+
+def _matrix(ell: int):
+    entry = st.integers(0, ell - 1)
+    return st.builds(lambda a, b, c, d: Mat2(ell, a, b, c, d), entry, entry, entry, entry).filter(
+        Mat2.is_invertible
+    )
+
+
+@st.composite
+def _small_two_generated_group(draw):
+    """A subgroup ⟨x, y⟩ of GL2(F_ell), ell in {5, 7}, of order at most 200,
+    so the all-pairs reference stays cheap."""
+    ell = draw(st.sampled_from([5, 7]))
+    x, y = draw(_matrix(ell)), draw(_matrix(ell))
+    try:
+        return closure(ell, [x, y], cap=200)
+    except ResourceLimitError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_two_generated_group())
+def test_two_generated_matches_reference_on_subgroups(g):
+    table = _MulTable(g.n, sorted(g.elements, key=Mat2.entries))
+    assert table.two_generated() == _two_generated_reference(table)
 
 
 def test_unknown_harness():
@@ -71,6 +133,15 @@ def test_l_part_small():
     r = run_harness("l-part", trials=500, seed=1)
     assert r.ok and r.checked == 500
     assert r.details == {"ConclusionVerified": 307, "HypothesisFails": 193}
+
+
+@pytest.mark.parametrize(
+    "harness_id, options",
+    [("cyclic", {"trials": 3}), ("sl", {"seed": 9}), ("bl", {"ell_max": 11})],
+)
+def test_ignored_option_is_usage_error(harness_id, options):
+    with pytest.raises(UsageError):
+        run_harness(harness_id, **options)
 
 
 def test_harness_ids_all_registered():
