@@ -131,14 +131,18 @@ class _MulTable:
         Every such subgroup is conjugate to one ⟨H₁, g₂⟩ with H₁ = ⟨g₁⟩ one
         cyclic subgroup per conjugacy class and ⟨g₂⟩ one cyclic subgroup per
         orbit of the normalizer N(H₁). Those are closed, and the answer is
-        the union of their conjugation orbits.
+        every cyclic subgroup plus the conjugation orbits of the closures.
         """
         table = self.table
         k = len(table)
         inv = np.argmax(table == self.identity, axis=1)
-        conj = table[table[inv, :], np.arange(k)[:, None]]  # conj[g, x] = g⁻¹·x·g
+        # conj[g, x] = g⁻¹·x·g, filled a row at a time: a single fancy index
+        # would hold int64 copies of a k × k array at once
+        conj = np.empty_like(table)
+        for g in range(k):
+            conj[g] = table[table[inv[g]], g]
         cyclic = self.cyclic_subgroups()
-        keys = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
+        keys = sorted(cyclic, key=len)
         gens = np.array([cyclic[s] for s in keys])
         # cyc_of[x] is the index in keys of ⟨x⟩, the least cyclic subgroup
         # holding x: keys grow in size, so writing them in reverse leaves it last
@@ -162,22 +166,20 @@ class _MulTable:
                     reps.append(j)
             return reps
 
-        found: set[frozenset[int]] = set()
+        subgroups: set[frozenset[int]] = set(keys)
         for i in orbit_reps(np.arange(k)):
             first, g1 = keys[i], int(gens[i])
             for j in orbit_reps(normalizer(np.fromiter(first, dtype=np.int64))):
                 g2 = int(gens[j])
                 if g2 in first or g1 in keys[j]:
                     continue
-                found.add(self.close([g1, g2]))
-        subgroups: set[frozenset[int]] = set(keys)
-        for h in found:
-            if h in subgroups:
-                continue
-            ids = np.fromiter(h, dtype=np.int64)
-            # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
-            cosets = np.unique(table[normalizer(ids), :].min(axis=0))
-            subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
+                h = self.close([g1, g2])
+                if h in subgroups:
+                    continue
+                ids = np.fromiter(h, dtype=np.int64)
+                # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
+                cosets = np.unique(table[normalizer(ids), :].min(axis=0))
+                subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
         return subgroups
 
     def to_subgroup(self, ids: frozenset[int]) -> Subgroup:
