@@ -601,7 +601,8 @@ def run_harness(
     harness = _HARNESSES[harness_id]
     given = {"ell_max": ell_max, "trials": trials, "seed": seed}
     kwargs = {name: value for name, value in given.items() if value is not None}
-    ignored = [name for name in kwargs if name not in inspect.signature(harness).parameters]
+    params = inspect.signature(harness).parameters
+    ignored = [name for name in kwargs if name not in params]
     if ignored:
         options = ", ".join("--" + name.replace("_", "-") for name in ignored)
         raise UsageError(f"harness {harness_id} does not take {options}")

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gl2tors.errors import PreconditionError, ResourceLimitError, UsageError
+from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.groups import NamedGroupId, closure, named_group
 from gl2tors.modarith import Mat2
 from gl2tors.verify import (
@@ -133,15 +133,6 @@ def test_l_part_small():
     r = run_harness("l-part", trials=500, seed=1)
     assert r.ok and r.checked == 500
     assert r.details == {"ConclusionVerified": 307, "HypothesisFails": 193}
-
-
-@pytest.mark.parametrize(
-    "harness_id, options",
-    [("cyclic", {"trials": 3}), ("sl", {"seed": 9}), ("bl", {"ell_max": 11})],
-)
-def test_ignored_option_is_usage_error(harness_id, options):
-    with pytest.raises(UsageError):
-        run_harness(harness_id, **options)
 
 
 def test_harness_ids_all_registered():
