@@ -34,6 +34,7 @@ from .stabilizers import (
     degree_spectrum,
     exhaustive_spectrum,
     fixed_module,
+    orbit_size,
     sl_part,
     stabilizer,
     unipotent_class,

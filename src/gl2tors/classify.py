@@ -18,7 +18,7 @@ from .groups import (
     tau,
 )
 from .lemmas import _conjugates_into, conjugate_into_normalizer, NormalizerTarget
-from .stabilizers import ProjPoint, act_row, exhaustive_spectrum, stabilizer
+from .stabilizers import ProjPoint, act_row, exhaustive_spectrum, orbit_size
 
 INERTIA_EXPONENTS = (1, 2, 3, 4, 6)
 MOD36_RESIDUES = frozenset({7, 11, 23, 31, 35})
@@ -67,10 +67,8 @@ class BlHypotheses:
         if self.det_surjective and len(g.det_image()) != g.n - 1:
             raise PreconditionError("determinant image is not the full unit group")
         if self.odd_degree_witness is not None:
-            spec = exhaustive_spectrum(g)
-            c, d = self.odd_degree_witness
-            idx = spec.get((c % g.n, d % g.n))
-            if idx is None or math.gcd(idx, 6) != 1:
+            idx = orbit_size(g, *self.odd_degree_witness)
+            if math.gcd(idx, 6) != 1:
                 raise PreconditionError(
                     f"witness vector {self.odd_degree_witness} has index {idx}, "
                     "not coprime to 6"
@@ -127,7 +125,9 @@ def classify_image(g: Subgroup, witness: ProjPoint) -> ClassifyVerdict:
     ell = g.n
     if ell < 5:
         raise PreconditionError("classification requires ell >= 5")
-    idx = g.order // stabilizer(g, witness).order
+    if witness.ell != ell:
+        raise PreconditionError(f"modulus mismatch: {ell} vs {witness.ell}")
+    idx = orbit_size(g, witness.c, witness.d)
     if idx % 2 == 0:
         raise PreconditionError(f"witness index {idx} is even")
     if g.order % ell == 0:

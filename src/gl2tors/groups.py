@@ -19,6 +19,8 @@ from .modarith import (
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
+# nonzero row vectors an exhaustive spectrum may list (ell^2 - 1); ell <= 313
+EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -242,15 +244,25 @@ def subgroup_to_json(g: Subgroup) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _is_2x2(m) -> bool:
+    return isinstance(m, list) and len(m) == 2 and all(
+        isinstance(row, list) and len(row) == 2 for row in m
+    )
+
+
 def subgroup_from_json(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
     """Parse {"modulus": N, "generators": [[[a,b],[c,d]], ...]} and close it."""
     try:
         payload = json.loads(text)
         n = payload["modulus"]
         raw = payload["generators"]
-        entries = [(row[0][0], row[0][1], row[1][0], row[1][1]) for row in raw]
-    except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"malformed subgroup input: {exc}") from exc
+    if not isinstance(raw, list) or not all(_is_2x2(m) for m in raw):
+        raise PreconditionError(
+            "malformed subgroup input: each generator must be two rows of two entries"
+        )
+    entries = [(m[0][0], m[0][1], m[1][0], m[1][1]) for m in raw]
     # type(...) is int also turns away JSON true/false, which Python reads as ints
     if not all(type(v) is int for v in (n, *(v for e in entries for v in e))):
         raise PreconditionError("malformed subgroup input: modulus and entries must be integers")

@@ -4,12 +4,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
-from .errors import LemmaViolationError, PreconditionError
+from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import Mat2, _check_odd_prime, element_order
-from .groups import Subgroup, subgroup_from_elements
+from .groups import EXHAUSTIVE_SPECTRUM_CAP, Subgroup, subgroup_from_elements
 
 
 def act_row(c: int, d: int, x: Mat2) -> tuple[int, int]:
@@ -144,35 +145,77 @@ class DegreeSpectrum:
         return hash((self.group_order, tuple(sorted(self.entries.items())), self.sl_index))
 
 
+def _entry_arrays(g: Subgroup) -> np.ndarray:
+    """The entries of g's elements as a 4 x |g| int64 array with rows a, b, c, d."""
+    # row actions sum two products below ell^2, which int64 holds for ell < 2^31
+    if g.n >= 2**31:
+        raise ResourceLimitError(f"modulus {g.n} is too large for the int64 row action")
+    return np.array([(x.a, x.b, x.c, x.d) for x in g.elements], dtype=np.int64).T
+
+
+def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: int) -> list[int]:
+    """[G : Stab(v)] for each seed row vector v, coded as c*ell + d.
+
+    By orbit-stabilizer the index is the size of v's orbit, and it is the
+    same for every vector in that orbit. One numpy pass over the elements
+    gives v's images; every image coded below `size` is labelled with the
+    index, so a later seed in a labelled orbit costs no pass. Over all of
+    F_ell^2 the passes cost sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and
+    no generating set is used, since groups built from element sets carry
+    every element as a generator.
+    """
+    a, b, c_, d_ = entries
+    order = entries.shape[1]
+    labels = np.zeros(size, dtype=np.int64)
+    out = []
+    for v in seeds:
+        if v < size and labels[v]:
+            out.append(int(labels[v]))
+            continue
+        c, d = divmod(v, ell)
+        images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
+        index = order // int(np.count_nonzero(images == v))
+        labels[images[images < size]] = index
+        out.append(index)
+    return out
+
+
+def orbit_size(g: Subgroup, c: int, d: int) -> int:
+    """[g : Stab(v)] for the nonzero row vector v = (c d): the size of v's orbit."""
+    _check_odd_prime(g.n)
+    c, d = c % g.n, d % g.n
+    if (c, d) == (0, 0):
+        raise PreconditionError("the zero vector has no degree")
+    return _orbit_indices(g.n, _entry_arrays(g), [c * g.n + d], 0)[0]
+
+
 def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
     _check_odd_prime(g.n)
-    entries = {}
-    for p in ProjPoint.all_points(g.n):
-        stab = stabilizer(g, p)
-        entries[p] = g.order // stab.order
-    return DegreeSpectrum(g.order, entries, g.order // sl_part(g).order)
+    ell = g.n
+    entries = _entry_arrays(g)
+    points = ProjPoint.all_points(ell)
+    # the representatives (0, 1) and (1, s) have codes 1 and ell..2ell-1, so
+    # labels below 2ell cover them in O(ell) memory
+    indices = _orbit_indices(ell, entries, [p.c * ell + p.d for p in points], 2 * ell)
+    a, b, c, d = entries
+    # g / (g ∩ SL2) is the determinant image
+    sl_index = np.unique((a * d - b * c) % ell).size
+    return DegreeSpectrum(g.order, dict(zip(points, indices)), sl_index)
 
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
     """Stabilizer index for every nonzero row vector, not just line representatives."""
     _check_odd_prime(g.n)
     ell = g.n
-    elems = list(g.elements)
-    a = np.array([x.a for x in elems], dtype=np.int64)
-    b = np.array([x.b for x in elems], dtype=np.int64)
-    c_ = np.array([x.c for x in elems], dtype=np.int64)
-    d_ = np.array([x.d for x in elems], dtype=np.int64)
-    out = {}
-    for c in range(ell):
-        for d in range(ell):
-            if (c, d) == (0, 0):
-                continue
-            fixed = np.count_nonzero(
-                ((c * a + d * c_) % ell == c) & ((c * b + d * d_) % ell == d)
-            )
-            out[(c, d)] = g.order // int(fixed)
-    return out
+    if ell * ell - 1 > EXHAUSTIVE_SPECTRUM_CAP:
+        raise ResourceLimitError(
+            f"exhaustive spectrum mod {ell} has {ell * ell - 1} vectors,"
+            f" over the cap of {EXHAUSTIVE_SPECTRUM_CAP}"
+        )
+    vectors = [(c, d) for c in range(ell) for d in range(ell)][1:]
+    indices = _orbit_indices(ell, _entry_arrays(g), range(1, ell * ell), ell * ell)
+    return dict(zip(vectors, indices))
 
 
 @dataclass(frozen=True)

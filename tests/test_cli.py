@@ -84,6 +84,29 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: malformed subgroup input")
 
 
+@pytest.mark.parametrize(
+    "text, flags, err",
+    [
+        (
+            '{"modulus": 5, "generators": [[[1, 1, 7], [0, 1, 9], [3, 3]]]}',
+            [],
+            "error: malformed subgroup input: ",
+        ),
+        (
+            '{"modulus": 1009, "generators": [[[1, 1], [0, 1]]]}',
+            ["--exhaustive"],
+            "error: exhaustive spectrum mod 1009 has 1018080 vectors, over the cap of ",
+        ),
+    ],
+)
+def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert main(["spectrum", "--input", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err)
+
+
 def test_bound_json(tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(FIELD)

@@ -165,6 +165,22 @@ def test_json_rejects_non_integers(text):
         subgroup_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "generators",
+    [
+        "[[[1, 1, 7], [0, 1, 9], [3, 3]]]",
+        "[[[1, 1], [0, 1], [0, 0]]]",
+        "[[[1, 1], [0, 1, 4]]]",
+        "[[[1, 1]]]",
+        "[[1, 1, 0, 1]]",
+        '{"x": [[1, 1], [0, 1]]}',
+    ],
+)
+def test_json_rejects_malformed_matrices(generators):
+    with pytest.raises(PreconditionError, match="malformed subgroup input"):
+        subgroup_from_json(f'{{"modulus": 5, "generators": {generators}}}')
+
+
 def test_det_image():
     sl2 = named_group(NamedGroupId.SL2, 5)
     assert sl2.det_image() == frozenset({1})

@@ -1,8 +1,16 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gl2tors.errors import PreconditionError
+from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_inv, mat_mul, unipotent
-from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_elements
+from gl2tors.groups import (
+    EXHAUSTIVE_SPECTRUM_CAP,
+    NamedGroupId,
+    closure,
+    named_group,
+    subgroup_from_elements,
+)
 from gl2tors.stabilizers import (
     ProjPoint,
     UnipotentClass,
@@ -10,11 +18,33 @@ from gl2tors.stabilizers import (
     degree_spectrum,
     exhaustive_spectrum,
     fixed_module,
+    orbit_size,
     sl_part,
     stabilizer,
     unipotent_class,
     vector_stabilizer,
 )
+
+
+def _exhaustive_spectrum_reference(g):
+    """Stabilizer index of every nonzero row vector, counting the elements that
+    fix each vector in turn: the slow reference for the orbit routine."""
+    ell = g.n
+    elems = list(g.elements)
+    a = np.array([x.a for x in elems], dtype=np.int64)
+    b = np.array([x.b for x in elems], dtype=np.int64)
+    c_ = np.array([x.c for x in elems], dtype=np.int64)
+    d_ = np.array([x.d for x in elems], dtype=np.int64)
+    out = {}
+    for c in range(ell):
+        for d in range(ell):
+            if (c, d) == (0, 0):
+                continue
+            fixed = np.count_nonzero(
+                ((c * a + d * c_) % ell == c) & ((c * b + d * d_) % ell == d)
+            )
+            out[(c, d)] = g.order // int(fixed)
+    return out
 
 
 def _gl2(ell):
@@ -181,3 +211,49 @@ def test_fixed_module_composite_mixed():
     ]
     assert fm.m * fm.n == len(fixed)
     assert fm.n % fm.m == 0 and 6 % fm.n == 0
+
+
+def _matrix(ell: int):
+    entry = st.integers(0, ell - 1)
+    return st.builds(lambda a, b, c, d: Mat2(ell, a, b, c, d), entry, entry, entry, entry).filter(
+        Mat2.is_invertible
+    )
+
+
+@st.composite
+def _two_generated_group(draw):
+    """⟨x, y⟩ ≤ GL2(F_ell) for ell in {5, 7, 11}."""
+    ell = draw(st.sampled_from([5, 7, 11]))
+    return closure(ell, [draw(_matrix(ell)), draw(_matrix(ell))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_generated_group())
+def test_spectra_match_reference(g):
+    reference = _exhaustive_spectrum_reference(g)
+    # the closure keeps two generators; the rebuilt group has every element as one
+    for h in (g, subgroup_from_elements(g.n, g.elements)):
+        assert exhaustive_spectrum(h) == reference
+        spec = degree_spectrum(h)
+        assert spec.entries == {p: reference[(p.c, p.d)] for p in ProjPoint.all_points(g.n)}
+        assert spec.sl_index == g.order // sl_part(g).order
+
+
+def test_orbit_size_matches_vector_stabilizer():
+    g = named_group(NamedGroupId.DELTA_U1, 11)
+    for c, d in ((1, 0), (0, 1), (3, 7), (-1, 12)):
+        assert orbit_size(g, c, d) == g.order // vector_stabilizer(g, c, d).order
+    with pytest.raises(PreconditionError):
+        orbit_size(g, 11, 0)
+
+
+def test_exhaustive_spectrum_cap():
+    ell = 317  # the least prime with ell^2 - 1 over the cap
+    assert ell * ell - 1 > EXHAUSTIVE_SPECTRUM_CAP > 313 * 313 - 1
+    g = closure(ell, [unipotent(ell)])
+    with pytest.raises(ResourceLimitError):
+        exhaustive_spectrum(g)
+    assert len(exhaustive_spectrum(closure(313, [unipotent(313)]))) == 313 * 313 - 1
+    spec = degree_spectrum(g)
+    assert spec.entries[ProjPoint(ell, 0, 1)] == 1
+    assert set(spec.values()) == {1, ell}
