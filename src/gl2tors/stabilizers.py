@@ -200,7 +200,7 @@ def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     indices = _orbit_indices(ell, entries, [p.c * ell + p.d for p in points], 2 * ell)
     a, b, c, d = entries
     # g / (g ∩ SL2) is the determinant image
-    sl_index = np.unique((a * d - b * c) % ell).size
+    sl_index = int(np.count_nonzero(np.bincount((a * d - b * c) % ell)))
     return DegreeSpectrum(g.order, dict(zip(points, indices)), sl_index)
 
 
