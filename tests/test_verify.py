@@ -120,7 +120,8 @@ def test_bl():
 
 def test_ab_subgp_random_only_smoke():
     r = run_harness("ab-subgp", trials=5)
-    assert r.ok
+    assert r.ok and r.checked == 2263
+    assert r.details == {"cyclic_subgroups": 2248, "random_abelian": 15}
 
 
 def test_ns_nns_smoke():
