@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +27,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused by every main() call."""
     parser = _Parser(prog="gl2tors")
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"

@@ -67,7 +67,11 @@ class Subgroup:
 def closure(
     n: int, generators: Iterable[Mat2], cap: int = DEFAULT_CLOSURE_CAP
 ) -> Subgroup:
-    """Smallest subgroup of GL2(Z/nZ) containing the generators."""
+    """Smallest subgroup of GL2(Z/nZ) containing the generators.
+
+    The breadth-first search multiplies reduced (a, b, c, d) tuples mod n and
+    builds each element's Mat2 once, at the end, in discovery order.
+    """
     gens = tuple(generators)
     for g in gens:
         if g.n != n:
@@ -75,23 +79,33 @@ def closure(
         if not g.is_invertible():
             raise PreconditionError(f"generator {g} is not invertible")
     ident = Mat2.identity(n)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(x, g)
-                if y not in elements:
-                    elements.add(y)
-                    nxt.append(y)
-                    if len(elements) > cap:
-                        raise ResourceLimitError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-        frontier = nxt
-    # finite subsets closed under multiplication are closed under inverse
-    return Subgroup(n, gens, frozenset(elements))
+    steps = [g.entries() for g in gens]
+    found = [ident.entries()]
+    seen = set(found)
+    # the loop also visits the elements it appends, which makes it the BFS queue
+    for a, b, c, d in found:
+        for p, q, r, s in steps:
+            y = (
+                (a * p + b * r) % n,
+                (a * q + b * s) % n,
+                (c * p + d * r) % n,
+                (c * q + d * s) % n,
+            )
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+                if len(found) > cap:
+                    raise ResourceLimitError(
+                        f"closure exceeded cap of {cap} elements"
+                    )
+    trusted = Mat2._reduced
+    elements = [ident] + [trusted(n, a, b, c, d) for a, b, c, d in found[1:]]
+    # finite subsets closed under multiplication are closed under inverse.
+    # The set is grown one element at a time in discovery order and then
+    # frozen, so the group iterates in the same order as the reference Mat2
+    # search in the tests; a frozenset built straight from the list sizes its
+    # table differently and iterates in another order.
+    return Subgroup(n, gens, frozenset(set(elements)))
 
 
 def subgroup_from_elements(n: int, elements: Iterable[Mat2]) -> Subgroup:

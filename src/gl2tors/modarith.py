@@ -64,6 +64,23 @@ class Mat2:
         object.__setattr__(self, "d", self.d % n)
 
     @staticmethod
+    def _reduced(n: int, a: int, b: int, c: int, d: int) -> "Mat2":
+        """Trusted constructor for n >= 2 and entries already in [0, n).
+
+        It skips __post_init__, so the caller must guarantee both; Mat2(...)
+        is the validated constructor. Kept on the class, not as a module
+        function, so that the hot mat_mul calls no other modarith entry point.
+        """
+        m = object.__new__(Mat2)
+        set_ = object.__setattr__
+        set_(m, "n", n)
+        set_(m, "a", a)
+        set_(m, "b", b)
+        set_(m, "c", c)
+        set_(m, "d", d)
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Mat2":
         return Mat2(n, 1, 0, 0, 1)
 
@@ -115,12 +132,12 @@ def mat_mul(x: Mat2, y: Mat2) -> Mat2:
     if x.n != y.n:
         raise PreconditionError(f"modulus mismatch: {x.n} vs {y.n}")
     n = x.n
-    return Mat2(
+    return Mat2._reduced(
         n,
-        x.a * y.a + x.b * y.c,
-        x.a * y.b + x.b * y.d,
-        x.c * y.a + x.d * y.c,
-        x.c * y.b + x.d * y.d,
+        (x.a * y.a + x.b * y.c) % n,
+        (x.a * y.b + x.b * y.d) % n,
+        (x.c * y.a + x.d * y.c) % n,
+        (x.c * y.b + x.d * y.d) % n,
     )
 
 
@@ -128,8 +145,9 @@ def mat_inv(x: Mat2) -> Mat2:
     det = x.det()
     if math.gcd(det, x.n) != 1:
         raise SingularMatrixError(f"matrix {x} has non-unit determinant {det}")
-    dinv = pow(det, -1, x.n)
-    return Mat2(x.n, x.d * dinv, -x.b * dinv, -x.c * dinv, x.a * dinv)
+    n = x.n
+    dinv = pow(det, -1, n)
+    return Mat2._reduced(n, x.d * dinv % n, -x.b * dinv % n, -x.c * dinv % n, x.a * dinv % n)
 
 
 def element_order(x: Mat2) -> int:

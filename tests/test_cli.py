@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gl2tors.cli import main
+from gl2tors.cli import _build_parser, main
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
 FIELD = '{"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7,11,23]}'
@@ -191,3 +191,18 @@ def test_precondition_exit(tmp_path):
         )
     )
     assert main(["classify", "--input", str(path)]) == 2
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    """The parser is built once per process; no call's options or errors
+    carry into the next."""
+    assert main(["order"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: gl2tors order" in captured.err
+    assert main(["order", "--modulus", "6"]) == 0
+    assert capsys.readouterr() == ("6\t288\n", "")
+    assert main(["--format", "json", "sieve", "--max", "12"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"limit": 12, "primes": [7, 11]}
+    assert main(["order", "--modulus", "5"]) == 0
+    assert capsys.readouterr() == ("5\t480\n", "")
+    assert _build_parser() is _build_parser()

@@ -1,10 +1,14 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_mul, unipotent, unipotent_lower
 from gl2tors.groups import (
+    DEFAULT_CLOSURE_CAP,
     NamedGroupId,
+    Subgroup,
     closure,
     delta_flip,
     diagexp_pair,
@@ -39,6 +43,79 @@ def test_equality_ignores_generators():
     assert g.generators != h.generators
     assert g == h and hash(g) == hash(h)
     assert g != closure(11, [Mat2.diag(11, 2, 1)])
+
+
+def _closure_reference(n, generators, cap=DEFAULT_CLOSURE_CAP):
+    """Breadth-first search over Mat2 values, every product built by the
+    validated constructor: the slow reference for closure."""
+    gens = tuple(generators)
+    ident = Mat2.identity(n)
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = Mat2(
+                    n,
+                    x.a * g.a + x.b * g.c,
+                    x.a * g.b + x.b * g.d,
+                    x.c * g.a + x.d * g.c,
+                    x.c * g.b + x.d * g.d,
+                )
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+                    if len(elements) > cap:
+                        raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
+        frontier = nxt
+    return Subgroup(n, gens, frozenset(elements))
+
+
+def _invertible_residues(n):
+    return [
+        (a, b, c, d)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        for d in range(n)
+        if math.gcd(a * d - b * c, n) == 1
+    ]
+
+
+_GL2_ENTRIES = {n: _invertible_residues(n) for n in (5, 7, 11, 4, 6, 9, 12)}
+
+
+@st.composite
+def _two_generators(draw):
+    """Two invertible matrices mod a prime or composite modulus, each built
+    from entries shifted by random multiples of n, some of them negative."""
+    n = draw(st.sampled_from(sorted(_GL2_ENTRIES)))
+    gens = []
+    for _ in range(2):
+        entries = draw(st.sampled_from(_GL2_ENTRIES[n]))
+        shifts = draw(st.tuples(*[st.integers(-2, 2)] * 4))
+        gens.append(Mat2(n, *(v + k * n for v, k in zip(entries, shifts))))
+    return n, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(_two_generators())
+def test_closure_matches_reference(args):
+    n, gens = args
+    g, ref = closure(n, gens), _closure_reference(n, gens)
+    assert g.elements == ref.elements
+    # same iteration order, so every choice made by iterating a group stays put
+    assert list(g.elements) == list(ref.elements)
+    assert g.generators == ref.generators == tuple(gens)
+    if g.order > 1:
+        with pytest.raises(ResourceLimitError):
+            closure(n, gens, cap=g.order - 1)
+    assert closure(n, gens, cap=g.order).elements == ref.elements
+    for x in g.elements:
+        assert all(0 <= v < n for v in x.entries())
+        validated = Mat2(n, *x.entries())
+        assert x == validated and hash(x) == hash(validated)
 
 
 def _is_abelian_elementwise(g):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, SingularMatrixError
 from gl2tors.modarith import (
@@ -13,6 +13,7 @@ from gl2tors.modarith import (
     gl2_order,
     legendre,
     mat_inv,
+    mat_mul,
     primitive_root,
     sqrt_mod,
     unipotent,
@@ -87,6 +88,42 @@ def test_pow_negative_and_order():
     assert (x**k).is_identity()
     assert x**-1 == mat_inv(x)
     assert x ** (k - 1) == mat_inv(x)
+
+
+def _validated_product(n, x, y):
+    (a, b, c, d), (p, q, r, s) = x, y
+    return Mat2(n, a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def _assert_same_as_validated(m, want):
+    assert all(0 <= v < m.n for v in m.entries())
+    assert m == want and hash(m) == hash(want)
+
+
+_raw_entries = st.tuples(*[st.integers(-30, 30)] * 4)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([4, 5, 6, 7, 9, 11, 12]), _raw_entries, _raw_entries, st.integers(-6, 12))
+def test_products_inverses_powers_equal_validated(n, raw_x, raw_y, k):
+    """mat_mul, mat_inv and ** build through the trusted constructor; each
+    result must equal Mat2 built from the unreduced, possibly negative,
+    entries the same formula gives."""
+    x, y = Mat2(n, *raw_x), Mat2(n, *raw_y)
+    _assert_same_as_validated(mat_mul(x, y), _validated_product(n, raw_x, raw_y))
+    if not x.is_invertible():
+        k = abs(k)
+        base = raw_x
+    else:
+        a, b, c, d = raw_x
+        dinv = pow(a * d - b * c, -1, n)
+        inv = Mat2(n, d * dinv, -b * dinv, -c * dinv, a * dinv)
+        _assert_same_as_validated(mat_inv(x), inv)
+        base = raw_x if k >= 0 else inv.entries()
+    want = Mat2.identity(n)
+    for _ in range(abs(k)):
+        want = _validated_product(n, want.entries(), base)
+    _assert_same_as_validated(x**k, want)
 
 
 def test_element_order_divides_group_order():
