@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gl2tors.cli import _build_parser, main
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
+BOREL_7 = '{"modulus": 7, "generators": [[[3,0],[0,1]],[[1,1],[0,1]]]}'
 FIELD = '{"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7,11,23]}'
 
 
@@ -75,6 +77,32 @@ def test_spectrum_exhaustive_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["entries"]["0,1"] == 10
     assert len(payload["entries"]) == 120
+
+
+# sha256 of the stdout of each group verb and format on BOREL_7: how the
+# rows are built may change, the bytes printed may not
+_BOREL_7_STDOUT = {
+    ("spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
+    ("spectrum", "csv"): "559e0468c0d2ecc28ce7c1febe77d09ab4401e60209fe83858b7f86dcc494ff3",
+    ("spectrum", "json"): "8fc05d690522aa13973c340356bdbd56b361057c71fbcb4d2b9f6f65bf980890",
+    ("spectrum --exhaustive", "text"): "32c27601da7c6d6f7a90c19e7796d687f0f5eb5f8d7e8ae41d3902240a4c16c6",
+    ("spectrum --exhaustive", "csv"): "d27a62b3e4b6c990181174ede63d7a7f6a1ed6d08d73995fd8fd7ca2e6c85aca",
+    ("spectrum --exhaustive", "json"): "633e410b00f3d96f0d96ac7c93da45842543a0a1cc57f4c6baa53684fc4c516d",
+    ("classify", "text"): "79c598f0dc4e9d737af25d3f74b6f21073df747345335efbba9d3e6e7f3b4f71",
+    ("classify", "csv"): "afae40488aa0e8066d554f9c405871e6bfb7d05d3869238a7e4a0a8b0d70db8d",
+    ("classify", "json"): "65906e47df945408fcf071e17e985355dc4eaddbca03808956dc92be98727db3",
+}
+
+
+@pytest.mark.parametrize("verb, fmt", sorted(_BOREL_7_STDOUT))
+def test_group_verb_stdout_pinned(verb, fmt, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(BOREL_7)
+    command, *flags = verb.split()
+    assert main(["--format", fmt, command, "--input", str(path), *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == _BOREL_7_STDOUT[verb, fmt]
 
 
 def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
