@@ -291,6 +291,14 @@ def stripped_diagonal(g: Subgroup) -> Subgroup:
 def derive_delta(g: Subgroup, hyp: BlHypotheses) -> BlVerdict:
     """Identify the diagonal part of a Borel image as one of the two derived
     diagonal groups, and verify its consequences."""
+    return _derive_delta(g, hyp, None)
+
+
+def _derive_delta(
+    g: Subgroup, hyp: BlHypotheses, spectrum: dict[tuple[int, int], int] | None
+) -> BlVerdict:
+    """derive_delta, reading the exhaustive spectrum of g from the caller when
+    it has one; it is computed only after every precondition holds."""
     ell = g.n
     borel = named_group(NamedGroupId.BOREL, ell)
     if not g.elements <= borel.elements:
@@ -302,7 +310,8 @@ def derive_delta(g: Subgroup, hyp: BlHypotheses) -> BlVerdict:
     hyp.validate_against(g)
     if not cong_check(stripped_diagonal(g)):
         raise PreconditionError("exponent congruence fails on the diagonal image")
-    spectrum = exhaustive_spectrum(g)
+    if spectrum is None:
+        spectrum = exhaustive_spectrum(g)
     if not any(math.gcd(idx, 6) == 1 for idx in spectrum.values()):
         raise PreconditionError("no stabilizer index coprime to 6")
 

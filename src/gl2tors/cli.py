@@ -5,6 +5,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Iterable
 
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
@@ -67,7 +68,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(fmt: str, payload: dict, rows: list[tuple], header: tuple[str, ...]) -> None:
+def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...]) -> None:
+    """Print the payload as JSON, or the rows as csv or text; rows may be a
+    generator, which JSON output never runs."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, default=str))
     elif fmt == "csv":
@@ -124,7 +127,7 @@ def _cmd_classify(args) -> int:
                 ).to_dict()
             except PreconditionError as exc:
                 payload["borel_refinement"] = f"not derivable: {exc}"
-    rows = sorted((k, json.dumps(v, sort_keys=True)) for k, v in payload.items())
+    rows = ((k, json.dumps(payload[k], sort_keys=True)) for k in sorted(payload))
     _emit(args.format, payload, rows, ("field", "value"))
     return EXIT_OK
 
@@ -133,10 +136,7 @@ def _cmd_spectrum(args) -> int:
     g = subgroup_from_json(_read_file(args.input))
     if args.exhaustive:
         entries = exhaustive_spectrum(g)
-        rows = [
-            (f"({c},{d})", g.order // idx, idx)
-            for (c, d), idx in sorted(entries.items())
-        ]
+        rows = ((f"({c},{d})", g.order // idx, idx) for (c, d), idx in entries.items())
         payload = {
             "group_order": g.order,
             "entries": {f"{c},{d}": idx for (c, d), idx in entries.items()},

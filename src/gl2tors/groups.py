@@ -1,11 +1,14 @@
 """Finite subgroups of GL2(Z/NZ): closure, named subgroups, diagonal images."""
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
+
+import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
 from .modarith import (
@@ -23,33 +26,90 @@ DEFAULT_CLOSURE_CAP = 10**7
 EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of GL2(Z/nZ) held as generators plus its full element set.
+    """A subgroup of GL2(Z/nZ) held as generators plus its elements' entries.
 
-    The generators generate the element set. Equality and hashing use only
-    (n, elements), so one group with two generating sets compares equal.
+    A group from `closure` holds the reduced (a, b, c, d) tuples (`entries`)
+    in the order the search found them, and builds its Mat2 element set on
+    first use. A group built from elements derives the tuples from them on
+    first use.
+    Order, the determinant image, the entry array, equality and hashing read
+    the tuples alone, and so does membership until the element set exists.
+    Equality and hashing use only (n, the entry set), so one group with two
+    generating sets compares equal.
     """
 
-    n: int
-    generators: tuple[Mat2, ...] = field(compare=False)
-    elements: frozenset[Mat2]
+    def __init__(self, n: int, generators: Iterable[Mat2], elements: Iterable[Mat2]):
+        # the element set fills its cached property; the entries follow on first use
+        vars(self).update(n=n, generators=tuple(generators), elements=frozenset(elements))
+
+    @classmethod
+    def _from_entries(
+        cls, n: int, generators: tuple[Mat2, ...], entries: tuple[tuple[int, int, int, int], ...]
+    ) -> "Subgroup":
+        """Trusted constructor for distinct entries in [0, n) closed under multiplication."""
+        g = object.__new__(cls)
+        vars(g).update(n=n, generators=generators, entries=entries)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Subgroup is immutable; cannot set {name}")
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The elements' reduced (a, b, c, d) tuples: in discovery order for a
+        group from closure, in element-set order for one built from elements."""
+        return tuple([x.entries() for x in self.elements])
+
+    @cached_property
+    def elements(self) -> frozenset[Mat2]:
+        trusted, n = Mat2._reduced, self.n
+        # grown one element at a time in discovery order and then frozen, so
+        # the group iterates in the same order as the reference Mat2 search
+        # in the tests; a frozenset built straight from the list sizes its
+        # table differently and iterates in another order
+        return frozenset(set([trusted(n, a, b, c, d) for a, b, c, d in self.entries]))
+
+    @cached_property
+    def _entry_set(self) -> frozenset[tuple[int, int, int, int]]:
+        return frozenset(self.entries)
+
+    @cached_property
+    def entry_array(self) -> np.ndarray:
+        """The entries as a read-only 4 x |G| int64 array with rows a, b, c, d."""
+        # row actions sum two products below n^2, which int64 holds for n < 2^31
+        if self.n >= 2**31:
+            raise ResourceLimitError(f"modulus {self.n} is too large for int64 entries")
+        flat = itertools.chain.from_iterable(self.entries)
+        array = np.fromiter(flat, np.int64, 4 * self.order).reshape(-1, 4).T
+        array.flags.writeable = False
+        return array
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.entries)
 
     def __contains__(self, x: Mat2) -> bool:
-        return x in self.elements
+        # a group that holds its element set already, such as a named group
+        # built from elements, answers from it rather than derive its entries
+        elements = vars(self).get("elements")
+        if elements is not None:
+            return x in elements
+        return isinstance(x, Mat2) and x.n == self.n and x.entries() in self._entry_set
 
     def __iter__(self):
         return iter(self.elements)
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return is_subgroup_of(self, other)
+    def __eq__(self, other):
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.n == other.n and self._entry_set == other._entry_set
 
-    def sorted_elements(self) -> list[Mat2]:
-        return sorted(self.elements, key=Mat2.entries)
+    def __hash__(self):
+        return hash((self.n, self._entry_set))
+
+    def __repr__(self):
+        return f"Subgroup(n={self.n}, order={self.order}, generators={self.generators})"
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, which makes the group abelian."""
@@ -61,7 +121,8 @@ class Subgroup:
         return True
 
     def det_image(self) -> frozenset[int]:
-        return frozenset(x.det() for x in self.elements)
+        a, b, c, d = self.entry_array
+        return frozenset(np.flatnonzero(np.bincount((a * d - b * c) % self.n)).tolist())
 
 
 def closure(
@@ -69,8 +130,9 @@ def closure(
 ) -> Subgroup:
     """Smallest subgroup of GL2(Z/nZ) containing the generators.
 
-    The breadth-first search multiplies reduced (a, b, c, d) tuples mod n and
-    builds each element's Mat2 once, at the end, in discovery order.
+    The breadth-first search multiplies reduced (a, b, c, d) tuples mod n;
+    the group keeps them in discovery order and builds no Mat2 until its
+    element set is read.
     """
     gens = tuple(generators)
     for g in gens:
@@ -78,9 +140,8 @@ def closure(
             raise PreconditionError(f"generator modulus {g.n} != {n}")
         if not g.is_invertible():
             raise PreconditionError(f"generator {g} is not invertible")
-    ident = Mat2.identity(n)
     steps = [g.entries() for g in gens]
-    found = [ident.entries()]
+    found = [Mat2.identity(n).entries()]
     seen = set(found)
     # the loop also visits the elements it appends, which makes it the BFS queue
     for a, b, c, d in found:
@@ -98,26 +159,14 @@ def closure(
                     raise ResourceLimitError(
                         f"closure exceeded cap of {cap} elements"
                     )
-    trusted = Mat2._reduced
-    elements = [ident] + [trusted(n, a, b, c, d) for a, b, c, d in found[1:]]
-    # finite subsets closed under multiplication are closed under inverse.
-    # The set is grown one element at a time in discovery order and then
-    # frozen, so the group iterates in the same order as the reference Mat2
-    # search in the tests; a frozenset built straight from the list sizes its
-    # table differently and iterates in another order.
-    return Subgroup(n, gens, frozenset(set(elements)))
+    # finite subsets closed under multiplication are closed under inverse
+    return Subgroup._from_entries(n, gens, tuple(found))
 
 
 def subgroup_from_elements(n: int, elements: Iterable[Mat2]) -> Subgroup:
     """Wrap an already-closed element set, using it as its own generating set."""
     elems = frozenset(elements)
     return Subgroup(n, tuple(sorted(elems, key=Mat2.entries)), elems)
-
-
-def is_subgroup_of(h: Subgroup, g: Subgroup) -> bool:
-    if h.n != g.n:
-        raise PreconditionError(f"modulus mismatch: {h.n} vs {g.n}")
-    return h.elements <= g.elements
 
 
 class NamedGroupId(Enum):

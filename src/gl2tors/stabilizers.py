@@ -85,16 +85,26 @@ class UnipotentResult:
 
 def unipotent_class(g: Subgroup, p: ProjPoint) -> UnipotentResult:
     """Classify the det-1 vector stabilizer: trivial, or order ell conjugate to the shear."""
+    if g.n != p.ell:
+        raise PreconditionError(f"modulus mismatch: {g.n} vs {p.ell}")
+    _check_odd_prime(g.n)
     ell = g.n
-    stab = stabilizer(g, p)
-    det1 = [x for x in stab.elements if x.det() == 1]
+    c, d = p.c, p.d
+    # one pass over the group's entries: the det-1 elements fixing (c d)
+    det1 = [
+        e
+        for e in g.entries
+        if (c * e[0] + d * e[2]) % ell == c
+        and (c * e[1] + d * e[3]) % ell == d
+        and (e[0] * e[3] - e[1] * e[2]) % ell == 1
+    ]
     if len(det1) == 1:
         return UnipotentResult(UnipotentClass.TRIVIAL, None)
     if len(det1) != ell:
         raise LemmaViolationError(
             f"det-1 stabilizer of {p} in a group of order {g.order} has order {len(det1)}"
         )
-    gen = next(x for x in det1 if not x.is_identity())
+    gen = Mat2(ell, *next(e for e in det1 if e != (1, 0, 0, 1)))
     if gen.trace() != 2 or element_order(gen) != ell:
         raise LemmaViolationError(f"non-unipotent generator {gen} in det-1 stabilizer")
     t = _unipotent_conjugator(gen)
@@ -145,14 +155,6 @@ class DegreeSpectrum:
         return hash((self.group_order, tuple(sorted(self.entries.items())), self.sl_index))
 
 
-def _entry_arrays(g: Subgroup) -> np.ndarray:
-    """The entries of g's elements as a 4 x |g| int64 array with rows a, b, c, d."""
-    # row actions sum two products below ell^2, which int64 holds for ell < 2^31
-    if g.n >= 2**31:
-        raise ResourceLimitError(f"modulus {g.n} is too large for the int64 row action")
-    return np.array([(x.a, x.b, x.c, x.d) for x in g.elements], dtype=np.int64).T
-
-
 def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: int) -> list[int]:
     """[G : Stab(v)] for each seed row vector v, coded as c*ell + d.
 
@@ -186,14 +188,14 @@ def orbit_size(g: Subgroup, c: int, d: int) -> int:
     c, d = c % g.n, d % g.n
     if (c, d) == (0, 0):
         raise PreconditionError("the zero vector has no degree")
-    return _orbit_indices(g.n, _entry_arrays(g), [c * g.n + d], 0)[0]
+    return _orbit_indices(g.n, g.entry_array, [c * g.n + d], 0)[0]
 
 
 def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
     _check_odd_prime(g.n)
     ell = g.n
-    entries = _entry_arrays(g)
+    entries = g.entry_array
     points = ProjPoint.all_points(ell)
     # the representatives (0, 1) and (1, s) have codes 1 and ell..2ell-1, so
     # labels below 2ell cover them in O(ell) memory
@@ -205,7 +207,8 @@ def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
 
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
-    """Stabilizer index for every nonzero row vector, not just line representatives."""
+    """Stabilizer index for every nonzero row vector, not just line
+    representatives, keyed in ascending (c, d) order."""
     _check_odd_prime(g.n)
     ell = g.n
     if ell * ell - 1 > EXHAUSTIVE_SPECTRUM_CAP:
@@ -214,7 +217,7 @@ def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
             f" over the cap of {EXHAUSTIVE_SPECTRUM_CAP}"
         )
     vectors = [(c, d) for c in range(ell) for d in range(ell)][1:]
-    indices = _orbit_indices(ell, _entry_arrays(g), range(1, ell * ell), ell * ell)
+    indices = _orbit_indices(ell, g.entry_array, range(1, ell * ell), ell * ell)
     return dict(zip(vectors, indices))
 
 

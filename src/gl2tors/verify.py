@@ -25,9 +25,9 @@ from .lemmas import (
 )
 from .classify import (
     BlHypotheses,
+    _derive_delta,
     classify_image,
     cong_check,
-    derive_delta,
     not_bl_check,
     stripped_diagonal,
 )
@@ -189,11 +189,9 @@ class _MulTable:
 def _cyclic_subgroups(elements: Iterable[Mat2]) -> list[Subgroup]:
     """The distinct cyclic subgroups the elements generate, in order of first
     appearance, each generated by the first element that generates it."""
-    out: dict[frozenset[Mat2], Subgroup] = {}
-    for x in elements:
-        h = closure(x.n, [x])
-        out.setdefault(h.elements, h)
-    return list(out.values())
+    # groups hash and compare on their entries, and a dict keeps the first
+    # of equal keys, so no duplicate builds its Mat2 element set
+    return list(dict.fromkeys(closure(x.n, [x]) for x in elements))
 
 
 @lru_cache(maxsize=None)
@@ -524,11 +522,12 @@ def harness_bl() -> HarnessResult:
         g = table.to_subgroup(frozenset(ids))
         if not cong_check(stripped_diagonal(g)):
             continue
-        if not any(math.gcd(idx, 6) == 1 for idx in exhaustive_spectrum(g).values()):
+        spectrum = exhaustive_spectrum(g)
+        if not any(math.gcd(idx, 6) == 1 for idx in spectrum.values()):
             continue
         checked += 1
         try:
-            verdict = derive_delta(g, hyp)
+            verdict = _derive_delta(g, hyp, spectrum)
             details["verified"] += 1
             if verdict.delta_kind not in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
                 violations.append(f"order {g.order}: unexpected kind {verdict.delta_kind}")

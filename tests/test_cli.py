@@ -4,9 +4,13 @@ import json
 import pytest
 
 from gl2tors.cli import _build_parser, main
+from gl2tors.modarith import Mat2
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
 BOREL_7 = '{"modulus": 7, "generators": [[[3,0],[0,1]],[[1,1],[0,1]]]}'
+# the non-split Cartan normalizer mod 47: a generator of the non-split Cartan
+# and diag(1, -1)
+NORM_NONSPLIT_47 = '{"modulus": 47, "generators": [[[1,20],[4,1]],[[1,0],[0,46]]]}'
 FIELD = '{"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7,11,23]}'
 
 
@@ -103,6 +107,25 @@ def test_group_verb_stdout_pinned(verb, fmt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == _BOREL_7_STDOUT[verb, fmt]
+
+
+@pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
+def test_spectrum_builds_no_group_elements(flags, tmp_path, capsys, monkeypatch):
+    """Spectra read the group's entry array and never its Mat2 element set:
+    the trusted constructor builds at most one matrix per generator."""
+    built = []
+    trusted = Mat2._reduced
+
+    def counting(*args):
+        built.append(args)
+        return trusted(*args)
+
+    monkeypatch.setattr(Mat2, "_reduced", staticmethod(counting))
+    path = tmp_path / "g.json"
+    path.write_text(NORM_NONSPLIT_47)
+    assert main(["--format", "json", "spectrum", "--input", str(path), *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["group_order"] == 4416
+    assert len(built) <= 2
 
 
 def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from gl2tors.groups import (
     diagexp_pair,
     diagexp_span,
     named_group,
+    subgroup_from_elements,
     subgroup_from_json,
     subgroup_to_json,
     tau,
@@ -42,6 +44,8 @@ def test_equality_ignores_generators():
     assert g.generators != h.generators
     assert g == h and hash(g) == hash(h)
     assert g != closure(11, [Mat2.diag(11, 2, 1)])
+    # trivial groups mod 5 and mod 7 hold the same entries
+    assert closure(5, []) != closure(7, [])
 
 
 def _closure_reference(n, generators):
@@ -115,6 +119,40 @@ def test_closure_matches_reference(args):
         assert x == validated and hash(x) == hash(validated)
 
 
+def _check_entry_views(g, ref):
+    """Order, membership, determinant image, entry array, equality and hash of
+    g against the Mat2 element set of the reference group."""
+    n = ref.n
+    assert g.order == len(ref.elements)
+    assert g.det_image() == frozenset(x.det() for x in ref.elements)
+    assert all(x in g for x in ref.elements)
+    for entries in _GL2_ENTRIES[n][::37]:
+        x = Mat2(n, *entries)
+        assert (x in g) == (x in ref.elements)
+    assert Mat2(n + 1, 1, 0, 0, 1) not in g and (1, 0, 0, 1) not in g
+    array = g.entry_array
+    assert array.shape == (4, g.order) and array.dtype == np.int64
+    assert not array.flags.writeable
+    assert sorted(map(tuple, array.T.tolist())) == sorted(x.entries() for x in ref.elements)
+    by_elements = subgroup_from_elements(n, ref.elements)
+    assert g == by_elements and hash(g) == hash(by_elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_generators())
+def test_entry_views_match_element_set(args):
+    n, gens = args
+    ref = _closure_reference(n, gens)
+    g = closure(n, gens)
+    _check_entry_views(g, ref)
+    # none of the views built the Mat2 element set
+    assert "elements" not in vars(g)
+    assert g.elements == ref.elements
+    _check_entry_views(g, ref)
+    # a group built from elements derives its entries on first use
+    _check_entry_views(subgroup_from_elements(n, ref.elements), ref)
+
+
 def _is_abelian_elementwise(g):
     return all(mat_mul(x, y) == mat_mul(y, x) for x in g.elements for y in g.elements)
 
@@ -162,12 +200,12 @@ def test_cartans_are_abelian():
 
 def test_normalizers_contain_cartans():
     for ell in (5, 7):
-        assert named_group(NamedGroupId.SPLIT_CARTAN, ell) <= named_group(
+        assert named_group(NamedGroupId.SPLIT_CARTAN, ell).elements <= named_group(
             NamedGroupId.NORM_SPLIT, ell
-        )
-        assert named_group(NamedGroupId.NONSPLIT_CARTAN, ell) <= named_group(
+        ).elements
+        assert named_group(NamedGroupId.NONSPLIT_CARTAN, ell).elements <= named_group(
             NamedGroupId.NORM_NONSPLIT, ell
-        )
+        ).elements
 
 
 def test_tau():

@@ -240,6 +240,24 @@ def test_spectra_match_reference(g):
         assert type(spec.sl_index) is int and spec.sl_index == g.order // sl_part(g).order
 
 
+@settings(max_examples=30, deadline=None)
+@given(_two_generated_group())
+def test_unipotent_class_matches_stabilizer_reference(g):
+    ell = g.n
+    shear_group = {unipotent(ell) ** k for k in range(ell)}
+    for p in ProjPoint.all_points(ell):
+        # the det-1 stabilizer from the element scan is the reference
+        det1 = {x for x in stabilizer(g, p).elements if x.det() == 1}
+        for h in (g, subgroup_from_elements(ell, g.elements)):
+            res = unipotent_class(h, p)
+            if len(det1) == 1:
+                assert res.kind is UnipotentClass.TRIVIAL and res.conjugator is None
+            else:
+                assert res.kind is UnipotentClass.ORDER_ELL
+                t = res.conjugator
+                assert {mat_mul(mat_mul(mat_inv(t), x), t) for x in det1} == shear_group
+
+
 def test_orbit_size_matches_vector_stabilizer():
     g = named_group(NamedGroupId.DELTA_U1, 11)
     for c, d in ((1, 0), (0, 1), (3, 7), (-1, 12)):
