@@ -11,6 +11,10 @@ BOREL_7 = '{"modulus": 7, "generators": [[[3,0],[0,1]],[[1,1],[0,1]]]}'
 # the non-split Cartan normalizer mod 47: a generator of the non-split Cartan
 # and diag(1, -1)
 NORM_NONSPLIT_47 = '{"modulus": 47, "generators": [[[1,20],[4,1]],[[1,0],[0,46]]]}'
+# groups that classify places in NormSplit and in NormNonsplit, each by a
+# conjugator that is not scalar
+NORM_SPLIT_7 = '{"modulus": 7, "generators": [[[6,6],[3,6]],[[0,2],[1,0]]]}'
+NORM_NONSPLIT_11 = '{"modulus": 11, "generators": [[[8,3],[0,3]],[[6,6],[2,4]]]}'
 FIELD = '{"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7,11,23]}'
 
 
@@ -83,30 +87,45 @@ def test_spectrum_exhaustive_json(tmp_path, capsys):
     assert len(payload["entries"]) == 120
 
 
-# sha256 of the stdout of each group verb and format on BOREL_7: how the
-# rows are built may change, the bytes printed may not
-_BOREL_7_STDOUT = {
-    ("spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
-    ("spectrum", "csv"): "559e0468c0d2ecc28ce7c1febe77d09ab4401e60209fe83858b7f86dcc494ff3",
-    ("spectrum", "json"): "8fc05d690522aa13973c340356bdbd56b361057c71fbcb4d2b9f6f65bf980890",
-    ("spectrum --exhaustive", "text"): "32c27601da7c6d6f7a90c19e7796d687f0f5eb5f8d7e8ae41d3902240a4c16c6",
-    ("spectrum --exhaustive", "csv"): "d27a62b3e4b6c990181174ede63d7a7f6a1ed6d08d73995fd8fd7ca2e6c85aca",
-    ("spectrum --exhaustive", "json"): "633e410b00f3d96f0d96ac7c93da45842543a0a1cc57f4c6baa53684fc4c516d",
-    ("classify", "text"): "79c598f0dc4e9d737af25d3f74b6f21073df747345335efbba9d3e6e7f3b4f71",
-    ("classify", "csv"): "afae40488aa0e8066d554f9c405871e6bfb7d05d3869238a7e4a0a8b0d70db8d",
-    ("classify", "json"): "65906e47df945408fcf071e17e985355dc4eaddbca03808956dc92be98727db3",
+# sha256 of the stdout of each group verb and format: how the rows are built
+# may change, the bytes printed may not. The classify cases cover all three
+# targets: Borel, NormSplit and NormNonsplit.
+_GROUPS = {"BOREL_7": BOREL_7, "NORM_SPLIT_7": NORM_SPLIT_7, "NORM_NONSPLIT_11": NORM_NONSPLIT_11}
+_PINNED_STDOUT = {
+    ("BOREL_7", "spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
+    ("BOREL_7", "spectrum", "csv"): "559e0468c0d2ecc28ce7c1febe77d09ab4401e60209fe83858b7f86dcc494ff3",
+    ("BOREL_7", "spectrum", "json"): "8fc05d690522aa13973c340356bdbd56b361057c71fbcb4d2b9f6f65bf980890",
+    ("BOREL_7", "spectrum --exhaustive", "text"): "32c27601da7c6d6f7a90c19e7796d687f0f5eb5f8d7e8ae41d3902240a4c16c6",
+    ("BOREL_7", "spectrum --exhaustive", "csv"): "d27a62b3e4b6c990181174ede63d7a7f6a1ed6d08d73995fd8fd7ca2e6c85aca",
+    ("BOREL_7", "spectrum --exhaustive", "json"): "633e410b00f3d96f0d96ac7c93da45842543a0a1cc57f4c6baa53684fc4c516d",
+    ("BOREL_7", "classify", "text"): "79c598f0dc4e9d737af25d3f74b6f21073df747345335efbba9d3e6e7f3b4f71",
+    ("BOREL_7", "classify", "csv"): "afae40488aa0e8066d554f9c405871e6bfb7d05d3869238a7e4a0a8b0d70db8d",
+    ("BOREL_7", "classify", "json"): "65906e47df945408fcf071e17e985355dc4eaddbca03808956dc92be98727db3",
+    ("NORM_SPLIT_7", "classify", "text"): "04fabcf7db6ff49775a541cd8d1879e80effa252932526b4323889d791941e89",
+    ("NORM_SPLIT_7", "classify", "csv"): "1bfb99628a2b716d7201daa53bb52cb33ec66c39929f3c46303eb04e928ed015",
+    ("NORM_SPLIT_7", "classify", "json"): "d6f2184b29e1068ab99763d991d98438925d5cdddb76a73f9012fb79151d5dde",
+    ("NORM_NONSPLIT_11", "classify", "text"): "aabf0b8d86108ce4e65e14cefdc06a2bd0c22a87a207ea4468a633f6238f4ae7",
+    ("NORM_NONSPLIT_11", "classify", "csv"): "5b588a04a79793be5b64d1cc7b8efe57615484281bb3a932c8b16b5b03a1359e",
+    ("NORM_NONSPLIT_11", "classify", "json"): "487edb452bba6b0d150a62f1d7856da0b8768a5cdb2b12587cdc94c69ea26ae1",
 }
 
 
-@pytest.mark.parametrize("verb, fmt", sorted(_BOREL_7_STDOUT))
-def test_group_verb_stdout_pinned(verb, fmt, tmp_path, capsys):
+def _pinned_id(group: str, verb: str, fmt: str) -> str:
+    # the BOREL_7 cases keep the ids they had before the other groups joined
+    return "-".join((verb, fmt) if group == "BOREL_7" else (group, verb, fmt))
+
+
+@pytest.mark.parametrize(
+    "group, verb, fmt", [pytest.param(*key, id=_pinned_id(*key)) for key in sorted(_PINNED_STDOUT)]
+)
+def test_group_verb_stdout_pinned(group, verb, fmt, tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(BOREL_7)
+    path.write_text(_GROUPS[group])
     command, *flags = verb.split()
     assert main(["--format", fmt, command, "--input", str(path), *flags]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == _BOREL_7_STDOUT[verb, fmt]
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == _PINNED_STDOUT[group, verb, fmt]
 
 
 @pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
