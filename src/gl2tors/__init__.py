@@ -41,8 +41,7 @@ from .stabilizers import (
     vector_stabilizer,
 )
 from .lemmas import (
-    CartanEmbedding,
-    NormalizerEmbedding,
+    Conjugation,
     SL2Word,
     conjugate_into_cartan,
     conjugate_into_normalizer,
@@ -53,8 +52,6 @@ from .lemmas import (
 from .classify import (
     BlHypotheses,
     BlVerdict,
-    ClassifyTarget,
-    ClassifyVerdict,
     classify_image,
     cong_check,
     derive_delta,

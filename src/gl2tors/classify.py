@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from sympy import isprime
 
@@ -17,7 +16,7 @@ from .groups import (
     subgroup_from_elements,
     tau,
 )
-from .lemmas import _conjugates_into, conjugate_into_normalizer, NormalizerTarget
+from .lemmas import Conjugation, conjugate_into_normalizer
 from .stabilizers import ProjPoint, act_row, exhaustive_spectrum, orbit_size
 
 INERTIA_EXPONENTS = (1, 2, 3, 4, 6)
@@ -75,32 +74,6 @@ class BlHypotheses:
                 )
 
 
-class ClassifyTarget(Enum):
-    BOREL = "Borel"
-    NORM_SPLIT = "NormSplit"
-    NORM_NONSPLIT = "NormNonsplit"
-
-
-@dataclass(frozen=True)
-class ClassifyVerdict:
-    target: ClassifyTarget
-    conjugator: Mat2
-
-    def verify(self, g: Subgroup) -> bool:
-        gid = {
-            ClassifyTarget.BOREL: NamedGroupId.BOREL,
-            ClassifyTarget.NORM_SPLIT: NamedGroupId.NORM_SPLIT,
-            ClassifyTarget.NORM_NONSPLIT: NamedGroupId.NORM_NONSPLIT,
-        }[self.target]
-        return _conjugates_into(g.elements, self.conjugator, named_group(gid, g.n))
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target.value,
-            "conjugator": list(self.conjugator.entries()),
-        }
-
-
 def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
     """T with the conjugated group upper triangular, from a stable projective line."""
     ell = g.n
@@ -120,7 +93,7 @@ def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
     return None
 
 
-def classify_image(g: Subgroup, witness: ProjPoint) -> ClassifyVerdict:
+def classify_image(g: Subgroup, witness: ProjPoint) -> Conjugation:
     """Place g inside a Borel or a Cartan normalizer, given an odd-index witness."""
     ell = g.n
     if ell < 5:
@@ -136,20 +109,12 @@ def classify_image(g: Subgroup, witness: ProjPoint) -> ClassifyVerdict:
             raise LemmaViolationError(
                 "group of order divisible by ell has no stable projective line"
             )
-        verdict = ClassifyVerdict(ClassifyTarget.BOREL, t)
+        verdict = Conjugation(t, NamedGroupId.BOREL)
         if not verdict.verify(g):
             raise LemmaViolationError("stable-line conjugator misses the Borel group")
         return verdict
-    emb = conjugate_into_normalizer(g)
-    target = (
-        ClassifyTarget.NORM_SPLIT
-        if emb.target is NormalizerTarget.NORM_SPLIT
-        else ClassifyTarget.NORM_NONSPLIT
-    )
-    verdict = ClassifyVerdict(target, emb.conjugator)
-    if not verdict.verify(g):
-        raise LemmaViolationError("normalizer conjugator fails elementwise check")
-    return verdict
+    # verified against the same group before it is returned
+    return conjugate_into_normalizer(g)
 
 
 # ---------------------------------------------------------------------------

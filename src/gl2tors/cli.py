@@ -9,10 +9,10 @@ from typing import Iterable
 
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
-from .groups import subgroup_from_json
+from .groups import NamedGroupId, subgroup_from_json
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
 from .lemmas import decompose_sl2
-from .classify import BlHypotheses, ClassifyTarget, classify_image, derive_delta
+from .classify import BlHypotheses, classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
 from .verify import HARNESS_IDS, run_harness
 
@@ -118,7 +118,7 @@ def _cmd_classify(args) -> int:
     verdict = classify_image(g, witness)
     payload = verdict.to_dict()
     payload["witness"] = [witness.c, witness.d]
-    if verdict.target is ClassifyTarget.BOREL:
+    if verdict.target is NamedGroupId.BOREL:
         det_full = len(g.det_image()) == g.n - 1
         if det_full:
             try:

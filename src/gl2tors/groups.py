@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -161,6 +161,40 @@ def closure(
                     )
     # finite subsets closed under multiplication are closed under inverse
     return Subgroup._from_entries(n, gens, tuple(found))
+
+
+def _conjugation_target(
+    n: int,
+    t: tuple[int, int, int, int],
+    xs: Sequence[tuple[int, int, int, int]],
+    targets: Sequence[Subgroup],
+) -> int | None:
+    """Index of the first target holding t^-1 x t for every x given, or None.
+
+    t and each x are reduced (a, b, c, d) tuples mod n, and t is invertible.
+    This is the one routine that conjugates: it inverts t once, tests each
+    product against the targets' entry sets in turn, and builds no Mat2.
+    """
+    a, b, c, d = t
+    e = pow(a * d - b * c, -1, n)
+    # t^-1 = e (d -b; -c a)
+    ia, ib, ic, id_ = d * e % n, -b * e % n, -c * e % n, a * e % n
+    for k, target in enumerate(targets):
+        members = target._entry_set
+        for p, q, r, s in xs:
+            # (x t), then t^-1 (x t)
+            u, v, w, z = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+            y = (
+                (ia * u + ib * w) % n,
+                (ia * v + ib * z) % n,
+                (ic * u + id_ * w) % n,
+                (ic * v + id_ * z) % n,
+            )
+            if y not in members:
+                break
+        else:
+            return k
+    return None
 
 
 def subgroup_from_elements(n: int, elements: Iterable[Mat2]) -> Subgroup:

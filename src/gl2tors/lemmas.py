@@ -2,9 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import (
@@ -14,60 +12,43 @@ from .modarith import (
     _check_odd_prime,
     eigenvalues,
     element_order,
-    mat_inv,
     mat_mul,
     primitive_root,
     unipotent,
     unipotent_lower,
 )
-from .groups import NamedGroupId, Subgroup, named_group, subgroup_from_elements
+from .groups import (
+    NamedGroupId,
+    Subgroup,
+    _conjugation_target,
+    named_group,
+    subgroup_from_elements,
+)
 from .stabilizers import sl_part
 
 NORMALIZER_SCAN_CAP = 13
 
 
-class CartanTarget(Enum):
-    SPLIT = "Split"
-    NONSPLIT = "Nonsplit"
-
-
-class NormalizerTarget(Enum):
-    NORM_SPLIT = "NormSplit"
-    NORM_NONSPLIT = "NormNonsplit"
-
-
 @dataclass(frozen=True)
-class CartanEmbedding:
+class Conjugation:
+    """A conjugator t with t^-1 h t inside the named target group.
+
+    The one witness for every placement up to conjugation: a Cartan
+    subgroup, a Cartan normalizer or the Borel subgroup.
+    """
+
     conjugator: Mat2
-    target: CartanTarget
+    target: NamedGroupId
 
     def verify(self, h: Subgroup) -> bool:
-        gid = (
-            NamedGroupId.SPLIT_CARTAN
-            if self.target is CartanTarget.SPLIT
-            else NamedGroupId.NONSPLIT_CARTAN
-        )
-        return _conjugates_into(h.elements, self.conjugator, named_group(gid, h.n))
+        target = named_group(self.target, h.n)
+        return _conjugation_target(h.n, self.conjugator.entries(), h.entries, [target]) == 0
 
-
-@dataclass(frozen=True)
-class NormalizerEmbedding:
-    conjugator: Mat2
-    target: NormalizerTarget
-
-    def verify(self, h: Subgroup) -> bool:
-        gid = (
-            NamedGroupId.NORM_SPLIT
-            if self.target is NormalizerTarget.NORM_SPLIT
-            else NamedGroupId.NORM_NONSPLIT
-        )
-        return _conjugates_into(h.elements, self.conjugator, named_group(gid, h.n))
-
-
-def _conjugates_into(xs: Iterable[Mat2], t: Mat2, target: Subgroup) -> bool:
-    """Whether t^-1 x t lies in the target for every x given."""
-    tinv = mat_inv(t)
-    return all(mat_mul(mat_mul(tinv, x), t) in target for x in xs)
+    def to_dict(self) -> dict:
+        return {
+            "target": self.target.value,
+            "conjugator": list(self.conjugator.entries()),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +126,19 @@ def _gl2_elements(ell: int) -> tuple[Mat2, ...]:
     )
 
 
-def brute_force_cartan_conjugator(h: Subgroup) -> CartanEmbedding | None:
-    """Scan conjugators over the whole group; the oracle for the constructive path."""
-    cs = named_group(NamedGroupId.SPLIT_CARTAN, h.n)
-    cns = named_group(NamedGroupId.NONSPLIT_CARTAN, h.n)
-    gens = h.generators if h.generators else tuple(h.elements)
+def brute_force_cartan_conjugator(h: Subgroup) -> Conjugation | None:
+    """Scan conjugators over the whole group; the oracle for the constructive path.
+
+    The first t in _gl2_elements order wins, with the split Cartan tried
+    before the non-split one at the same t.
+    """
+    gids = (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN)
+    targets = [named_group(gid, h.n) for gid in gids]
+    gens = [x.entries() for x in h.generators] or h.entries
     for t in _gl2_elements(h.n):
-        if _conjugates_into(gens, t, cs):
-            return CartanEmbedding(t, CartanTarget.SPLIT)
-        if _conjugates_into(gens, t, cns):
-            return CartanEmbedding(t, CartanTarget.NONSPLIT)
+        k = _conjugation_target(h.n, t.entries(), gens, targets)
+        if k is not None:
+            return Conjugation(t, gids[k])
     return None
 
 
@@ -171,7 +155,7 @@ def _eigencolumn(x: Mat2, lam: int) -> tuple[int, int]:
     return (1, 0)  # x is scalar lam
 
 
-def conjugate_into_cartan(h: Subgroup) -> CartanEmbedding:
+def conjugate_into_cartan(h: Subgroup) -> Conjugation:
     """Conjugator into the split or non-split Cartan for an abelian prime-to-ell group."""
     ell = h.n
     _check_odd_prime(ell)
@@ -197,7 +181,7 @@ def conjugate_into_cartan(h: Subgroup) -> CartanEmbedding:
     return emb
 
 
-def _split_embedding(h: Subgroup, eigs) -> CartanEmbedding | None:
+def _split_embedding(h: Subgroup, eigs) -> Conjugation | None:
     ell = h.n
     witness = None
     for x, e in eigs.items():
@@ -207,14 +191,14 @@ def _split_embedding(h: Subgroup, eigs) -> CartanEmbedding | None:
     if witness is None:
         # all elements scalar (repeated-eigenvalue non-scalars cannot occur in
         # an abelian group of order prime to ell)
-        return CartanEmbedding(Mat2.identity(ell), CartanTarget.SPLIT)
+        return Conjugation(Mat2.identity(ell), NamedGroupId.SPLIT_CARTAN)
     x, e = witness
     v1 = _eigencolumn(x, e.values[0])
     v2 = _eigencolumn(x, e.values[1])
     t = Mat2(ell, v1[0], v2[0], v1[1], v2[1])
     if not t.is_invertible():
         return None
-    return CartanEmbedding(t, CartanTarget.SPLIT)
+    return Conjugation(t, NamedGroupId.SPLIT_CARTAN)
 
 
 def _qmat(ell: int, entries) -> list[list[QuadExtElem]]:
@@ -234,7 +218,7 @@ def _qmat_inv(x):
     return [[x[1][1] * dinv, -x[0][1] * dinv], [-x[1][0] * dinv, x[0][0] * dinv]]
 
 
-def _nonsplit_embedding(h: Subgroup) -> CartanEmbedding | None:
+def _nonsplit_embedding(h: Subgroup) -> Conjugation | None:
     """The simultaneous-diagonalization construction over the quadratic extension.
 
     The group is cyclic here; for a generator with irrational eigenvalue
@@ -274,7 +258,7 @@ def _nonsplit_embedding(h: Subgroup) -> CartanEmbedding | None:
     t = Mat2(ell, t_mat[0][0].re, t_mat[0][1].re, t_mat[1][0].re, t_mat[1][1].re)
     if not t.is_invertible():
         return None
-    return CartanEmbedding(t, CartanTarget.NONSPLIT)
+    return Conjugation(t, NamedGroupId.NONSPLIT_CARTAN)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +291,15 @@ def normalizer_in_gl2(h: Subgroup) -> Subgroup:
         raise ResourceLimitError(
             f"normalizer scan is capped at ell <= {NORMALIZER_SCAN_CAP}"
         )
-    gens = h.generators if h.generators else tuple(h.elements)
+    gens = [x.entries() for x in h.generators] or h.entries
     # h is finite, so t^-1 h t lies in h exactly when t normalizes h
-    out = [t for t in _gl2_elements(ell) if _conjugates_into(gens, t, h)]
+    out = [
+        t for t in _gl2_elements(ell) if _conjugation_target(ell, t.entries(), gens, [h]) == 0
+    ]
     return subgroup_from_elements(ell, out)
 
 
-def conjugate_into_normalizer(h: Subgroup) -> NormalizerEmbedding:
+def conjugate_into_normalizer(h: Subgroup) -> Conjugation:
     """Conjugator into a Cartan normalizer for groups with odd prime-to-ell SL2 part."""
     ell = h.n
     h0 = sl_part(h)
@@ -330,11 +316,11 @@ def conjugate_into_normalizer(h: Subgroup) -> NormalizerEmbedding:
     else:
         emb = conjugate_into_cartan(h0)
     target = (
-        NormalizerTarget.NORM_SPLIT
-        if emb.target is CartanTarget.SPLIT
-        else NormalizerTarget.NORM_NONSPLIT
+        NamedGroupId.NORM_SPLIT
+        if emb.target is NamedGroupId.SPLIT_CARTAN
+        else NamedGroupId.NORM_NONSPLIT
     )
-    result = NormalizerEmbedding(emb.conjugator, target)
+    result = Conjugation(emb.conjugator, target)
     if not result.verify(h):
         raise LemmaViolationError(
             "conjugated group escapes the Cartan normalizer predicted by its SL2 part"

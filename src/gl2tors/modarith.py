@@ -103,9 +103,6 @@ class Mat2:
     def is_identity(self) -> bool:
         return self == Mat2.identity(self.n)
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.n, self.a, self.c, self.b, self.d)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 

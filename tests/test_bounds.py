@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
-from gl2tors.errors import PreconditionError
+from gl2tors import bounds
+from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.classify import mod36_filter
 from gl2tors.bounds import (
+    SIEVE_CAP,
     AbelianGroupSpec,
     Embedding,
     FieldInput,
@@ -35,6 +37,17 @@ def test_sieve_is_filtered_prime_sieve():
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(PreconditionError):
         congruence_sieve(1)
+
+
+@pytest.mark.parametrize("limit", [SIEVE_CAP + 1, 10**18])
+def test_sieve_past_cap_raises_before_any_work(limit, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sieve ran past its cap")
+
+    monkeypatch.setattr(bounds, "primerange", refuse)
+    message = f"sieve limit {limit} is over the cap of {SIEVE_CAP}"
+    with pytest.raises(ResourceLimitError, match=message):
+        congruence_sieve(limit)
 
 
 def test_r_set_examples():

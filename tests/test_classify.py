@@ -7,7 +7,6 @@ from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_ele
 from gl2tors.stabilizers import ProjPoint
 from gl2tors.classify import (
     BlHypotheses,
-    ClassifyTarget,
     admissible_inertia_exponents,
     classify_image,
     cong_check,
@@ -57,7 +56,7 @@ def test_classify_rejects_even_witness():
 def test_classify_borel_case():
     g = named_group(NamedGroupId.DELTA_U1, 11)
     verdict = classify_image(g, ProjPoint(11, 1, 0))  # index 55, odd
-    assert verdict.target is ClassifyTarget.BOREL
+    assert verdict.target is NamedGroupId.BOREL
     assert verdict.verify(g)
 
 
@@ -65,7 +64,7 @@ def test_classify_split_case():
     alpha = primitive_root(11)
     g = closure(11, [Mat2.diag(11, alpha, 1)])
     verdict = classify_image(g, ProjPoint(11, 0, 1))  # the fixed vector, index 1
-    assert verdict.target is ClassifyTarget.NORM_SPLIT
+    assert verdict.target is NamedGroupId.NORM_SPLIT
     assert verdict.verify(g)
 
 
@@ -80,7 +79,7 @@ def test_classify_nonsplit_case():
         11, [mat_mul(mat_mul(t, x), mat_inv(t)) for x in h.elements]
     )
     verdict = classify_image(conj, ProjPoint(11, 1, 0))
-    assert verdict.target is ClassifyTarget.NORM_NONSPLIT
+    assert verdict.target is NamedGroupId.NORM_NONSPLIT
     assert verdict.verify(conj)
 
 

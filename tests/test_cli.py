@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gl2tors.bounds import SIEVE_CAP
 from gl2tors.cli import _build_parser, main
 from gl2tors.modarith import Mat2
 
@@ -28,6 +29,24 @@ def test_sieve_json(capsys):
     assert main(["--format", "json", "sieve", "--max", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"limit": 12, "primes": [7, 11]}
+
+
+def test_sieve_at_cap(capsys):
+    assert main(["--format", "json", "sieve", "--max", str(SIEVE_CAP)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.err == "" and payload["limit"] == SIEVE_CAP
+    primes = payload["primes"]
+    assert primes[:4] == [7, 11, 23, 31] and primes[-1] == 999983 and len(primes) == 32747
+    assert all(p % 36 in (7, 11, 23, 31, 35) for p in primes)
+    assert primes == sorted(set(primes))
+
+
+def test_sieve_past_cap_exit_2(capsys):
+    assert main(["sieve", "--max", str(SIEVE_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sieve limit {SIEVE_CAP + 1} is over the cap of {SIEVE_CAP}\n"
 
 
 def test_order(capsys):

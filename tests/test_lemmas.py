@@ -1,11 +1,22 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gl2tors import lemmas
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, unipotent
-from gl2tors.groups import NamedGroupId, Subgroup, named_group, subgroup_from_elements
+from gl2tors.groups import (
+    NamedGroupId,
+    Subgroup,
+    _conjugation_target,
+    closure,
+    named_group,
+    subgroup_from_elements,
+)
 from gl2tors.lemmas import (
-    CartanTarget,
-    NormalizerTarget,
+    Conjugation,
+    _gl2_elements,
     brute_force_cartan_conjugator,
     conjugate_into_cartan,
     conjugate_into_normalizer,
@@ -13,6 +24,43 @@ from gl2tors.lemmas import (
     decompose_sl2,
     normalizer_in_gl2,
 )
+from gl2tors.verify import _cyclic_subgroups, _random_abelian
+
+# the named groups a conjugation witness may target
+_TARGET_IDS = (
+    NamedGroupId.BOREL,
+    NamedGroupId.SPLIT_CARTAN,
+    NamedGroupId.NONSPLIT_CARTAN,
+    NamedGroupId.NORM_SPLIT,
+    NamedGroupId.NORM_NONSPLIT,
+)
+
+
+def _conjugates_into_reference(xs, t: Mat2, target: Subgroup) -> bool:
+    """Whether t^-1 x t lies in the target for every x given, built as Mat2
+    products: the reference for the tuple check in groups."""
+    return all(mat_mul(mat_mul(mat_inv(t), x), t) in target for x in xs)
+
+
+def _cartan_scan_reference(h: Subgroup) -> tuple[Mat2, NamedGroupId] | None:
+    """The first t in _gl2_elements order conjugating h into a Cartan, split
+    tried before non-split at each t: the reference for the oracle."""
+    gens = h.generators or tuple(h.elements)
+    for t in _gl2_elements(h.n):
+        for gid in (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN):
+            if _conjugates_into_reference(gens, t, named_group(gid, h.n)):
+                return t, gid
+    return None
+
+
+def _normalizer_scan_reference(h: Subgroup) -> frozenset[Mat2]:
+    gens = h.generators or tuple(h.elements)
+    return frozenset(t for t in _gl2_elements(h.n) if _conjugates_into_reference(gens, t, h))
+
+
+def _cyclic_prime_to(ell: int) -> list[Subgroup]:
+    """Every cyclic subgroup of GL2(F_ell) of order prime to ell."""
+    return _cyclic_subgroups(x for x in _gl2_elements(ell) if element_order(x) % ell)
 
 
 def _cyclic(ell, x):
@@ -51,21 +99,21 @@ def test_decompose_exhaustive_mod7():
 def test_cartan_embedding_already_diagonal():
     h = _cyclic(5, Mat2.diag(5, 2, 3))
     emb = conjugate_into_cartan(h)
-    assert emb.target is CartanTarget.SPLIT
+    assert emb.target is NamedGroupId.SPLIT_CARTAN
     assert emb.verify(h)
 
 
 def test_cartan_embedding_nonsplit():
     h = _cyclic(5, Mat2(5, 0, 2, 1, 0))
     emb = conjugate_into_cartan(h)
-    assert emb.target is CartanTarget.NONSPLIT
+    assert emb.target is NamedGroupId.NONSPLIT_CARTAN
     assert emb.verify(h)
 
 
 def test_cartan_embedding_split_after_conjugation():
     h = _cyclic(5, Mat2(5, 0, 1, 4, 0))
     emb = conjugate_into_cartan(h)
-    assert emb.target is CartanTarget.SPLIT
+    assert emb.target is NamedGroupId.SPLIT_CARTAN
     assert emb.verify(h)
 
 
@@ -139,14 +187,14 @@ def test_conjugate_into_normalizer_split():
         7, [mat_mul(mat_mul(t, x), mat_inv(t)) for x in _cyclic(7, Mat2.diag(7, 3, 1)).elements]
     )
     emb = conjugate_into_normalizer(g)
-    assert emb.target is NormalizerTarget.NORM_SPLIT
+    assert emb.target is NamedGroupId.NORM_SPLIT
     assert emb.verify(g)
 
 
 def test_conjugate_into_normalizer_nonsplit():
     h = _cyclic(5, Mat2(5, 0, 2, 1, 0))
     emb = conjugate_into_normalizer(h)
-    assert emb.target is NormalizerTarget.NORM_NONSPLIT
+    assert emb.target is NamedGroupId.NORM_NONSPLIT
     assert emb.verify(h)
 
 
@@ -167,12 +215,92 @@ def test_conjugated_image_matches_witness():
     h = _cyclic(11, Mat2(11, 1, 3, 5, 9))
     if h.order % 11:
         emb = conjugate_into_cartan(h)
-        target = named_group(
-            NamedGroupId.SPLIT_CARTAN
-            if emb.target is CartanTarget.SPLIT
-            else NamedGroupId.NONSPLIT_CARTAN,
-            11,
-        )
-        tinv = mat_inv(emb.conjugator)
-        for x in h.elements:
-            assert mat_mul(mat_mul(tinv, x), emb.conjugator) in target
+        assert _conjugates_into_reference(h.elements, emb.conjugator, named_group(emb.target, 11))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(_TARGET_IDS),
+    st.integers(0, 2),
+)
+def test_conjugation_target_matches_mat2_reference(ell, i, j, k, planted_in, planted):
+    """The tuple check equals the Mat2 reference on <x, y> for every named
+    target and for the group itself, over the elements and over the
+    generators. `planted` of x, y are taken from t T t^-1 for the drawn
+    target T, so the check also meets groups it must accept."""
+    pool = _gl2_elements(ell)
+    t = pool[k % len(pool)]
+    source = sorted(named_group(planted_in, ell).elements, key=Mat2.entries)
+    gens = []
+    for pos, idx in enumerate((i, j)):
+        if pos < planted:
+            gens.append(mat_mul(mat_mul(t, source[idx % len(source)]), mat_inv(t)))
+        else:
+            gens.append(pool[idx % len(pool)])
+    g = closure(ell, gens)
+    targets = [named_group(gid, ell) for gid in _TARGET_IDS] + [g]
+    expected = [_conjugates_into_reference(g.elements, t, target) for target in targets]
+    gen_entries = [x.entries() for x in g.generators]
+    for target, want in zip(targets, expected):
+        assert (_conjugation_target(ell, t.entries(), g.entries, [target]) == 0) is want
+        assert (_conjugation_target(ell, t.entries(), gen_entries, [target]) == 0) is want
+    first = next((pos for pos, want in enumerate(expected) if want), None)
+    assert _conjugation_target(ell, t.entries(), g.entries, targets) == first
+    assert _conjugation_target(ell, t.entries(), gen_entries, targets) == first
+    for gid, want in zip(_TARGET_IDS, expected):
+        assert Conjugation(t, gid).verify(g) is want
+    if planted == 2:
+        assert expected[_TARGET_IDS.index(planted_in)]
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_oracles_match_reference_scans(ell):
+    """On every cyclic prime-to-ell subgroup, the oracle returns the
+    reference scan's conjugator and target, and the normalizer scan the
+    reference's element set."""
+    for h in _cyclic_prime_to(ell):
+        emb = brute_force_cartan_conjugator(h)
+        assert (emb.conjugator, emb.target) == _cartan_scan_reference(h)
+        assert normalizer_in_gl2(h).elements == _normalizer_scan_reference(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 7]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from([NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN]),
+    st.booleans(),
+)
+def test_oracles_match_reference_scans_on_two_generators(ell, i, j, cartan, y_in_cartan):
+    """The oracles read every generator: x is taken from a Cartan and y from
+    the same Cartan or from all of GL2, so y often decides the answer."""
+    pool = _gl2_elements(ell)
+    source = sorted(named_group(cartan, ell).elements, key=Mat2.entries)
+    x = source[i % len(source)]
+    y = source[j % len(source)] if y_in_cartan else pool[j % len(pool)]
+    h = closure(ell, [x, y])
+    emb = brute_force_cartan_conjugator(h)
+    reference = _cartan_scan_reference(h)
+    assert (emb and (emb.conjugator, emb.target)) == reference
+    assert normalizer_in_gl2(h).elements == _normalizer_scan_reference(h)
+
+
+def test_cartan_fallback_never_taken(monkeypatch):
+    """The constructive path places every group itself: the brute-force
+    fallback is never reached on the cyclic prime-to-ell groups mod 5 and 7
+    or on seeded random abelian groups mod 5, 7 and 11."""
+
+    def refuse(h):
+        raise AssertionError(f"brute-force fallback taken for {h}")
+
+    monkeypatch.setattr(lemmas, "brute_force_cartan_conjugator", refuse)
+    rng = random.Random(2024)
+    groups = _cyclic_prime_to(5) + _cyclic_prime_to(7)
+    groups += [_random_abelian(rng, ell) for ell in (5, 7, 11) for _ in range(40)]
+    for h in groups:
+        assert conjugate_into_cartan(h).verify(h)
