@@ -29,11 +29,9 @@ from .groups import (
 )
 from .stabilizers import (
     DegreeSpectrum,
-    FixedModule,
     ProjPoint,
     degree_spectrum,
     exhaustive_spectrum,
-    fixed_module,
     orbit_size,
     sl_part,
     stabilizer,

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from sympy import factorint, isprime, primerange
-
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
+from .ntheory import factorint, isprime, primerange
 from .modarith import gl2_order
 from .classify import mod36_filter
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .errors import LemmaViolationError, PreconditionError
+from .ntheory import isprime
 from .modarith import Mat2, element_order, mat_inv, primitive_root, unipotent
 from .groups import (
     NamedGroupId,

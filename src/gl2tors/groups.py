@@ -323,16 +323,6 @@ def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
     return subgroup_from_elements(ell, elems)
 
 
-def delta_flip(delta: Subgroup) -> Subgroup:
-    """Swap the diagonal entries of every element; an involution on diagonal groups."""
-    flipped = []
-    for x in delta.elements:
-        if x.b != 0 or x.c != 0:
-            raise PreconditionError(f"non-diagonal element {x} in flip input")
-        flipped.append(Mat2.diag(x.n, x.d, x.a))
-    return subgroup_from_elements(delta.n, flipped)
-
-
 def subgroup_to_json(g: Subgroup) -> str:
     payload = {
         "modulus": g.n,

@@ -6,9 +6,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from sympy import factorint, isprime
-
 from .errors import PreconditionError, SingularMatrixError
+from .ntheory import factorint, isprime
 
 
 def _check_modulus(n: int) -> None:

@@ -1,7 +1,6 @@
-"""Right action on row vectors: stabilizers, degree spectra, fixed modules."""
+"""Right action on row vectors: stabilizers and degree spectra."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -219,32 +218,3 @@ def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
     vectors = [(c, d) for c in range(ell) for d in range(ell)][1:]
     indices = _orbit_indices(ell, g.entry_array, range(1, ell * ell), ell * ell)
     return dict(zip(vectors, indices))
-
-
-@dataclass(frozen=True)
-class FixedModule:
-    """Invariant factors (m, n) with m | n | N of the fixed-vector submodule."""
-
-    modulus: int
-    m: int
-    n: int
-
-
-def fixed_module(g: Subgroup) -> FixedModule:
-    """Invariant factors of {v : vA = v for all A in g} inside (Z/NZ)^2."""
-    big_n = g.n
-    gens = g.generators if g.generators else tuple(g.elements)
-    fixed = []
-    for c in range(big_n):
-        for d in range(big_n):
-            if all(act_row(c, d, x) == (c, d) for x in gens):
-                fixed.append((c, d))
-    size = len(fixed)
-    exponent = 1
-    for c, d in fixed:
-        ordv = big_n // math.gcd(big_n, c, d)
-        exponent = exponent * ordv // math.gcd(exponent, ordv)
-    n = exponent
-    m = size // n
-    assert n % m == 0 and big_n % n == 0
-    return FixedModule(big_n, m, n)

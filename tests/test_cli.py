@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +299,43 @@ def test_calls_in_one_process_share_no_state(capsys):
     assert main(["order", "--modulus", "5"]) == 0
     assert capsys.readouterr() == ("5\t480\n", "")
     assert _build_parser() is _build_parser()
+
+
+# imports gl2tors, runs one call of each verb, and prints the exit codes and
+# whether any sympy module was loaded
+_NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+import gl2tors
+from gl2tors.cli import main
+group, field = sys.argv[1:]
+calls = [
+    ["order", "--modulus", "2520"],
+    ["sieve", "--max", "100"],
+    ["decompose", "--ell", "5", "--matrix", "0,-1,1,0"],
+    ["bound", "--input", field, "--degree", "17"],
+    ["spectrum", "--input", group],
+    ["classify", "--input", group],
+    ["verify", "classify", "--ell-max", "5"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+loaded = any(name == "sympy" or name.startswith("sympy.") for name in sys.modules)
+print(json.dumps({"codes": codes, "sympy": loaded}))
+"""
+
+
+def test_cli_never_loads_sympy(tmp_path):
+    group, field = tmp_path / "g.json", tmp_path / "f.json"
+    group.write_text(DELTA_U1_11)
+    field.write_text(FIELD)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_SCRIPT, str(group), str(field)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "sympy": False}

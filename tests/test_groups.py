@@ -10,7 +10,6 @@ from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
     closure,
-    delta_flip,
     diagexp_pair,
     diagexp_span,
     named_group,
@@ -216,18 +215,11 @@ def test_tau():
         tau(3)
 
 
-def test_delta1_order_and_flip():
-    d1 = named_group(NamedGroupId.DELTA1, 11)
-    d2 = named_group(NamedGroupId.DELTA2, 11)
-    assert d1.order == 10 and d2.order == 10
-    assert delta_flip(d1).elements == d2.elements
-    assert delta_flip(d2).elements == d1.elements
-
-
 def test_delta_orders_larger():
     # |Delta_i| = ell - 1 in every case
     for ell in (11, 13, 23, 47):
         assert named_group(NamedGroupId.DELTA1, ell).order == ell - 1
+        assert named_group(NamedGroupId.DELTA2, ell).order == ell - 1
 
 
 def test_diagexp_pair_round_trip():

@@ -17,7 +17,6 @@ from gl2tors.stabilizers import (
     act_row,
     degree_spectrum,
     exhaustive_spectrum,
-    fixed_module,
     orbit_size,
     sl_part,
     stabilizer,
@@ -179,38 +178,6 @@ def test_exhaustive_spectrum_agrees_with_vector_stabilizer():
     spec = exhaustive_spectrum(g)
     for (c, d), idx in spec.items():
         assert idx == g.order // vector_stabilizer(g, c, d).order
-
-
-def test_fixed_module_identity():
-    g = subgroup_from_elements(6, [Mat2.identity(6)])
-    fm = fixed_module(g)
-    assert (fm.m, fm.n) == (6, 6)
-
-
-def test_fixed_module_shear():
-    g = closure(5, [unipotent(5)])
-    fm = fixed_module(g)
-    assert (fm.m, fm.n) == (1, 5)
-
-
-def test_fixed_module_minus_identity():
-    g = closure(7, [Mat2.diag(7, -1, -1)])
-    fm = fixed_module(g)
-    assert (fm.m, fm.n) == (1, 1)
-
-
-def test_fixed_module_composite_mixed():
-    # mod 6: -I fixes only 2-torsion mod 3 part trivial ... check against scan
-    g = closure(6, [Mat2(6, 1, 3, 0, 1)])
-    fm = fixed_module(g)
-    fixed = [
-        (c, d)
-        for c in range(6)
-        for d in range(6)
-        if all(act_row(c, d, x) == (c, d) for x in g.elements)
-    ]
-    assert fm.m * fm.n == len(fixed)
-    assert fm.n % fm.m == 0 and 6 % fm.n == 0
 
 
 def _matrix(ell: int):

@@ -3,10 +3,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.groups import NamedGroupId, closure, named_group
-from gl2tors.modarith import Mat2
+from gl2tors.lemmas import _gl2_elements
+from gl2tors.modarith import Mat2, element_order
 from gl2tors.verify import (
     HARNESS_IDS,
     HarnessResult,
+    _ell_divides_order,
     _gl2_table,
     _gl2_two_generated,
     _MulTable,
@@ -116,6 +118,12 @@ def test_bl():
     r = run_harness("bl")
     assert r.ok and r.checked == 24
     assert r.details == {"verified": 2, "rejected_no_inertia": 22}
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_ell_divides_order_matches_element_order(ell):
+    for x in _gl2_elements(ell):
+        assert _ell_divides_order(x) == (element_order(x) % ell == 0)
 
 
 def test_ab_subgp_random_only_smoke():
