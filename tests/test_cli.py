@@ -209,6 +209,17 @@ def test_bound_json(tmp_path, capsys):
     assert payload["preservation"]["preserved"] is True
 
 
+def test_bound_past_prime_range_cap_exit_2(tmp_path, capsys):
+    # p_k = 1000003: the coprimality certificate would need every prime up
+    # to p_k, past the cap of primerange
+    path = tmp_path / "f.json"
+    path.write_text('{"label": "big", "merel_constant": 1000003, "lv14_bound": 1}')
+    assert main(["bound", "--input", str(path), "--degree", "1000033"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime range end 1000004 is over the cap of 1000001\n"
+
+
 def test_verify_exit_zero(capsys):
     assert main(["verify", "sl", "--ell-max", "5"]) == 0
     assert "ok\tTrue" in capsys.readouterr().out
