@@ -236,5 +236,4 @@ def primerange(a: int, b: int) -> list[int]:
     a = max(a, 2)
     if a >= b:
         return []
-    flags = _TABLE if b <= _TABLE_LIMIT else _sieve(b)
-    return list(compress(range(a, b), flags[a:b]))
+    return list(compress(range(a, b), _sieve(b)[a:b]))
