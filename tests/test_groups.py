@@ -215,6 +215,16 @@ def test_tau():
         tau(3)
 
 
+def test_delta1_order_and_flip():
+    d1 = named_group(NamedGroupId.DELTA1, 11)
+    d2 = named_group(NamedGroupId.DELTA2, 11)
+    assert d1.order == 10 and d2.order == 10
+    # swapping the diagonal entries carries Delta1 onto Delta2 and back
+    assert all(x.b == 0 and x.c == 0 for x in d1.elements | d2.elements)
+    assert {Mat2.diag(11, x.d, x.a) for x in d1.elements} == d2.elements
+    assert {Mat2.diag(11, x.d, x.a) for x in d2.elements} == d1.elements
+
+
 def test_delta_orders_larger():
     # |Delta_i| = ell - 1 in every case
     for ell in (11, 13, 23, 47):
