@@ -10,6 +10,7 @@ from .modarith import Mat2, element_order, mat_inv, primitive_root, unipotent
 from .groups import (
     NamedGroupId,
     Subgroup,
+    closure,
     diagexp_pair,
     named_group,
     subgroup_from_elements,
@@ -129,9 +130,7 @@ def _has_eigenpair_one_alpha_e(x: Mat2, e: int) -> bool:
 def _contains_nonsplit_power(cyclic: list[Mat2], e: int) -> bool:
     """Whether the cyclic group (as element list) contains a conjugate of the
     e-th power subgroup of the non-split Cartan."""
-    ell = cyclic[0].n
-    cns = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
-    gen = next(x for x in cns.elements if element_order(x) == ell * ell - 1)
+    (gen,) = named_group(NamedGroupId.NONSPLIT_CARTAN, cyclic[0].n).generators
     power = gen**e
     target_order = element_order(power)
     if len(cyclic) % target_order != 0:
@@ -171,6 +170,12 @@ def admissible_inertia_exponents(g: Subgroup) -> list[int]:
     return out
 
 
+def _cartan_power(cart: Subgroup, e: int) -> Subgroup:
+    """The e-th powers of an abelian group, such as a Cartan subgroup: x -> x^e
+    is then a homomorphism, so they are the closure of the generators' powers."""
+    return closure(cart.n, [x**e for x in cart.generators])
+
+
 @dataclass(frozen=True)
 class NotBlReport:
     ambient: str  # "NormSplit" or "NormNonsplit"
@@ -189,10 +194,10 @@ def not_bl_check(g: Subgroup, hyp: BlHypotheses) -> NotBlReport:
     nns = named_group(NamedGroupId.NORM_NONSPLIT, ell)
     cs = named_group(NamedGroupId.SPLIT_CARTAN, ell)
     e = hyp.inertia_exponent
-    if g.elements <= nns.elements and not g.elements <= cs.elements:
+    if g <= nns and not g <= cs:
         ambient = "NormNonsplit"
         cart = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
-    elif g.elements <= ns.elements and not g.elements <= cs.elements:
+    elif g <= ns and not g <= cs:
         ambient = "NormSplit"
         cart = cs
     else:
@@ -202,8 +207,7 @@ def not_bl_check(g: Subgroup, hyp: BlHypotheses) -> NotBlReport:
     if not hyp.det_surjective:
         raise PreconditionError("determinant surjectivity hypothesis is required")
     hyp.validate_against(g)
-    power = subgroup_from_elements(ell, {x**e for x in cart.elements})
-    if not power.elements <= g.elements:
+    if not _cartan_power(cart, e) <= g:
         raise PreconditionError(
             f"the {e}-th power of the ambient Cartan is not contained in the group"
         )
@@ -243,13 +247,16 @@ class BlVerdict:
 
 
 def stripped_diagonal(g: Subgroup) -> Subgroup:
-    """Image of an upper-triangular group under the diagonal projection."""
-    out = set()
-    for x in g.elements:
+    """Image of an upper-triangular group under the diagonal projection.
+
+    The projection is a homomorphism on upper-triangular matrices, so the
+    image is the closure of the generators' distinct diagonals (a group built
+    from elements has every element as a generator).
+    """
+    for x in g.generators:
         if x.c != 0:
-            raise PreconditionError(f"element {x} is not upper triangular")
-        out.add(Mat2.diag(g.n, x.a, x.d))
-    return subgroup_from_elements(g.n, out)
+            raise PreconditionError(f"generator {x} is not upper triangular")
+    return closure(g.n, dict.fromkeys(Mat2.diag(g.n, x.a, x.d) for x in g.generators))
 
 
 def derive_delta(g: Subgroup, hyp: BlHypotheses) -> BlVerdict:
@@ -264,8 +271,7 @@ def _derive_delta(
     """derive_delta, reading the exhaustive spectrum of g from the caller when
     it has one; it is computed only after every precondition holds."""
     ell = g.n
-    borel = named_group(NamedGroupId.BOREL, ell)
-    if not g.elements <= borel.elements:
+    if not g <= named_group(NamedGroupId.BOREL, ell):
         raise PreconditionError("group is not contained in the Borel subgroup")
     if ell < 11:
         raise PreconditionError("derivation requires ell >= 11")
@@ -293,9 +299,9 @@ def _derive_delta(
     )
     d1 = named_group(NamedGroupId.DELTA1, ell)
     d2 = named_group(NamedGroupId.DELTA2, ell)
-    if delta.elements == d1.elements:
+    if delta == d1:
         kind = NamedGroupId.DELTA1
-    elif delta.elements == d2.elements:
+    elif delta == d2:
         kind = NamedGroupId.DELTA2
     else:
         raise LemmaViolationError(

@@ -15,10 +15,10 @@ from .modarith import (
     Mat2,
     _check_odd_prime,
     gl2_order,
-    mat_inv,
     mat_mul,
     primitive_root,
     unipotent,
+    unipotent_lower,
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
@@ -29,13 +29,13 @@ EXHAUSTIVE_SPECTRUM_CAP = 10**5
 class Subgroup:
     """A subgroup of GL2(Z/nZ) held as generators plus its elements' entries.
 
-    A group from `closure` holds the reduced (a, b, c, d) tuples (`entries`)
-    in the order the search found them, and builds its Mat2 element set on
-    first use. A group built from elements derives the tuples from them on
-    first use.
-    Order, the determinant image, the entry array, equality and hashing read
-    the tuples alone, and so does membership until the element set exists.
-    Equality and hashing use only (n, the entry set), so one group with two
+    A group from `closure`, every named group among them, holds the reduced
+    (a, b, c, d) tuples (`entries`) in the order the search found them, and
+    builds its Mat2 element set on first use. A group built from elements
+    (`subgroup_from_elements`) derives the tuples from them on first use.
+    Order, the determinant image, the entry array, membership, containment
+    (`<=`), equality and hashing read the tuples alone. Containment,
+    equality and hashing use only (n, the entry set), so one group with two
     generating sets compares equal.
     """
 
@@ -90,15 +90,13 @@ class Subgroup:
         return len(self.entries)
 
     def __contains__(self, x: Mat2) -> bool:
-        # a group that holds its element set already, such as a named group
-        # built from elements, answers from it rather than derive its entries
-        elements = vars(self).get("elements")
-        if elements is not None:
-            return x in elements
         return isinstance(x, Mat2) and x.n == self.n and x.entries() in self._entry_set
 
-    def __iter__(self):
-        return iter(self.elements)
+    def __le__(self, other):
+        """Whether this group is a subgroup of the other, of the same modulus."""
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.n == other.n and self._entry_set <= other._entry_set
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -270,40 +268,31 @@ def tau(ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
-    """The named subgroup of GL2(F_ell), as an explicit element set."""
+    """The named subgroup of GL2(F_ell), as the closure of the few generators
+    listed for its family; alpha is the smallest generator of the units mod ell."""
     _check_odd_prime(ell)
     alpha = primitive_root(ell)
-    units = [x for x in range(1, ell)]
     if gid is NamedGroupId.BOREL:
-        elems = [
-            Mat2(ell, a, b, 0, d) for a in units for d in units for b in range(ell)
-        ]
+        gens = [Mat2.diag(ell, alpha, 1), Mat2.diag(ell, 1, alpha), unipotent(ell)]
     elif gid is NamedGroupId.SPLIT_CARTAN:
-        elems = [Mat2.diag(ell, a, d) for a in units for d in units]
+        gens = [Mat2.diag(ell, alpha, 1), Mat2.diag(ell, 1, alpha)]
     elif gid is NamedGroupId.NONSPLIT_CARTAN:
-        elems = [
-            Mat2(ell, a, b * alpha, b, a)
-            for a in range(ell)
-            for b in range(ell)
+        # (a b*alpha; b a) is a + b sqrt(alpha) acting on F_ell(sqrt(alpha)),
+        # whose unit group is cyclic of order ell^2 - 1
+        candidates = (
+            closure(ell, [Mat2(ell, a, b * alpha, b, a)])
+            for a, b in itertools.product(range(ell), repeat=2)
             if (a, b) != (0, 0)
-        ]
+        )
+        return next(g for g in candidates if g.order == ell * ell - 1)
     elif gid is NamedGroupId.NORM_SPLIT:
         cs = named_group(NamedGroupId.SPLIT_CARTAN, ell)
-        flip = Mat2(ell, 0, 1, 1, 0)
-        elems = list(cs.elements) + [mat_mul(x, flip) for x in cs.elements]
+        gens = cs.generators + (Mat2(ell, 0, 1, 1, 0),)
     elif gid is NamedGroupId.NORM_NONSPLIT:
         cns = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
-        sign = Mat2.diag(ell, 1, -1)
-        elems = list(cns.elements) + [mat_mul(x, sign) for x in cns.elements]
+        gens = cns.generators + (Mat2.diag(ell, 1, -1),)
     elif gid is NamedGroupId.SL2:
-        elems = [
-            Mat2(ell, a, b, c, d)
-            for a in range(ell)
-            for b in range(ell)
-            for c in range(ell)
-            for d in range(ell)
-            if (a * d - b * c) % ell == 1
-        ]
+        gens = [unipotent(ell), unipotent_lower(ell)]
     elif gid in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
         if ell < 5:
             raise PreconditionError("diagonal images require ell >= 5")
@@ -320,7 +309,7 @@ def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
         return closure(ell, base.generators + (unipotent(ell),))
     else:  # pragma: no cover
         raise PreconditionError(f"unknown named group {gid}")
-    return subgroup_from_elements(ell, elems)
+    return closure(ell, gens)
 
 
 def subgroup_to_json(g: Subgroup) -> str:

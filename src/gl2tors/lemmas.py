@@ -201,10 +201,6 @@ def _split_embedding(h: Subgroup, eigs) -> Conjugation | None:
     return Conjugation(t, NamedGroupId.SPLIT_CARTAN)
 
 
-def _qmat(ell: int, entries) -> list[list[QuadExtElem]]:
-    return [[e if isinstance(e, QuadExtElem) else QuadExtElem(ell, e, 0) for e in row] for row in entries]
-
-
 def _qmat_mul(x, y):
     return [
         [x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)]

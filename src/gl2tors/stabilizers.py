@@ -150,9 +150,6 @@ class DegreeSpectrum:
             rows.append((repr(p), self.group_order // idx, idx))
         return rows
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.group_order, tuple(sorted(self.entries.items())), self.sl_index))
-
 
 def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: int) -> list[int]:
     """[G : Stab(v)] for each seed row vector v, coded as c*ell + d.

@@ -25,6 +25,7 @@ from .lemmas import (
 )
 from .classify import (
     BlHypotheses,
+    _cartan_power,
     _derive_delta,
     classify_image,
     cong_check,
@@ -345,9 +346,9 @@ def harness_normalizers(ell_max: int | None = None) -> HarnessResult:
                 n = normalizer_in_gl2(h)
                 checked += 1
                 count += 1
-                if not h.elements <= n.elements:
+                if not h <= n:
                     violations.append(f"normalizer misses the group itself at {x}")
-                if not n.elements <= norm.elements:
+                if not n <= norm:
                     violations.append(
                         f"normalizer of a {cartan_id.value} subgroup escapes "
                         f"{norm_id.value} at ell = {ell}, generator {x}"
@@ -487,7 +488,7 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
             ambient = named_group(norm_id, ell)
             nonsplit = cartan_id is NamedGroupId.NONSPLIT_CARTAN
             for e in (1, 2, 3, 4, 6):
-                power = frozenset(x**e for x in cartan.elements)
+                power = _cartan_power(cartan, e).elements
                 for elems in _subgroups_between(ambient, power):
                     if not nonsplit and elems <= cs.elements:
                         continue

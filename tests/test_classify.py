@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
 from gl2tors.errors import PreconditionError
@@ -6,7 +7,9 @@ from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent
 from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_elements
 from gl2tors.stabilizers import ProjPoint
 from gl2tors.classify import (
+    INERTIA_EXPONENTS,
     BlHypotheses,
+    _cartan_power,
     admissible_inertia_exponents,
     classify_image,
     cong_check,
@@ -86,6 +89,38 @@ def test_classify_nonsplit_case():
 def test_stripped_diagonal_is_projection():
     g = named_group(NamedGroupId.DELTA_U1, 11)
     assert stripped_diagonal(g).elements == named_group(NamedGroupId.DELTA1, 11).elements
+
+
+_BOREL_11 = st.builds(
+    lambda a, b, d: Mat2(11, a, b, 0, d), st.integers(1, 10), st.integers(0, 10), st.integers(1, 10)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_BOREL_11, max_size=3), st.booleans())
+def test_stripped_diagonal_matches_elementwise_projection(gens, by_elements):
+    g = closure(11, gens)
+    if by_elements:
+        # every element is a generator, as in the groups the bl harness enumerates
+        g = subgroup_from_elements(11, g.elements)
+    assert stripped_diagonal(g).elements == {Mat2.diag(11, x.a, x.d) for x in g.elements}
+
+
+def test_stripped_diagonal_rejects_non_triangular():
+    for g in (
+        closure(11, [unipotent(11), Mat2(11, 1, 0, 1, 1)]),
+        named_group(NamedGroupId.NORM_SPLIT, 11),
+    ):
+        with pytest.raises(PreconditionError, match="not upper triangular"):
+            stripped_diagonal(g)
+
+
+@pytest.mark.parametrize("ell", [11, 13])
+def test_cartan_power_matches_elementwise(ell):
+    for gid in (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN):
+        cart = named_group(gid, ell)
+        for e in INERTIA_EXPONENTS:
+            assert _cartan_power(cart, e).elements == {x**e for x in cart.elements}
 
 
 def test_derive_delta_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.modarith import Mat2, mat_mul, unipotent, unipotent_lower
+from gl2tors.modarith import Mat2, mat_mul, primitive_root, unipotent, unipotent_lower
 from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
@@ -179,6 +179,106 @@ def _small_groups(draw):
 @given(_small_groups())
 def test_is_abelian_matches_elementwise(g):
     assert g.is_abelian() == _is_abelian_elementwise(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_groups(), st.data())
+def test_le_matches_element_sets(g, data):
+    """Containment reads entry sets; the Mat2 element sets are the reference.
+    The second group is a random one (often of the other modulus), a subgroup
+    or supergroup of the first, or a named group mod 5 or 7, and is built
+    either by closure or from elements."""
+    kind = data.draw(st.sampled_from(["random", "sub", "super", "named"]))
+    other = data.draw(_small_groups())
+    if kind == "sub":
+        h = closure(g.n, g.generators[:1])
+    elif kind == "super" and other.n == g.n:
+        h = closure(g.n, g.generators + other.generators)
+    elif kind == "named":
+        gid = data.draw(st.sampled_from(list(NamedGroupId)))
+        h = named_group(gid, data.draw(st.sampled_from([5, 7])))
+    else:
+        h = other
+    if data.draw(st.booleans()):
+        h = subgroup_from_elements(h.n, h.elements)
+    assert (g <= h) == (g.elements <= h.elements)
+    assert (h <= g) == (h.elements <= g.elements)
+    assert g <= g and h <= h
+
+
+_SIX_NAMED = (
+    NamedGroupId.BOREL,
+    NamedGroupId.SPLIT_CARTAN,
+    NamedGroupId.NONSPLIT_CARTAN,
+    NamedGroupId.NORM_SPLIT,
+    NamedGroupId.NORM_NONSPLIT,
+    NamedGroupId.SL2,
+)
+
+
+def _named_group_reference(gid, ell):
+    """The named group from its element formula: the reference for the
+    closure that named_group builds."""
+    alpha = primitive_root(ell)
+    units = range(1, ell)
+    if gid is NamedGroupId.BOREL:
+        elems = [Mat2(ell, a, b, 0, d) for a in units for d in units for b in range(ell)]
+    elif gid is NamedGroupId.SPLIT_CARTAN:
+        elems = [Mat2.diag(ell, a, d) for a in units for d in units]
+    elif gid is NamedGroupId.NONSPLIT_CARTAN:
+        elems = [
+            Mat2(ell, a, b * alpha, b, a)
+            for a in range(ell)
+            for b in range(ell)
+            if (a, b) != (0, 0)
+        ]
+    elif gid is NamedGroupId.NORM_SPLIT:
+        cs = _named_group_reference(NamedGroupId.SPLIT_CARTAN, ell).elements
+        flip = Mat2(ell, 0, 1, 1, 0)
+        elems = list(cs) + [mat_mul(x, flip) for x in cs]
+    elif gid is NamedGroupId.NORM_NONSPLIT:
+        cns = _named_group_reference(NamedGroupId.NONSPLIT_CARTAN, ell).elements
+        sign = Mat2.diag(ell, 1, -1)
+        elems = list(cns) + [mat_mul(x, sign) for x in cns]
+    else:
+        elems = [
+            Mat2(ell, *e) for e in _invertible_residues(ell) if (e[0] * e[3] - e[1] * e[2]) % ell == 1
+        ]
+    return subgroup_from_elements(ell, elems)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_named_groups_match_element_formulas(ell):
+    for gid in _SIX_NAMED:
+        g = named_group(gid, ell)
+        ref = _named_group_reference(gid, ell)
+        assert g == ref and g.elements == ref.elements
+        assert closure(ell, g.generators) == g
+        assert len(g.generators) <= 3
+
+
+@pytest.mark.parametrize("gid", _SIX_NAMED)
+def test_named_group_builds_few_mat2(gid, monkeypatch):
+    """A named group is the closure of a few generators, so building one
+    constructs O(ell) Mat2 values, not one per element (2116 to 103776 at
+    ell = 47)."""
+    ell, built = 47, []
+    post_init, reduced = Mat2.__post_init__, Mat2._reduced
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_reduced(*args):
+        built.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(Mat2, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Mat2, "_reduced", staticmethod(counted_reduced))
+    named_group.cache_clear()
+    g = named_group(gid, ell)
+    assert Mat2.identity(ell) in g
+    assert 0 < len(built) <= 3 * ell
 
 
 def test_named_orders_ell5():
