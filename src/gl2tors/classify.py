@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 from .errors import LemmaViolationError, PreconditionError
 from .ntheory import isprime
-from .modarith import Mat2, element_order, mat_inv, primitive_root, unipotent
+from .modarith import Mat2, mat_inv, primitive_root, unipotent
 from .groups import (
     NamedGroupId,
     Subgroup,
+    _cyclic_subgroups,
     closure,
     diagexp_pair,
     named_group,
-    subgroup_from_elements,
     tau,
 )
 from .lemmas import Conjugation, conjugate_into_normalizer
@@ -31,13 +31,16 @@ def mod36_filter(ell: int) -> bool:
 
 
 def cong_check(delta: Subgroup) -> bool:
-    """The exponent congruence 12u = 12t = 6(u+t) mod (ell-1) on a diagonal group."""
-    ell = delta.n
-    modulus = ell - 1
-    for x in delta.elements:
+    """The exponent congruence 12u = 12t = 6(u+t) mod (ell-1) on a diagonal group.
+
+    It reads 6(u - t) = 0 mod (ell - 1), which cuts out a subgroup of the
+    exponent pairs, so it holds on the group exactly when it holds on the
+    generators; a non-diagonal group has a non-diagonal generator.
+    """
+    modulus = delta.n - 1
+    for x in delta.generators:
         pair = diagexp_pair(x)  # raises on non-diagonal input
-        u, t = pair.u, pair.t
-        if (12 * u - 6 * (u + t)) % modulus or (12 * t - 6 * (u + t)) % modulus:
+        if 6 * (pair.u - pair.t) % modulus:
             return False
     return True
 
@@ -121,53 +124,43 @@ def classify_image(g: Subgroup, witness: ProjPoint) -> Conjugation:
 # inertia realizability: which ramification shapes an image can carry
 
 
-def _has_eigenpair_one_alpha_e(x: Mat2, e: int) -> bool:
-    # char poly (lam - 1)(lam - alpha^e): semisimple conjugacy test by trace/det
-    ae = pow(primitive_root(x.n), e, x.n)
-    return x.trace() == (1 + ae) % x.n and x.det() == ae
-
-
-def _contains_nonsplit_power(cyclic: list[Mat2], e: int) -> bool:
-    """Whether the cyclic group (as element list) contains a conjugate of the
-    e-th power subgroup of the non-split Cartan."""
-    (gen,) = named_group(NamedGroupId.NONSPLIT_CARTAN, cyclic[0].n).generators
-    power = gen**e
-    target_order = element_order(power)
-    if len(cyclic) % target_order != 0:
-        return False
-    charpolys = {
-        ((power**k).trace(), (power**k).det())
-        for k in range(1, target_order + 1)
-        if math.gcd(k, target_order) == 1
-    }
-    return any(
-        element_order(x) == target_order and (x.trace(), x.det()) in charpolys
-        for x in cyclic
-    )
-
-
 def admissible_inertia_exponents(g: Subgroup) -> list[int]:
     """Exponents e for which g contains a plausible inertia image: a cyclic
     subgroup with full determinant image carrying the e-shaped ramification
     datum (an element with eigenvalues {1, alpha^e}, or a conjugate of the
-    e-th power of the non-split Cartan)."""
+    e-th power of the non-split Cartan).
+
+    One pass over the distinct cyclic subgroups reads both shapes off their
+    (trace, det) pairs. Sharing a pair with a generator y of <gamma^e>, for
+    gamma generating the non-split Cartan, is exact: an x with y's
+    characteristic polynomial is conjugate to y, unless y = lam*I and x is
+    lam times a shear, and then x^ell = lam*I lies in the same cyclic group.
+    """
     ell = g.n
-    out = []
+    alpha = primitive_root(ell)
+    (gamma,) = named_group(NamedGroupId.NONSPLIT_CARTAN, ell).generators
+    shapes = []
     for e in INERTIA_EXPONENTS:
-        found = False
-        for b in g.elements:
-            order = element_order(b)
-            cyc = [b**k for k in range(1, order + 1)]
-            if len({x.det() for x in cyc}) != ell - 1:
-                continue
-            if any(_has_eigenpair_one_alpha_e(x, e) for x in cyc) or (
-                _contains_nonsplit_power(cyc, e)
-            ):
-                found = True
-                break
-        if found:
-            out.append(e)
-    return out
+        ae = pow(alpha, e, ell)
+        # a one-generator closure finds y^0, y^1, ... in that order
+        powers = closure(ell, [gamma**e]).entries
+        generators = (y for k, y in enumerate(powers) if math.gcd(k, len(powers)) == 1)
+        shapes.append((e, ((1 + ae) % ell, ae), {_trace_det(ell, y) for y in generators}))
+    found = set()
+    for cyc in _cyclic_subgroups(g.elements):
+        pairs = {_trace_det(ell, x) for x in cyc.entries}
+        if len({det for _, det in pairs}) == ell - 1:
+            found.update(
+                e
+                for e, eigenpair, nonsplit in shapes
+                if eigenpair in pairs or not nonsplit.isdisjoint(pairs)
+            )
+    return [e for e in INERTIA_EXPONENTS if e in found]
+
+
+def _trace_det(n: int, x: tuple[int, int, int, int]) -> tuple[int, int]:
+    a, b, c, d = x
+    return (a + d) % n, (a * d - b * c) % n
 
 
 def _cartan_power(cart: Subgroup, e: int) -> Subgroup:
@@ -285,7 +278,7 @@ def _derive_delta(
     if not any(math.gcd(idx, 6) == 1 for idx in spectrum.values()):
         raise PreconditionError("no stabilizer index coprime to 6")
 
-    if unipotent(ell) not in g.elements:
+    if unipotent(ell) not in g:
         if not admissible_inertia_exponents(g):
             raise PreconditionError(
                 "no admissible inertia image; the group cannot occur as a"
@@ -294,18 +287,14 @@ def _derive_delta(
         raise LemmaViolationError(
             "shear absent from a Borel image despite an admissible inertia shape"
         )
-    delta = subgroup_from_elements(
-        ell, [x for x in g.elements if x.b == 0 and x.c == 0]
-    )
-    d1 = named_group(NamedGroupId.DELTA1, ell)
-    d2 = named_group(NamedGroupId.DELTA2, ell)
-    if delta == d1:
+    delta = {x for x in g.entries if x[1] == 0 and x[2] == 0}
+    if delta == set(named_group(NamedGroupId.DELTA1, ell).entries):
         kind = NamedGroupId.DELTA1
-    elif delta == d2:
+    elif delta == set(named_group(NamedGroupId.DELTA2, ell).entries):
         kind = NamedGroupId.DELTA2
     else:
         raise LemmaViolationError(
-            f"diagonal part of order {delta.order} matches neither derived group"
+            f"diagonal part of order {len(delta)} matches neither derived group"
         )
     divisor = (ell - 1) // (2 * tau(ell))
     for vec, idx in spectrum.items():

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import PreconditionError, ResourceLimitError
 from .modarith import (
     Mat2,
+    _check_modulus,
     _check_odd_prime,
     gl2_order,
     mat_mul,
@@ -138,8 +139,9 @@ def closure(
             raise PreconditionError(f"generator modulus {g.n} != {n}")
         if not g.is_invertible():
             raise PreconditionError(f"generator {g} is not invertible")
+    _check_modulus(n)
     steps = [g.entries() for g in gens]
-    found = [Mat2.identity(n).entries()]
+    found = [(1, 0, 0, 1)]
     seen = set(found)
     # the loop also visits the elements it appends, which makes it the BFS queue
     for a, b, c, d in found:
@@ -159,6 +161,14 @@ def closure(
                     )
     # finite subsets closed under multiplication are closed under inverse
     return Subgroup._from_entries(n, gens, tuple(found))
+
+
+def _cyclic_subgroups(elements: Iterable[Mat2]) -> list[Subgroup]:
+    """The distinct cyclic subgroups the elements generate, in order of first
+    appearance, each generated by the first element that generates it."""
+    # groups hash and compare on their entries, and a dict keeps the first
+    # of equal keys, so no duplicate builds its Mat2 element set
+    return list(dict.fromkeys(closure(x.n, [x]) for x in elements))
 
 
 def _conjugation_target(

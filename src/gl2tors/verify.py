@@ -12,7 +12,14 @@ import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError, UsageError
 from .modarith import Mat2, element_order, mat_mul
-from .groups import NamedGroupId, Subgroup, closure, named_group, subgroup_from_elements
+from .groups import (
+    NamedGroupId,
+    Subgroup,
+    _cyclic_subgroups,
+    closure,
+    named_group,
+    subgroup_from_elements,
+)
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
 from .lemmas import (
     _gl2_elements,
@@ -185,14 +192,6 @@ class _MulTable:
 
     def to_subgroup(self, ids: frozenset[int]) -> Subgroup:
         return subgroup_from_elements(self.n, [self.elements[i] for i in ids])
-
-
-def _cyclic_subgroups(elements: Iterable[Mat2]) -> list[Subgroup]:
-    """The distinct cyclic subgroups the elements generate, in order of first
-    appearance, each generated by the first element that generates it."""
-    # groups hash and compare on their entries, and a dict keeps the first
-    # of equal keys, so no duplicate builds its Mat2 element set
-    return list(dict.fromkeys(closure(x.n, [x]) for x in elements))
 
 
 @lru_cache(maxsize=None)

@@ -51,18 +51,22 @@ def test_criterion_2_shear_decomposition():
 
 
 def test_criterion_3_cartan_conjugation():
+    start = time.time()
     result = run_harness("ab-subgp", trials=500, seed=2024)
+    elapsed = time.time() - start
     ok = result.ok and result.details["random_abelian"] == 1500
     _report(
         3,
         ok,
         f"{result.details['cyclic_subgroups']} cyclic + 1500 random abelian groups embedded, "
-        "oracle agreement exact",
+        f"oracle agreement exact ({elapsed:.1f}s)",
     )
 
 
 def test_criterion_4_unipotent_stabilizers():
+    start = time.time()
     result = run_harness("easy-d", ell_max=7)
+    elapsed = time.time() - start
     ok = (
         result.ok
         and result.details == {"ell_5_subgroups": 461, "ell_7_subgroups": 1704}
@@ -72,7 +76,8 @@ def test_criterion_4_unipotent_stabilizers():
         4,
         ok,
         f"{result.details['ell_5_subgroups'] + result.details['ell_7_subgroups']} "
-        f"two-generated subgroups, {result.checked} stabilizer checks, zero violations",
+        f"two-generated subgroups, {result.checked} stabilizer checks, zero violations "
+        f"({elapsed:.1f}s)",
     )
 
 
@@ -102,7 +107,9 @@ def test_criterion_5_derived_diagonal_consistency():
 
 
 def test_criterion_6_normalizer_divisibility():
+    start = time.time()
     result = run_harness("not-bl")
+    elapsed = time.time() - start
     ok = result.ok
     _report(
         6,
@@ -110,7 +117,7 @@ def test_criterion_6_normalizer_divisibility():
         f"{result.checked} subgroups over ell in (11, 13), e in (1,2,3,4,6); "
         f"{result.details['verified']} verified, "
         f"{result.details['precondition_excluded']} excluded by hypothesis checks, "
-        "zero falsification events",
+        f"zero falsification events ({elapsed:.1f}s)",
     )
 
 
@@ -158,11 +165,14 @@ def test_criterion_8_sieve_and_bounds():
 
 
 def test_criterion_9_abelian_torsion_lemma():
+    start = time.time()
     result = run_harness("l-part", trials=10000, seed=7)
+    elapsed = time.time() - start
     ok = result.ok and result.checked == 10000
     _report(
         9,
         ok,
         f"10000 randomized instances: {result.details['ConclusionVerified']} verified, "
-        f"{result.details['HypothesisFails']} hypothesis failures, zero conclusion failures",
+        f"{result.details['HypothesisFails']} hypothesis failures, zero conclusion failures "
+        f"({elapsed:.1f}s)",
     )

@@ -1,11 +1,24 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import primerange
 
+from gl2tors import classify
 from gl2tors.errors import PreconditionError
-from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent
-from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_elements
+from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root, unipotent
+from gl2tors.groups import (
+    NamedGroupId,
+    Subgroup,
+    closure,
+    diagexp_pair,
+    diagexp_span,
+    named_group,
+    subgroup_from_elements,
+)
+from gl2tors.lemmas import _gl2_elements
 from gl2tors.stabilizers import ProjPoint
+from gl2tors.verify import run_harness
 from gl2tors.classify import (
     INERTIA_EXPONENTS,
     BlHypotheses,
@@ -50,6 +63,35 @@ def test_cong_check_rejects_nondiagonal():
         cong_check(closure(11, [unipotent(11)]))
 
 
+def _cong_check_reference(delta: Subgroup) -> bool:
+    """The congruence on every element: the reference for cong_check, which
+    reads the generators only."""
+    modulus = delta.n - 1
+    for x in delta.elements:
+        pair = diagexp_pair(x)
+        u, t = pair.u, pair.t
+        if (12 * u - 6 * (u + t)) % modulus or (12 * t - 6 * (u + t)) % modulus:
+            return False
+    return True
+
+
+@st.composite
+def _diagonal_group(draw):
+    ell = draw(st.sampled_from([5, 7, 11, 13, 23, 29]))
+    exponent = st.integers(0, ell - 2)
+    g = diagexp_span(ell, draw(st.lists(st.tuples(exponent, exponent), max_size=3)))
+    if draw(st.booleans()):
+        # every element is a generator, as in the groups the bl harness enumerates
+        g = subgroup_from_elements(ell, g.elements)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(_diagonal_group())
+def test_cong_check_matches_elementwise(g):
+    assert cong_check(g) == _cong_check_reference(g)
+
+
 def test_classify_rejects_even_witness():
     borel = named_group(NamedGroupId.BOREL, 11)
     with pytest.raises(PreconditionError):
@@ -73,8 +115,6 @@ def test_classify_split_case():
 
 def test_classify_nonsplit_case():
     cns = named_group(NamedGroupId.NONSPLIT_CARTAN, 11)
-    from gl2tors.modarith import element_order
-
     gen = next(x for x in cns.elements if element_order(x) == 120)
     t = Mat2(11, 2, 3, 1, 4)
     h = closure(11, [gen**8])  # order 15
@@ -215,3 +255,93 @@ def test_not_bl_rejects_unrealizable_inertia():
 def test_admissible_inertia_exponents_full_normalizer():
     g = named_group(NamedGroupId.NORM_SPLIT, 11)
     assert 1 in admissible_inertia_exponents(g)
+
+
+# the inertia test as it read element by element, with the order test for the
+# non-split shape: the reference for admissible_inertia_exponents
+
+
+def _has_eigenpair_one_alpha_e(x: Mat2, e: int) -> bool:
+    # char poly (lam - 1)(lam - alpha^e): semisimple conjugacy test by trace/det
+    ae = pow(primitive_root(x.n), e, x.n)
+    return x.trace() == (1 + ae) % x.n and x.det() == ae
+
+
+def _contains_nonsplit_power(cyclic: list[Mat2], e: int) -> bool:
+    """Whether the cyclic group (as element list) contains a conjugate of the
+    e-th power subgroup of the non-split Cartan."""
+    (gen,) = named_group(NamedGroupId.NONSPLIT_CARTAN, cyclic[0].n).generators
+    power = gen**e
+    target_order = element_order(power)
+    if len(cyclic) % target_order != 0:
+        return False
+    charpolys = {
+        ((power**k).trace(), (power**k).det())
+        for k in range(1, target_order + 1)
+        if math.gcd(k, target_order) == 1
+    }
+    return any(
+        element_order(x) == target_order and (x.trace(), x.det()) in charpolys
+        for x in cyclic
+    )
+
+
+def _admissible_inertia_exponents_reference(g: Subgroup) -> list[int]:
+    ell = g.n
+    out = []
+    for e in INERTIA_EXPONENTS:
+        found = False
+        for b in g.elements:
+            order = element_order(b)
+            cyc = [b**k for k in range(1, order + 1)]
+            if len({x.det() for x in cyc}) != ell - 1:
+                continue
+            if any(_has_eigenpair_one_alpha_e(x, e) for x in cyc) or (
+                _contains_nonsplit_power(cyc, e)
+            ):
+                found = True
+                break
+        if found:
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("harness, calls", [("not-bl", 32), ("bl", 22)])
+def test_admissible_inertia_matches_reference_on_harness_groups(harness, calls, monkeypatch):
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return admissible_inertia_exponents(g)
+
+    monkeypatch.setattr(classify, "admissible_inertia_exponents", recording)
+    assert run_harness(harness).ok
+    assert len(seen) == calls
+    for g in seen:
+        assert admissible_inertia_exponents(g) == _admissible_inertia_exponents_reference(g)
+
+
+def _element_entries(gid: NamedGroupId | None, ell: int) -> list[tuple[int, int, int, int]]:
+    if gid is None:
+        return [x.entries() for x in _gl2_elements(ell)]
+    return list(named_group(gid, ell).entries)
+
+
+_INERTIA_AMBIENTS = [
+    (gid, ell)
+    for gid in (NamedGroupId.BOREL, NamedGroupId.NORM_SPLIT, NamedGroupId.NORM_NONSPLIT)
+    for ell in (5, 7, 11, 13)
+] + [(None, 5), (None, 7)]  # None: all of GL2(F_ell)
+
+
+@st.composite
+def _two_generated_in_ambient(draw):
+    gid, ell = draw(st.sampled_from(_INERTIA_AMBIENTS))
+    entry = st.sampled_from(_element_entries(gid, ell))
+    return closure(ell, [Mat2(ell, *draw(entry)), Mat2(ell, *draw(entry))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_generated_in_ambient())
+def test_admissible_inertia_matches_reference(g):
+    assert admissible_inertia_exponents(g) == _admissible_inertia_exponents_reference(g)

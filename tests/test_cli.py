@@ -190,6 +190,11 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
             ["--exhaustive"],
             "error: exhaustive spectrum mod 1009 has 1018080 vectors, over the cap of ",
         ),
+        (
+            '{"modulus": 1, "generators": []}',
+            [],
+            "error: modulus must be an integer >= 2, got 1\n",
+        ),
     ],
 )
 def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):

@@ -257,12 +257,9 @@ def test_named_groups_match_element_formulas(ell):
         assert len(g.generators) <= 3
 
 
-@pytest.mark.parametrize("gid", _SIX_NAMED)
-def test_named_group_builds_few_mat2(gid, monkeypatch):
-    """A named group is the closure of a few generators, so building one
-    constructs O(ell) Mat2 values, not one per element (2116 to 103776 at
-    ell = 47)."""
-    ell, built = 47, []
+def _counted_mat2_builds(monkeypatch) -> list:
+    """Wrap both Mat2 constructors; the list returned grows by one per Mat2 built."""
+    built = []
     post_init, reduced = Mat2.__post_init__, Mat2._reduced
 
     def counted_post_init(self):
@@ -275,10 +272,33 @@ def test_named_group_builds_few_mat2(gid, monkeypatch):
 
     monkeypatch.setattr(Mat2, "__post_init__", counted_post_init)
     monkeypatch.setattr(Mat2, "_reduced", staticmethod(counted_reduced))
+    return built
+
+
+@pytest.mark.parametrize("gid", _SIX_NAMED)
+def test_named_group_builds_few_mat2(gid, monkeypatch):
+    """A named group is the closure of a few generators, so building one
+    constructs O(ell) Mat2 values, not one per element (2116 to 103776 at
+    ell = 47)."""
+    ell = 47
+    built = _counted_mat2_builds(monkeypatch)
     named_group.cache_clear()
     g = named_group(gid, ell)
     assert Mat2.identity(ell) in g
     assert 0 < len(built) <= 3 * ell
+
+
+def test_one_generator_closure_builds_no_mat2(monkeypatch):
+    (gamma,) = named_group(NamedGroupId.NONSPLIT_CARTAN, 47).generators
+    built = _counted_mat2_builds(monkeypatch)
+    assert closure(47, [gamma]).order == 47 * 47 - 1
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_closure_rejects_bad_modulus(n):
+    with pytest.raises(PreconditionError, match="modulus must be an integer >= 2"):
+        closure(n, [])
 
 
 def test_named_orders_ell5():

@@ -10,6 +10,7 @@ from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
     _conjugation_target,
+    _cyclic_subgroups,
     closure,
     named_group,
     subgroup_from_elements,
@@ -24,7 +25,7 @@ from gl2tors.lemmas import (
     decompose_sl2,
     normalizer_in_gl2,
 )
-from gl2tors.verify import _cyclic_subgroups, _random_abelian
+from gl2tors.verify import _random_abelian
 
 # the named groups a conjugation witness may target
 _TARGET_IDS = (
