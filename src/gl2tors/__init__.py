@@ -14,7 +14,7 @@ from .errors import (
     SingularMatrixError,
     UsageError,
 )
-from .modarith import Mat2, QuadExtElem, eigenvalues, element_order, gl2_order, primitive_root
+from .modarith import Mat2, element_order, gl2_order, primitive_root
 from .groups import (
     NamedGroupId,
     Subgroup,

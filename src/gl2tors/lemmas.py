@@ -6,14 +6,13 @@ from functools import lru_cache
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import (
-    EigenKind,
     Mat2,
-    QuadExtElem,
     _check_odd_prime,
-    eigenvalues,
     element_order,
+    legendre,
     mat_mul,
     primitive_root,
+    sqrt_mod,
     unipotent,
     unipotent_lower,
 )
@@ -142,21 +141,71 @@ def brute_force_cartan_conjugator(h: Subgroup) -> Conjugation | None:
     return None
 
 
+def _discriminant(x: Mat2) -> int:
+    return (x.trace() ** 2 - 4 * x.det()) % x.n
+
+
 def _eigencolumn(x: Mat2, lam: int) -> tuple[int, int]:
-    """A nonzero column v with (x - lam I) v = 0."""
+    """A nonzero column v with (x - lam I) v = 0, for x not scalar."""
     ell = x.n
-    a, b, c, d = (x.a - lam) % ell, x.b, x.c, (x.d - lam) % ell
-    if b != 0 or a != 0:
-        v = (b, (-a) % ell)
-        if v != (0, 0):
-            return v
-    if d != 0 or c != 0:
-        return (d, (-c) % ell)
-    return (1, 0)  # x is scalar lam
+    a, b = (x.a - lam) % ell, x.b
+    if (a, b) != (0, 0):
+        return (b, -a % ell)
+    return ((x.d - lam) % ell, -x.c % ell)
+
+
+def _split_conjugator(x: Mat2) -> Mat2:
+    """t = (v1 | v2), eigencolumns of x at its eigenvalues lam1 < lam2, for x
+    with a nonzero square discriminant: t^-1 x t = diag(lam1, lam2)."""
+    ell = x.n
+    root, half = sqrt_mod(_discriminant(x), ell), pow(2, -1, ell)
+    lam1, lam2 = sorted((x.trace() + sign * root) * half % ell for sign in (1, -1))
+    (p, r), (q, s) = _eigencolumn(x, lam1), _eigencolumn(x, lam2)
+    return Mat2(ell, p, q, r, s)
+
+
+def _nonsplit_conjugator(g: Mat2) -> Mat2:
+    """t with t^-1 g t = (a b*alpha; b a), for g = (p q; r s) with a non-residue
+    discriminant.
+
+    a = tr/2 and b = sqrt(disc/alpha)/2, with alpha = primitive_root(ell) and
+    the least square root, so g has eigenvalues a +- b sqrt(alpha); then
+    t = (q/(b alpha) 0; (a - p)/(b alpha) 1). This is P Q^-1 for P = (q q;
+    mu - p mu' - p) and Q = (b alpha b alpha; b sqrt(alpha) -b sqrt(alpha)),
+    with mu, mu' = a +- b sqrt(alpha), worked out over F_ell. q != 0 because
+    a triangular matrix has rational eigenvalues, and b != 0 because
+    disc != 0.
+    """
+    ell = g.n
+    alpha, half = primitive_root(ell), pow(2, -1, ell)
+    a = g.trace() * half % ell
+    b = sqrt_mod(_discriminant(g) * pow(alpha, -1, ell), ell) * half % ell
+    e = pow(b * alpha, -1, ell)
+    return Mat2(ell, g.b * e, 0, (a - g.a) * e, 1)
+
+
+def _generator(h: Subgroup, what: str) -> Mat2:
+    """The first element of h.elements whose order is |h|."""
+    for x in h.elements:
+        if element_order(x) == h.order:
+            return x
+    raise LemmaViolationError(f"{what} of order {h.order} is not cyclic")
 
 
 def conjugate_into_cartan(h: Subgroup) -> Conjugation:
-    """Conjugator into the split or non-split Cartan for an abelian prime-to-ell group."""
+    """Conjugator into the split or non-split Cartan for an abelian prime-to-ell group.
+
+    Elements of order prime to ell are semisimple, and commuting semisimple
+    matrices diagonalize together over the field of their eigenvalues. If
+    every generator has a square discriminant tr^2 - 4 det, the generators
+    diagonalize together over F_ell, so every element does and h lies in a
+    conjugate of the split Cartan: the eigencolumns of the first non-scalar
+    element of h, whose two eigenvalues differ, place it there (the identity,
+    if h is scalar). Otherwise h lies in a conjugate of the non-split Cartan,
+    a cyclic group, so h is cyclic and _nonsplit_conjugator of its first
+    element of full order places it. A witness that fails its check raises
+    LemmaViolationError.
+    """
     ell = h.n
     _check_odd_prime(ell)
     if h.order % ell == 0:
@@ -164,97 +213,19 @@ def conjugate_into_cartan(h: Subgroup) -> Conjugation:
     if not h.is_abelian():
         raise PreconditionError("group is not abelian")
 
-    eigs = {x: eigenvalues(x) for x in h.elements}
-    irrational = [x for x, e in eigs.items() if e.kind is EigenKind.IRRATIONAL_CONJUGATE_PAIR]
-
-    if not irrational:
-        emb = _split_embedding(h, eigs)
+    if any(legendre(_discriminant(x), ell) == -1 for x in h.generators):
+        gen = _generator(h, "abelian group with irrational eigenvalues")
+        emb = Conjugation(_nonsplit_conjugator(gen), NamedGroupId.NONSPLIT_CARTAN)
     else:
-        emb = _nonsplit_embedding(h)
-    if emb is None or not emb.verify(h):
-        # degenerate representative; fall back to the exhaustive scan
-        emb = brute_force_cartan_conjugator(h)
-        if emb is None:
-            raise LemmaViolationError(
-                f"no conjugator into either Cartan for a group of order {h.order}"
-            )
+        x = next((x for x in h.elements if not x.is_scalar()), None)
+        t = Mat2.identity(ell) if x is None else _split_conjugator(x)
+        emb = Conjugation(t, NamedGroupId.SPLIT_CARTAN)
+    if not emb.verify(h):
+        raise LemmaViolationError(
+            f"conjugator {emb.conjugator} does not place a group of order {h.order} "
+            f"in {emb.target.value}"
+        )
     return emb
-
-
-def _split_embedding(h: Subgroup, eigs) -> Conjugation | None:
-    ell = h.n
-    witness = None
-    for x, e in eigs.items():
-        if e.kind is EigenKind.RATIONAL_DISTINCT and not x.is_scalar():
-            witness = (x, e)
-            break
-    if witness is None:
-        # all elements scalar (repeated-eigenvalue non-scalars cannot occur in
-        # an abelian group of order prime to ell)
-        return Conjugation(Mat2.identity(ell), NamedGroupId.SPLIT_CARTAN)
-    x, e = witness
-    v1 = _eigencolumn(x, e.values[0])
-    v2 = _eigencolumn(x, e.values[1])
-    t = Mat2(ell, v1[0], v2[0], v1[1], v2[1])
-    if not t.is_invertible():
-        return None
-    return Conjugation(t, NamedGroupId.SPLIT_CARTAN)
-
-
-def _qmat_mul(x, y):
-    return [
-        [x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)]
-        for i in range(2)
-    ]
-
-
-def _qmat_inv(x):
-    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    dinv = det.inverse()
-    return [[x[1][1] * dinv, -x[0][1] * dinv], [-x[1][0] * dinv, x[0][0] * dinv]]
-
-
-def _nonsplit_embedding(h: Subgroup) -> Conjugation | None:
-    """The simultaneous-diagonalization construction over the quadratic extension.
-
-    The group is cyclic here; for a generator with irrational eigenvalue
-    a + b sqrt(alpha) the two change-of-basis matrices built from the
-    generator's top-right entry and from b are invertible, and their quotient
-    is Galois-invariant, hence the conjugator.
-    """
-    ell = h.n
-    gen = None
-    for x in h.elements:
-        if element_order(x) == h.order:
-            gen = x
-            break
-    if gen is None:
-        return None
-    eig = eigenvalues(gen)
-    if eig.kind is not EigenKind.IRRATIONAL_CONJUGATE_PAIR:
-        return None
-    mu: QuadExtElem = eig.values[0]
-    a, b = mu.re, mu.im
-    t_, u = gen.a, gen.b
-    if u == 0:
-        return None  # triangular generator cannot have irrational eigenvalues
-    alpha = primitive_root(ell)
-    sqrt_alpha = QuadExtElem(ell, 0, 1)
-    q_u = QuadExtElem(ell, u, 0)
-    p = [
-        [q_u, q_u],
-        [mu - QuadExtElem(ell, t_, 0), mu.conjugate() - QuadExtElem(ell, t_, 0)],
-    ]
-    bq = QuadExtElem(ell, b, 0)
-    balpha = QuadExtElem(ell, b * alpha, 0)
-    q = [[balpha, balpha], [bq * sqrt_alpha, -(bq * sqrt_alpha)]]
-    t_mat = _qmat_mul(p, _qmat_inv(q))
-    if any(not t_mat[i][j].is_rational() for i in range(2) for j in range(2)):
-        return None
-    t = Mat2(ell, t_mat[0][0].re, t_mat[0][1].re, t_mat[1][0].re, t_mat[1][1].re)
-    if not t.is_invertible():
-        return None
-    return Conjugation(t, NamedGroupId.NONSPLIT_CARTAN)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +242,7 @@ def cyclic_generator(h: Subgroup) -> Mat2:
         raise PreconditionError("group order is even")
     if h.order % ell == 0:
         raise PreconditionError("group order is divisible by the characteristic")
-    for x in h.elements:
-        if element_order(x) == h.order:
-            return x
-    raise LemmaViolationError(
-        f"odd-order prime-to-{ell} subgroup of SL2 of order {h.order} is not cyclic"
-    )
+    return _generator(h, f"odd-order prime-to-{ell} subgroup of SL2")
 
 
 def normalizer_in_gl2(h: Subgroup) -> Subgroup:

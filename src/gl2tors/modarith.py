@@ -1,9 +1,8 @@
-"""Exact arithmetic mod N, in F_ell and F_{ell^2}, and 2x2 matrix primitives."""
+"""Exact arithmetic mod N and in F_ell, and 2x2 matrix primitives."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .errors import PreconditionError, SingularMatrixError
@@ -181,7 +180,12 @@ def legendre(a: int, ell: int) -> int:
 
 
 def sqrt_mod(a: int, ell: int) -> int | None:
-    """A square root of a mod an odd prime, or None if a is a non-residue."""
+    """The least square root of a mod an odd prime in [0, ell), or None if a
+    is a non-residue.
+
+    The least root is part of the contract: the Cartan conjugators in lemmas
+    are built from it, so another root would change every witness.
+    """
     a %= ell
     if a == 0:
         return 0
@@ -192,113 +196,3 @@ def sqrt_mod(a: int, ell: int) -> int | None:
         if r * r % ell == a:
             return r
     return None
-
-
-@dataclass(frozen=True)
-class QuadExtElem:
-    """An element re + im*sqrt(alpha) of the quadratic extension of F_ell.
-
-    alpha is the fixed smallest generator of the multiplicative group, so it
-    is a non-residue and sqrt(alpha) really is a proper extension element.
-    """
-
-    ell: int
-    re: int
-    im: int
-
-    def __post_init__(self):
-        _check_odd_prime(self.ell)
-        object.__setattr__(self, "re", self.re % self.ell)
-        object.__setattr__(self, "im", self.im % self.ell)
-
-    @property
-    def alpha(self) -> int:
-        return primitive_root(self.ell)
-
-    def conjugate(self) -> "QuadExtElem":
-        return QuadExtElem(self.ell, self.re, -self.im)
-
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def norm(self) -> int:
-        # re^2 - alpha * im^2, the product with the conjugate
-        return (self.re * self.re - self.alpha * self.im * self.im) % self.ell
-
-    def __add__(self, other: "QuadExtElem") -> "QuadExtElem":
-        self._check(other)
-        return QuadExtElem(self.ell, self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QuadExtElem") -> "QuadExtElem":
-        self._check(other)
-        return QuadExtElem(self.ell, self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "QuadExtElem":
-        return QuadExtElem(self.ell, -self.re, -self.im)
-
-    def __mul__(self, other: "QuadExtElem") -> "QuadExtElem":
-        self._check(other)
-        ell, al = self.ell, self.alpha
-        return QuadExtElem(
-            ell,
-            self.re * other.re + al * self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def inverse(self) -> "QuadExtElem":
-        nrm = self.norm()
-        if nrm == 0:
-            raise SingularMatrixError("zero element of the quadratic extension")
-        ninv = pow(nrm, -1, self.ell)
-        return QuadExtElem(self.ell, self.re * ninv, -self.im * ninv)
-
-    def _check(self, other: "QuadExtElem") -> None:
-        if self.ell != other.ell:
-            raise PreconditionError("mixed characteristics in quadratic extension")
-
-    def __repr__(self):
-        return f"{self.re}+{self.im}√{self.alpha} (mod {self.ell})"
-
-
-class EigenKind(Enum):
-    RATIONAL_DISTINCT = "RationalDistinct"
-    RATIONAL_REPEATED = "RationalRepeated"
-    IRRATIONAL_CONJUGATE_PAIR = "IrrationalConjugatePair"
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    kind: EigenKind
-    values: tuple  # two residues, or two QuadExtElem forming a conjugate pair
-
-
-def eigenvalues(x: Mat2) -> EigenResult:
-    """Eigenvalues of x over the prime field, split by char-poly discriminant."""
-    ell = x.n
-    _check_odd_prime(ell)
-    tr, det = x.trace(), x.det()
-    disc = (tr * tr - 4 * det) % ell
-    inv2 = pow(2, -1, ell)
-    sym = legendre(disc, ell)
-    if sym == 0:
-        lam = tr * inv2 % ell
-        return EigenResult(EigenKind.RATIONAL_REPEATED, (lam, lam))
-    if sym == 1:
-        root = sqrt_mod(disc, ell)
-        v1 = (tr + root) * inv2 % ell
-        v2 = (tr - root) * inv2 % ell
-        return EigenResult(EigenKind.RATIONAL_DISTINCT, tuple(sorted((v1, v2))))
-    # disc is a non-residue: disc = alpha^(2k+1), so sqrt(disc) = alpha^k sqrt(alpha)
-    alpha = primitive_root(ell)
-    val, k = disc, 0
-    while legendre(val, ell) != 1:
-        # divide out alpha until the residue part remains
-        val = val * pow(alpha, -1, ell) % ell
-        k += 1
-    assert k == 1  # a non-residue is alpha * (residue)
-    im = sqrt_mod(val, ell)
-    lam = QuadExtElem(ell, tr * inv2 % ell, im * inv2 % ell)
-    return EigenResult(EigenKind.IRRATIONAL_CONJUGATE_PAIR, (lam, lam.conjugate()))

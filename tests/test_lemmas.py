@@ -1,11 +1,21 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gl2tors import lemmas
-from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, unipotent
+from gl2tors import lemmas, verify
+from gl2tors.errors import LemmaViolationError, PreconditionError, ResourceLimitError
+from gl2tors.modarith import (
+    Mat2,
+    element_order,
+    legendre,
+    mat_inv,
+    mat_mul,
+    primitive_root,
+    sqrt_mod,
+    unipotent,
+)
 from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
@@ -25,7 +35,7 @@ from gl2tors.lemmas import (
     decompose_sl2,
     normalizer_in_gl2,
 )
-from gl2tors.verify import _random_abelian
+from gl2tors.verify import _ell_divides_order, _random_abelian
 
 # the named groups a conjugation witness may target
 _TARGET_IDS = (
@@ -61,7 +71,7 @@ def _normalizer_scan_reference(h: Subgroup) -> frozenset[Mat2]:
 
 def _cyclic_prime_to(ell: int) -> list[Subgroup]:
     """Every cyclic subgroup of GL2(F_ell) of order prime to ell."""
-    return _cyclic_subgroups(x for x in _gl2_elements(ell) if element_order(x) % ell)
+    return _cyclic_subgroups(x for x in _gl2_elements(ell) if not _ell_divides_order(x))
 
 
 def _cyclic(ell, x):
@@ -291,17 +301,73 @@ def test_oracles_match_reference_scans_on_two_generators(ell, i, j, cartan, y_in
     assert normalizer_in_gl2(h).elements == _normalizer_scan_reference(h)
 
 
-def test_cartan_fallback_never_taken(monkeypatch):
-    """The constructive path places every group itself: the brute-force
-    fallback is never reached on the cyclic prime-to-ell groups mod 5 and 7
-    or on seeded random abelian groups mod 5, 7 and 11."""
+def test_cartan_witness_failing_verify_raises(monkeypatch):
+    """A witness that fails its own check is a falsification event: no
+    other construction is tried in its place."""
+    monkeypatch.setattr(Conjugation, "verify", lambda self, h: False)
+    for x in (Mat2.diag(7, 3, 2), Mat2(7, 0, 5, 1, 0)):  # split, then non-split
+        with pytest.raises(LemmaViolationError):
+            conjugate_into_cartan(_cyclic(7, x))
 
-    def refuse(h):
-        raise AssertionError(f"brute-force fallback taken for {h}")
 
-    monkeypatch.setattr(lemmas, "brute_force_cartan_conjugator", refuse)
-    rng = random.Random(2024)
-    groups = _cyclic_prime_to(5) + _cyclic_prime_to(7)
-    groups += [_random_abelian(rng, ell) for ell in (5, 7, 11) for _ in range(40)]
-    for h in groups:
-        assert conjugate_into_cartan(h).verify(h)
+def _witness_line(h: Subgroup, emb: Conjugation) -> str:
+    gens = [x.entries() for x in h.generators]
+    return f"{h.n} {gens} {emb.conjugator.entries()} {emb.target.value}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the witness lines of the two tests below: every conjugator and
+# target on those groups is pinned, since `classify` prints the conjugator
+CARTAN_WITNESS_DIGEST = "d7c2ba0ed041c58ff218eee6cd0425af5613d70ee477735a6dbdcd9065521a72"
+NORMALIZER_WITNESS_DIGEST = "b70a931cdc3cdd85a4297cd760b6d926d415bf1d4cfb432b762e20a421896e8e"
+
+
+def test_cartan_witnesses_pinned():
+    """conjugate_into_cartan returns the pinned (conjugator, target) on every
+    cyclic prime-to-ell subgroup mod 3, 5, 7 and 11 and on 100 seeded random
+    abelian groups mod 5, 7, 11 and 13."""
+    groups = [h for ell in (3, 5, 7, 11) for h in _cyclic_prime_to(ell)]
+    for ell in (5, 7, 11, 13):
+        rng = random.Random(ell)
+        groups += [_random_abelian(rng, ell) for _ in range(100)]
+    assert _digest(_witness_line(h, conjugate_into_cartan(h)) for h in groups) == (
+        CARTAN_WITNESS_DIGEST
+    )
+
+
+def test_normalizer_witnesses_pinned(monkeypatch):
+    """conjugate_into_normalizer returns the pinned witness on every group
+    the ns-nns harness checks mod 5 and 7."""
+    lines = []
+
+    def record(h):
+        emb = conjugate_into_normalizer(h)
+        if h.n in (5, 7):
+            lines.append(_witness_line(h, emb))
+        return emb
+
+    monkeypatch.setattr(verify, "conjugate_into_normalizer", record)
+    assert verify.harness_ns_nns().ok
+    assert _digest(lines) == NORMALIZER_WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_nonsplit_conjugator_closed_form(ell):
+    """For every g with a non-residue discriminant, t^-1 g t = (a b*alpha; b a)
+    with a = tr/2 and b = sqrt(disc/alpha)/2, the least square root."""
+    alpha, half = primitive_root(ell), pow(2, -1, ell)
+    count = 0
+    for g in _gl2_elements(ell):
+        disc = (g.trace() ** 2 - 4 * g.det()) % ell
+        if legendre(disc, ell) != -1:
+            continue
+        count += 1
+        a = g.trace() * half % ell
+        b = sqrt_mod(disc * pow(alpha, -1, ell), ell) * half % ell
+        t = lemmas._nonsplit_conjugator(g)
+        assert mat_mul(mat_mul(mat_inv(t), g), t) == Mat2(ell, a, b * alpha, b, a)
+    # ell(ell - 1)/2 conjugates of the non-split Cartan, ell^2 - ell such elements in each
+    assert count == ell**2 * (ell - 1) ** 2 // 2

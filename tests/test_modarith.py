@@ -5,10 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, SingularMatrixError
 from gl2tors.modarith import (
-    EigenKind,
     Mat2,
-    QuadExtElem,
-    eigenvalues,
     element_order,
     gl2_order,
     legendre,
@@ -16,8 +13,8 @@ from gl2tors.modarith import (
     mat_mul,
     primitive_root,
     sqrt_mod,
-    unipotent,
 )
+from gl2tors.ntheory import isprime
 
 
 def test_primitive_root_smallest():
@@ -150,64 +147,13 @@ def test_legendre_and_sqrt():
     assert sqrt_mod(3, 7) is None
 
 
-@given(st.sampled_from([5, 7, 11]), st.integers(0, 10), st.integers(0, 10))
-def test_quadext_inverse(ell, re, im):
-    x = QuadExtElem(ell, re, im)
-    if x.is_zero():
-        return
-    one = QuadExtElem(ell, 1, 0)
-    assert x * x.inverse() == one
-
-
-@given(
-    st.sampled_from([5, 7, 11]),
-    st.tuples(st.integers(0, 10), st.integers(0, 10)),
-    st.tuples(st.integers(0, 10), st.integers(0, 10)),
-)
-def test_quadext_norm_multiplicative(ell, xs, ys):
-    x = QuadExtElem(ell, *xs)
-    y = QuadExtElem(ell, *ys)
-    assert (x * y).norm() == x.norm() * y.norm() % ell
-
-
-def test_quadext_conjugate_product_is_norm():
-    x = QuadExtElem(11, 3, 5)
-    prod = x * x.conjugate()
-    assert prod.is_rational() and prod.re == x.norm()
-
-
-def test_eigenvalues_nonsplit_case():
-    res = eigenvalues(Mat2(5, 0, 2, 1, 0))
-    assert res.kind is EigenKind.IRRATIONAL_CONJUGATE_PAIR
-    lam = res.values[0]
-    # both roots of x^2 = 2 over F_5
-    assert (lam * lam).re == 2 and (lam * lam).im == 0
-
-
-def test_eigenvalues_split_case():
-    res = eigenvalues(Mat2(5, 0, 1, 4, 0))
-    assert res.kind is EigenKind.RATIONAL_DISTINCT
-    assert set(res.values) == {2, 3}
-
-
-def test_eigenvalues_repeated_case():
-    res = eigenvalues(unipotent(7))
-    assert res.kind is EigenKind.RATIONAL_REPEATED
-    assert res.values == (1, 1)
-
-
-def test_eigenvalue_char_poly_consistency():
-    for a in range(7):
-        for b in range(7):
-            x = Mat2(7, a, b, 2, 3)
-            if not x.is_invertible():
-                continue
-            res = eigenvalues(x)
-            if res.kind is EigenKind.IRRATIONAL_CONJUGATE_PAIR:
-                lam = res.values[0]
-                assert (lam + lam.conjugate()).re == x.trace()
-                assert (lam * lam.conjugate()).re == x.det()
-            else:
-                v1, v2 = res.values
-                assert (v1 + v2) % 7 == x.trace()
-                assert v1 * v2 % 7 == x.det()
+@pytest.mark.parametrize("ell", [p for p in range(3, 32) if isprime(p)])
+def test_sqrt_mod_is_least_root(ell):
+    """sqrt_mod returns the least r in [0, ell) with r^2 = a, and None
+    exactly for the non-residues."""
+    for a in range(ell):
+        r = sqrt_mod(a, ell)
+        assert (r is None) == (legendre(a, ell) == -1)
+        if r is not None:
+            assert r * r % ell == a
+            assert all(s * s % ell != a for s in range(r))
