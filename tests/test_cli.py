@@ -151,6 +151,24 @@ def test_group_verb_stdout_pinned(group, verb, fmt, tmp_path, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == _PINNED_STDOUT[group, verb, fmt]
 
 
+# sha256 of `verify --format json` stdout for the harnesses that enumerate
+# subgroups: how the subgroups are enumerated may change, the bytes may not
+_PINNED_VERIFY_STDOUT = {
+    "easy-d --ell-max 5": "61225549014fab9b3dd23d0a35d1ff5c09ec2649a4cb98c942918be6ca10e410",
+    "classify --ell-max 5": "2dfbc10f6a678b3985026b2d43bc869a710e6c39d790c8ec96f6529515ff1bb6",
+    "bl": "88a2acd288ac840dec378a233446d754e9d9a5c5dd9f98882616dbb3b680bcee",
+    "not-bl": "df97baa048752abeb813858aaeebcfdda247cd174cdb7842a01ea18ae06b0697",
+}
+
+
+@pytest.mark.parametrize("harness", sorted(_PINNED_VERIFY_STDOUT))
+def test_enumeration_harness_stdout_pinned(harness, capsys):
+    assert main(["--format", "json", "verify", *harness.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == _PINNED_VERIFY_STDOUT[harness]
+
+
 @pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
 def test_spectrum_builds_no_group_elements(flags, tmp_path, capsys, monkeypatch):
     """Spectra read the group's entry array and never its Mat2 element set:
