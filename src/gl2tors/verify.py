@@ -80,45 +80,72 @@ class HarnessResult:
 # integer-indexed multiplication tables for exhaustive subgroup enumeration
 
 
-def _table_closure(table: np.ndarray, identity: int, gen_ids: Iterable[int]) -> frozenset[int]:
-    """Closure of a set of ids under an int32 Cayley table of a finite group."""
-    gens = np.array(sorted(set(gen_ids) | {identity}), dtype=np.int64)
-    elems = set(gens.tolist())
-    frontier = gens
+def _table_closure(
+    table: np.ndarray, identity: int, gen_ids: Iterable[int], start: Iterable[int] = ()
+) -> frozenset[int]:
+    """Closure of a set of ids under an int32 Cayley table of a finite group.
+
+    A breadth-first search from the identity, the generators and the start
+    ids multiplies each level on the right by the generators. The start ids
+    must lie in the group the generators generate; seeding with more of it
+    reaches the group in fewer levels. One membership mask replaces any
+    sorting: a level's products not yet in the mask, each once, are the
+    next frontier.
+    """
+    inside = np.zeros(len(table), dtype=bool)
+    inside[list(gen_ids)] = True
+    gens = np.flatnonzero(inside)
+    inside[list(start)] = True
+    inside[identity] = True
+    frontier = np.flatnonzero(inside)
     while frontier.size:
-        prods = np.unique(table[np.ix_(frontier, gens)])
-        fresh = [p for p in prods.tolist() if p not in elems]
-        elems.update(fresh)
-        frontier = np.array(fresh, dtype=np.int64)
-    return frozenset(elems)
+        reached = inside.copy()
+        reached[table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached > inside)
+        inside = reached
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 class _MulTable:
-    """Multiplication table over an explicit element list, indexed by integers."""
+    """Multiplication table over an explicit element list, indexed by integers.
+
+    The elements must form a group: a product outside the list, a missing
+    identity or an element with no inverse in the list is a PreconditionError.
+    """
 
     def __init__(self, n: int, elements: list[Mat2]):
         self.n = n
         self.elements = list(elements)
+        self.entries = [x.entries() for x in self.elements]
         k = len(self.elements)
-        a = np.array([x.a for x in self.elements], dtype=np.int64)
-        b = np.array([x.b for x in self.elements], dtype=np.int64)
-        c = np.array([x.c for x in self.elements], dtype=np.int64)
-        d = np.array([x.d for x in self.elements], dtype=np.int64)
+        a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
         pack = ((a * n + b) * n + c) * n + d
         lut = np.full(n**4, -1, dtype=np.int32)
         lut[pack] = np.arange(k, dtype=np.int32)
+        # ids in ascending entry order, the order of subgroup generators
+        self._by_entry = np.argsort(pack, kind="stable")
         self.table = np.empty((k, k), dtype=np.int32)
-        for i in range(k):
-            pa = (a[i] * a + b[i] * c) % n
-            pb = (a[i] * b + b[i] * d) % n
-            pc = (c[i] * a + d[i] * c) % n
-            pd = (c[i] * b + d[i] * d) % n
-            self.table[i] = lut[((pa * n + pb) * n + pc) * n + pd]
-        self.identity = int(lut[(n + 0) * n * n + 1])  # pack of (1,0,0,1)
-        assert self.elements[self.identity].is_identity()
+        # a block of rows at a time keeps the int64 temporaries small
+        for lo in range(0, k, 64):
+            rows = slice(lo, lo + 64)
+            ai, bi, ci, di = a[rows, None], b[rows, None], c[rows, None], d[rows, None]
+            pa = (ai * a + bi * c) % n
+            pb = (ai * b + bi * d) % n
+            pc = (ci * a + di * c) % n
+            pd = (ci * b + di * d) % n
+            self.table[rows] = lut[((pa * n + pb) * n + pc) * n + pd]
+        self.identity = int(lut[n**3 + 1])  # pack of (1, 0, 0, 1)
+        if self.identity < 0:
+            raise PreconditionError("element list holds no identity")
+        if (self.table < 0).any():
+            raise PreconditionError("element list is not closed under multiplication")
+        is_identity = self.table == self.identity
+        if not is_identity.any(axis=1).all():
+            raise PreconditionError("element list holds an element with no inverse in it")
+        self.inverse = np.argmax(is_identity, axis=1)
 
-    def close(self, gen_ids: list[int]) -> frozenset[int]:
-        return _table_closure(self.table, self.identity, gen_ids)
+    def close(self, gen_ids: Iterable[int], start: Iterable[int] = ()) -> frozenset[int]:
+        return _table_closure(self.table, self.identity, gen_ids, start)
 
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """Distinct cyclic subgroups as element-id sets, with one generator each."""
@@ -143,7 +170,7 @@ class _MulTable:
         """
         table = self.table
         k = len(table)
-        inv = np.argmax(table == self.identity, axis=1)
+        inv = self.inverse
         # conj[g, x] = g⁻¹·x·g, filled a row at a time: a single fancy index
         # would hold int64 copies of a k × k array at once
         conj = np.empty_like(table)
@@ -181,17 +208,29 @@ class _MulTable:
                 g2 = int(gens[j])
                 if g2 in first or g1 in keys[j]:
                     continue
-                h = self.close([g1, g2])
+                # started from both cyclic subgroups, the search needs fewer levels
+                h = self.close([g1, g2], first | keys[j])
                 if h in subgroups:
                     continue
                 ids = np.fromiter(h, dtype=np.int64)
                 # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
-                cosets = np.unique(table[normalizer(ids), :].min(axis=0))
+                labels = np.zeros(k, dtype=bool)
+                labels[table[normalizer(ids), :].min(axis=0)] = True
+                cosets = np.flatnonzero(labels)
                 subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
         return subgroups
 
-    def to_subgroup(self, ids: frozenset[int]) -> Subgroup:
-        return subgroup_from_elements(self.n, [self.elements[i] for i in ids])
+    def to_subgroup(self, ids: Iterable[int]) -> Subgroup:
+        """The subgroup on these ids, generated by its own elements in entry
+        order (as subgroup_from_elements gives it), with no Mat2 built."""
+        inside = np.zeros(len(self.elements), dtype=bool)
+        inside[list(ids)] = True
+        members = self._by_entry[inside[self._by_entry]].tolist()
+        return Subgroup._from_entries(
+            self.n,
+            tuple([self.elements[i] for i in members]),
+            tuple([self.entries[i] for i in members]),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -391,9 +430,10 @@ def harness_easy_d(ell_max: int | None = None, trials: int = 100, seed: int = 0)
         table = _gl2_table(ell)
         subgroups = _gl2_two_generated(ell)
         details[f"ell_{ell}_subgroups"] = len(subgroups)
+        points = ProjPoint.all_points(ell)
         for ids in subgroups:
             g = table.to_subgroup(ids)
-            for p in ProjPoint.all_points(ell):
+            for p in points:
                 checked += 1
                 try:
                     unipotent_class(g, p)
@@ -522,10 +562,9 @@ def harness_bl() -> HarnessResult:
     details = {"verified": 0, "rejected_no_inertia": 0}
     hyp = BlHypotheses(det_surjective=True)
     for ids in table.two_generated():
-        elems = [table.elements[i] for i in ids]
-        if len({x.det() for x in elems}) != ell - 1:
+        g = table.to_subgroup(ids)
+        if len(g.det_image()) != ell - 1:
             continue
-        g = table.to_subgroup(frozenset(ids))
         if not cong_check(stripped_diagonal(g)):
             continue
         spectrum = exhaustive_spectrum(g)

@@ -358,18 +358,41 @@ print(json.dumps({"codes": codes, "sympy": loaded}))
 """
 
 
-def test_cli_never_loads_sympy(tmp_path):
-    group, field = tmp_path / "g.json", tmp_path / "f.json"
-    group.write_text(DELTA_U1_11)
-    field.write_text(FIELD)
+def _run_script(script: str, *args: str) -> str:
+    """Stdout of the script, run in a fresh interpreter that imports gl2tors from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SYMPY_SCRIPT, str(group), str(field)],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=300,
         check=True,
     )
-    assert json.loads(proc.stdout) == {"codes": [0] * 7, "sympy": False}
+    return proc.stdout
+
+
+def test_cli_never_loads_sympy(tmp_path):
+    group, field = tmp_path / "g.json", tmp_path / "f.json"
+    group.write_text(DELTA_U1_11)
+    field.write_text(FIELD)
+    stdout = _run_script(_NO_SYMPY_SCRIPT, str(group), str(field))
+    assert json.loads(stdout) == {"codes": [0] * 7, "sympy": False}
+
+
+# runs one verify call and prints its exit code and whether numpy.ma, which
+# np.unique and np.isin import on first use, was loaded
+_NO_NUMPY_MA_SCRIPT = """
+import contextlib, io, json, sys
+from gl2tors.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", sys.argv[1], "--ell-max", "5"])
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("harness", ["easy-d", "classify"])
+def test_enumeration_never_loads_numpy_ma(harness):
+    stdout = _run_script(_NO_NUMPY_MA_SCRIPT, harness)
+    assert json.loads(stdout) == {"code": 0, "numpy.ma": False}

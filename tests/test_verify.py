@@ -1,10 +1,12 @@
+import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.groups import NamedGroupId, closure, named_group
+from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_elements
 from gl2tors.lemmas import _gl2_elements
 from gl2tors.modarith import Mat2, element_order
 from gl2tors.verify import (
@@ -14,8 +16,18 @@ from gl2tors.verify import (
     _gl2_table,
     _gl2_two_generated,
     _MulTable,
+    _table_closure,
     run_harness,
 )
+
+
+def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
+    """The ids of the closure of the given elements, found by the tuple BFS
+    of groups.closure and read back through the elements' entries: a closure
+    that shares no code with the table search."""
+    index = {x.entries(): i for i, x in enumerate(table.elements)}
+    group = closure(table.n, [table.elements[i] for i in gen_ids])
+    return frozenset(index[e] for e in group.entries)
 
 
 def _two_generated_reference(table: _MulTable) -> set[frozenset[int]]:
@@ -29,8 +41,29 @@ def _two_generated_reference(table: _MulTable) -> set[frozenset[int]]:
         for second in keys[i + 1 :]:
             if cyclic[second] in first or g1 in second:
                 continue
-            subgroups.add(table.close([g1, cyclic[second]]))
+            subgroups.add(_closure_ids(table, [g1, cyclic[second]]))
     return subgroups
+
+
+def _row_by_row_table(n: int, elements: list[Mat2]) -> np.ndarray:
+    """The int32 Cayley table built one row per Python iteration: the
+    reference for the blocked build in _MulTable."""
+    k = len(elements)
+    a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*(x.entries() for x in elements)))
+    lut = np.full(n**4, -1, dtype=np.int32)
+    lut[((a * n + b) * n + c) * n + d] = np.arange(k, dtype=np.int32)
+    table = np.empty((k, k), dtype=np.int32)
+    for i in range(k):
+        pa = (a[i] * a + b[i] * c) % n
+        pb = (a[i] * b + b[i] * d) % n
+        pc = (c[i] * a + d[i] * c) % n
+        pd = (c[i] * b + d[i] * d) % n
+        table[i] = lut[((pa * n + pb) * n + pc) * n + pd]
+    return table
+
+
+def _borel_table(ell: int) -> _MulTable:
+    return _MulTable(ell, sorted(named_group(NamedGroupId.BOREL, ell).elements, key=Mat2.entries))
 
 
 def test_two_generated_gl2_5_matches_reference():
@@ -40,8 +73,19 @@ def test_two_generated_gl2_5_matches_reference():
 
 
 def test_two_generated_borel_7_matches_reference():
-    table = _MulTable(7, sorted(named_group(NamedGroupId.BOREL, 7).elements, key=Mat2.entries))
+    table = _borel_table(7)
     assert table.two_generated() == _two_generated_reference(table)
+
+
+def _small_ambient(ell: int, rng: random.Random):
+    """⟨a, b⟩ for the first random pair a, b of GL2(F_ell) whose closure has
+    order at most 200."""
+    pool = _gl2_elements(ell)
+    while True:
+        try:
+            return closure(ell, rng.sample(pool, 2), cap=200)
+        except ResourceLimitError:
+            continue
 
 
 @st.composite
@@ -55,14 +99,7 @@ def _small_two_generated_group(draw):
     outside every Borel and Cartan normalizer, such as SL2(F_5), stay in reach.
     """
     ell = draw(st.sampled_from([5, 7]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    pool = _gl2_elements(ell)
-    while True:
-        try:
-            ambient = closure(ell, rng.sample(pool, 2), cap=200)
-            break
-        except ResourceLimitError:
-            continue
+    ambient = _small_ambient(ell, random.Random(draw(st.integers(0, 2**32 - 1))))
     entry = st.sampled_from(ambient.entries)
     return closure(ell, [Mat2(ell, *draw(entry)), Mat2(ell, *draw(entry))])
 
@@ -73,6 +110,105 @@ def _small_two_generated_group(draw):
 def test_two_generated_matches_reference_on_subgroups(g):
     table = _MulTable(g.n, sorted(g.elements, key=Mat2.entries))
     assert table.two_generated() == _two_generated_reference(table)
+
+
+_CLOSURE_TABLES = ("GL2(5)", "Borel(7)", "small")
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_table(name: str) -> _MulTable:
+    if name == "GL2(5)":
+        return _gl2_table(5)
+    if name == "Borel(7)":
+        return _borel_table(7)
+    small = _small_ambient(7, random.Random(5))
+    return _MulTable(7, sorted(small.elements, key=Mat2.entries))
+
+
+@pytest.mark.parametrize("name", _CLOSURE_TABLES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_closure_matches_tuple_bfs(name, data):
+    """The mask closure equals the tuple BFS of groups.closure, and a start
+    set inside the group leaves it unchanged."""
+    table = _closure_table(name)
+    k = len(table.elements)
+    ids = data.draw(st.lists(st.integers(0, k - 1), max_size=4), label="ids")
+    expected = _closure_ids(table, ids)
+    assert _table_closure(table.table, table.identity, ids) == expected
+    start = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=6), label="start")
+    assert table.close(ids, start) == expected
+
+
+@pytest.mark.parametrize("name", _CLOSURE_TABLES)
+def test_table_closure_edge_cases(name):
+    table = _closure_table(name)
+    k, e = len(table.elements), table.identity
+    x, y = [i for i in range(k) if i != e][:2]
+    for ids in ([], [e], [e, e], [x, x, y, x, e], list(range(k))):
+        expected = _closure_ids(table, ids)
+        assert _table_closure(table.table, table.identity, ids) == expected
+    assert _table_closure(table.table, e, []) == {e}
+    assert _table_closure(table.table, e, range(k)) == frozenset(range(k))
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([Mat2.identity(5), Mat2(5, 1, 1, 0, 1)], "not closed"),
+        ([Mat2.diag(5, 1, 0)], "no identity"),
+        ([Mat2.identity(5), Mat2.diag(5, 1, 0)], "no inverse"),
+    ],
+    ids=["unclosed", "no-identity", "singular"],
+)
+def test_mul_table_rejects_a_list_that_is_not_a_group(elements, message):
+    with pytest.raises(PreconditionError, match=message):
+        _MulTable(5, elements)
+
+
+@pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
+def test_blocked_table_matches_row_by_row(name):
+    table = _closure_table(name)
+    assert np.array_equal(table.table, _row_by_row_table(table.n, table.elements))
+
+
+def _counted_mat2_builds(monkeypatch) -> list:
+    """Wrap both Mat2 constructors; the list returned grows by one per Mat2 built."""
+    built = []
+    post_init, reduced = Mat2.__post_init__, Mat2._reduced
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_reduced(*args):
+        built.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(Mat2, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Mat2, "_reduced", staticmethod(counted_reduced))
+    return built
+
+
+@pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
+def test_to_subgroup_matches_element_built_group(name, monkeypatch):
+    """Every enumerated group equals the group built from its Mat2 elements,
+    with the same generators, and comes back with no Mat2 built."""
+    table = _closure_table(name)
+    subgroups = list(_gl2_two_generated(5) if name == "GL2(5)" else table.two_generated())
+    if name == "GL2(5)":
+        assert len(subgroups) == 461
+    built = _counted_mat2_builds(monkeypatch)
+    enumerated = [table.to_subgroup(ids) for ids in subgroups]
+    assert built == []
+    monkeypatch.undo()
+    for ids, g in zip(subgroups, enumerated):
+        reference = subgroup_from_elements(table.n, [table.elements[i] for i in ids])
+        assert g == reference
+        assert g.order == reference.order == len(ids)
+        assert g.det_image() == reference.det_image()
+        assert g.generators == reference.generators
+        assert all(x is y for x, y in zip(g.generators, reference.generators))
 
 
 def test_unknown_harness():
