@@ -22,7 +22,7 @@ from .groups import (
     diagexp_pair,
     diagexp_span,
     named_group,
-    subgroup_from_elements,
+    subgroup_from_entries,
     subgroup_from_json,
     subgroup_to_json,
     tau,

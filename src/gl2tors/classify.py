@@ -147,7 +147,7 @@ def admissible_inertia_exponents(g: Subgroup) -> list[int]:
         generators = (y for k, y in enumerate(powers) if math.gcd(k, len(powers)) == 1)
         shapes.append((e, ((1 + ae) % ell, ae), {_trace_det(ell, y) for y in generators}))
     found = set()
-    for cyc in _cyclic_subgroups(g.elements):
+    for cyc in _cyclic_subgroups(ell, g.entries):
         pairs = {_trace_det(ell, x) for x in cyc.entries}
         if len({det for _, det in pairs}) == ell - 1:
             found.update(
@@ -243,8 +243,8 @@ def stripped_diagonal(g: Subgroup) -> Subgroup:
     """Image of an upper-triangular group under the diagonal projection.
 
     The projection is a homomorphism on upper-triangular matrices, so the
-    image is the closure of the generators' distinct diagonals (a group built
-    from elements has every element as a generator).
+    image is the closure of the generators' distinct diagonals (a group from
+    subgroup_from_entries has every element as a generator).
     """
     for x in g.generators:
         if x.c != 0:

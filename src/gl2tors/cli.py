@@ -194,7 +194,7 @@ def _cmd_decompose(args) -> int:
     try:
         a, b, c, d = (int(x) for x in args.matrix.split(","))
     except ValueError as exc:
-        print(f"error: matrix must be four integers a,b,c,d", file=sys.stderr)
+        print("error: matrix must be four integers a,b,c,d", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
     word = decompose_sl2(Mat2(args.ell, a, b, c, d))
     payload = {

@@ -28,47 +28,41 @@ EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
 
 class Subgroup:
-    """A subgroup of GL2(Z/nZ) held as generators plus its elements' entries.
+    """A subgroup of GL2(Z/nZ) held as generators plus its elements' reduced
+    (a, b, c, d) tuples (`entries`).
 
-    A group from `closure`, every named group among them, holds the reduced
-    (a, b, c, d) tuples (`entries`) in the order the search found them, and
-    builds its Mat2 element set on first use. A group built from elements
-    (`subgroup_from_elements`) derives the tuples from them on first use.
-    Order, the determinant image, the entry array, membership, containment
-    (`<=`), equality and hashing read the tuples alone. Containment,
-    equality and hashing use only (n, the entry set), so one group with two
-    generating sets compares equal.
+    `Subgroup(n, generators, entries)` is the one constructor, and it is
+    trusted: it checks nothing, so the caller guarantees that the entries are
+    distinct, reduced into [0, n) and closed under multiplication, and that
+    the generators generate them. `closure` keeps the entries in discovery
+    order; `subgroup_from_entries` wraps a filtered subset. Order, the
+    determinant image, the entry array, membership, containment (`<=`),
+    equality and hashing read the tuples alone. Containment, equality and
+    hashing use only (n, the entry set), so one group with two generating
+    sets compares equal. The `Mat2` element set (`elements`) is a derived,
+    read-only view, built on first read; the library reads it only to build
+    the multiplication table of a named group.
     """
 
-    def __init__(self, n: int, generators: Iterable[Mat2], elements: Iterable[Mat2]):
-        # the element set fills its cached property; the entries follow on first use
-        vars(self).update(n=n, generators=tuple(generators), elements=frozenset(elements))
+    n: int
+    generators: tuple[Mat2, ...]
+    entries: tuple[tuple[int, int, int, int], ...]
 
-    @classmethod
-    def _from_entries(
-        cls, n: int, generators: tuple[Mat2, ...], entries: tuple[tuple[int, int, int, int], ...]
-    ) -> "Subgroup":
-        """Trusted constructor for distinct entries in [0, n) closed under multiplication."""
-        g = object.__new__(cls)
-        vars(g).update(n=n, generators=generators, entries=entries)
-        return g
+    def __init__(
+        self, n: int, generators: Iterable[Mat2], entries: Iterable[tuple[int, int, int, int]]
+    ):
+        vars(self).update(n=n, generators=tuple(generators), entries=tuple(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subgroup is immutable; cannot set {name}")
 
     @cached_property
-    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The elements' reduced (a, b, c, d) tuples: in discovery order for a
-        group from closure, in element-set order for one built from elements."""
-        return tuple([x.entries() for x in self.elements])
-
-    @cached_property
     def elements(self) -> frozenset[Mat2]:
         trusted, n = Mat2._reduced, self.n
-        # grown one element at a time in discovery order and then frozen, so
-        # the group iterates in the same order as the reference Mat2 search
-        # in the tests; a frozenset built straight from the list sizes its
-        # table differently and iterates in another order
+        # grown one element at a time in the order of `entries` and then
+        # frozen, so the group iterates in the same order as the reference
+        # Mat2 search in the tests; a frozenset built straight from the list
+        # sizes its table differently and iterates in another order
         return frozenset(set([trusted(n, a, b, c, d) for a, b, c, d in self.entries]))
 
     @cached_property
@@ -160,15 +154,16 @@ def closure(
                         f"closure exceeded cap of {cap} elements"
                     )
     # finite subsets closed under multiplication are closed under inverse
-    return Subgroup._from_entries(n, gens, tuple(found))
+    return Subgroup(n, gens, found)
 
 
-def _cyclic_subgroups(elements: Iterable[Mat2]) -> list[Subgroup]:
-    """The distinct cyclic subgroups the elements generate, in order of first
-    appearance, each generated by the first element that generates it."""
-    # groups hash and compare on their entries, and a dict keeps the first
-    # of equal keys, so no duplicate builds its Mat2 element set
-    return list(dict.fromkeys(closure(x.n, [x]) for x in elements))
+def _cyclic_subgroups(n: int, entries: Iterable[tuple[int, int, int, int]]) -> list[Subgroup]:
+    """The distinct cyclic subgroups that the elements with these reduced
+    entries mod n generate, in order of first appearance, each generated by
+    the first element that generates it."""
+    # groups hash and compare on their entries, and a dict keeps the first of equal keys
+    trusted = Mat2._reduced
+    return list(dict.fromkeys(closure(n, [trusted(n, *e)]) for e in entries))
 
 
 def _conjugation_target(
@@ -205,10 +200,13 @@ def _conjugation_target(
     return None
 
 
-def subgroup_from_elements(n: int, elements: Iterable[Mat2]) -> Subgroup:
-    """Wrap an already-closed element set, using it as its own generating set."""
-    elems = frozenset(elements)
-    return Subgroup(n, tuple(sorted(elems, key=Mat2.entries)), elems)
+def subgroup_from_entries(n: int, entries: Iterable[tuple[int, int, int, int]]) -> Subgroup:
+    """Wrap the reduced entries of an already-closed subset, such as one cut
+    out of a group by a filter, with every element as a generator, in
+    ascending entry order."""
+    members = tuple(sorted(set(entries)))
+    trusted = Mat2._reduced
+    return Subgroup(n, [trusted(n, *e) for e in members], members)
 
 
 class NamedGroupId(Enum):

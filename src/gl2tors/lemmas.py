@@ -20,8 +20,9 @@ from .groups import (
     NamedGroupId,
     Subgroup,
     _conjugation_target,
+    closure,
     named_group,
-    subgroup_from_elements,
+    subgroup_from_entries,
 )
 from .stabilizers import sl_part
 
@@ -105,7 +106,8 @@ def decompose_sl2(x: Mat2) -> SL2Word:
         # c = 0 forces a invertible; peel off the diagonal part
         parts = [("U", a * b)] + [("L", -1), ("U", 1), ("L", -1)] + _antidiag_word(ell, a)
     word = SL2Word(ell, _word(ell, parts))
-    assert word.evaluate() == x
+    if word.evaluate() != x:
+        raise LemmaViolationError(f"shear word {word} does not evaluate to {x}")
     return word
 
 
@@ -184,26 +186,21 @@ def _nonsplit_conjugator(g: Mat2) -> Mat2:
     return Mat2(ell, g.b * e, 0, (a - g.a) * e, 1)
 
 
-def _generator(h: Subgroup, what: str) -> Mat2:
-    """The first element of h.elements whose order is |h|."""
-    for x in h.elements:
-        if element_order(x) == h.order:
-            return x
-    raise LemmaViolationError(f"{what} of order {h.order} is not cyclic")
-
-
 def conjugate_into_cartan(h: Subgroup) -> Conjugation:
     """Conjugator into the split or non-split Cartan for an abelian prime-to-ell group.
 
-    Elements of order prime to ell are semisimple, and commuting semisimple
-    matrices diagonalize together over the field of their eigenvalues. If
-    every generator has a square discriminant tr^2 - 4 det, the generators
-    diagonalize together over F_ell, so every element does and h lies in a
-    conjugate of the split Cartan: the eigencolumns of the first non-scalar
-    element of h, whose two eigenvalues differ, place it there (the identity,
-    if h is scalar). Otherwise h lies in a conjugate of the non-split Cartan,
-    a cyclic group, so h is cyclic and _nonsplit_conjugator of its first
-    element of full order places it. A witness that fails its check raises
+    The witness is read off the generators alone. Elements of order prime
+    to ell are semisimple. A generator x with a non-residue discriminant
+    tr^2 - 4 det lies in exactly one non-split Cartan, and
+    _nonsplit_conjugator(x) conjugates it into the standard one; failing
+    that, the eigencolumns of the first non-scalar generator (its two
+    eigenvalues differ) conjugate it into the split Cartan; if every
+    generator is scalar, so is h, and the identity places it there. One
+    generator is enough: in GL2(F_ell) the centralizer of a non-scalar
+    element x of either Cartan is F_ell[x]^*, that Cartan, so h, which is
+    abelian and holds x, lies in the Cartan of x, and a t placing x in the
+    standard Cartan of that kind places all of h. The choice does not depend
+    on the order of h.entries. A witness that fails its check raises
     LemmaViolationError.
     """
     ell = h.n
@@ -213,11 +210,11 @@ def conjugate_into_cartan(h: Subgroup) -> Conjugation:
     if not h.is_abelian():
         raise PreconditionError("group is not abelian")
 
-    if any(legendre(_discriminant(x), ell) == -1 for x in h.generators):
-        gen = _generator(h, "abelian group with irrational eigenvalues")
-        emb = Conjugation(_nonsplit_conjugator(gen), NamedGroupId.NONSPLIT_CARTAN)
+    x = next((x for x in h.generators if legendre(_discriminant(x), ell) == -1), None)
+    if x is not None:
+        emb = Conjugation(_nonsplit_conjugator(x), NamedGroupId.NONSPLIT_CARTAN)
     else:
-        x = next((x for x in h.elements if not x.is_scalar()), None)
+        x = next((x for x in h.generators if not x.is_scalar()), None)
         t = Mat2.identity(ell) if x is None else _split_conjugator(x)
         emb = Conjugation(t, NamedGroupId.SPLIT_CARTAN)
     if not emb.verify(h):
@@ -236,13 +233,19 @@ def cyclic_generator(h: Subgroup) -> Mat2:
     """A single generator of an odd-order prime-to-ell subgroup of SL2(F_ell)."""
     ell = h.n
     _check_odd_prime(ell)
-    if any(x.det() != 1 for x in h.elements):
+    if h.det_image() != {1}:
         raise PreconditionError("group is not contained in SL2")
     if h.order % 2 == 0:
         raise PreconditionError("group order is even")
     if h.order % ell == 0:
         raise PreconditionError("group order is divisible by the characteristic")
-    return _generator(h, f"odd-order prime-to-{ell} subgroup of SL2")
+    for e in h.entries:
+        x = Mat2(ell, *e)
+        if element_order(x) == h.order:
+            return x
+    raise LemmaViolationError(
+        f"odd-order prime-to-{ell} subgroup of SL2 of order {h.order} is not cyclic"
+    )
 
 
 def normalizer_in_gl2(h: Subgroup) -> Subgroup:
@@ -255,10 +258,9 @@ def normalizer_in_gl2(h: Subgroup) -> Subgroup:
         )
     gens = [x.entries() for x in h.generators] or h.entries
     # h is finite, so t^-1 h t lies in h exactly when t normalizes h
-    out = [
-        t for t in _gl2_elements(ell) if _conjugation_target(ell, t.entries(), gens, [h]) == 0
-    ]
-    return subgroup_from_elements(ell, out)
+    ts = (t.entries() for t in _gl2_elements(ell))
+    out = [t for t in ts if _conjugation_target(ell, t, gens, [h]) == 0]
+    return subgroup_from_entries(ell, out)
 
 
 def conjugate_into_normalizer(h: Subgroup) -> Conjugation:
@@ -266,14 +268,12 @@ def conjugate_into_normalizer(h: Subgroup) -> Conjugation:
     ell = h.n
     h0 = sl_part(h)
     minus_i = Mat2.diag(ell, -1, -1)
-    odd_up_to_scalars = h0.order % 2 == 1 or (
-        h0.order % 4 == 2 and minus_i in h0.elements
-    )
+    odd_up_to_scalars = h0.order % 2 == 1 or (h0.order % 4 == 2 and minus_i in h0)
     if not odd_up_to_scalars or h0.order % ell == 0:
         raise PreconditionError(
             "the determinant-1 part must have odd order prime to ell, up to the scalar -1"
         )
-    if h0.elements <= {Mat2.identity(ell), minus_i}:
+    if h0 <= closure(ell, [minus_i]):
         emb = conjugate_into_cartan(h)
     else:
         emb = conjugate_into_cartan(h0)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import Mat2, _check_odd_prime, element_order
-from .groups import EXHAUSTIVE_SPECTRUM_CAP, Subgroup, subgroup_from_elements
+from .groups import EXHAUSTIVE_SPECTRUM_CAP, Subgroup, subgroup_from_entries
 
 
 def act_row(c: int, d: int, x: Mat2) -> tuple[int, int]:
@@ -54,9 +54,12 @@ class ProjPoint:
 def vector_stabilizer(g: Subgroup, c: int, d: int) -> Subgroup:
     """Elements of g fixing the row vector (c d) itself, not just its line."""
     _check_odd_prime(g.n)
-    c, d = c % g.n, d % g.n
-    fixed = [x for x in g.elements if act_row(c, d, x) == (c, d)]
-    return subgroup_from_elements(g.n, fixed)
+    n = g.n
+    c, d = c % n, d % n
+    fixed = [
+        e for e in g.entries if (c * e[0] + d * e[2]) % n == c and (c * e[1] + d * e[3]) % n == d
+    ]
+    return subgroup_from_entries(n, fixed)
 
 
 def stabilizer(g: Subgroup, p: ProjPoint) -> Subgroup:
@@ -68,7 +71,9 @@ def stabilizer(g: Subgroup, p: ProjPoint) -> Subgroup:
 def sl_part(g: Subgroup) -> Subgroup:
     """Intersection with the determinant-1 subgroup."""
     _check_odd_prime(g.n)
-    return subgroup_from_elements(g.n, [x for x in g.elements if x.det() == 1])
+    n = g.n
+    det1 = [(a, b, c, d) for a, b, c, d in g.entries if (a * d - b * c) % n == 1]
+    return subgroup_from_entries(n, det1)
 
 
 class UnipotentClass(Enum):
@@ -159,8 +164,8 @@ def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: in
     gives v's images; every image coded below `size` is labelled with the
     index, so a later seed in a labelled orbit costs no pass. Over all of
     F_ell^2 the passes cost sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and
-    no generating set is used, since groups built from element sets carry
-    every element as a generator.
+    no generating set is used, since a filtered group from
+    subgroup_from_entries carries every element as a generator.
     """
     a, b, c_, d_ = entries
     order = entries.shape[1]

@@ -11,15 +11,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError, UsageError
-from .modarith import Mat2, element_order, mat_mul
-from .groups import (
-    NamedGroupId,
-    Subgroup,
-    _cyclic_subgroups,
-    closure,
-    named_group,
-    subgroup_from_elements,
-)
+from .modarith import Mat2
+from .groups import NamedGroupId, Subgroup, _cyclic_subgroups, closure, named_group
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
 from .lemmas import (
     _gl2_elements,
@@ -115,9 +108,9 @@ class _MulTable:
 
     def __init__(self, n: int, elements: list[Mat2]):
         self.n = n
-        self.elements = list(elements)
-        self.entries = [x.entries() for x in self.elements]
-        k = len(self.elements)
+        self.matrices = list(elements)
+        self.entries = [x.entries() for x in self.matrices]
+        k = len(self.matrices)
         a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
         pack = ((a * n + b) * n + c) * n + d
         lut = np.full(n**4, -1, dtype=np.int32)
@@ -150,7 +143,7 @@ class _MulTable:
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """Distinct cyclic subgroups as element-id sets, with one generator each."""
         out: dict[frozenset[int], int] = {}
-        for i in range(len(self.elements)):
+        for i in range(len(self.matrices)):
             ids = {self.identity}
             j = i
             while j != self.identity:
@@ -222,14 +215,15 @@ class _MulTable:
 
     def to_subgroup(self, ids: Iterable[int]) -> Subgroup:
         """The subgroup on these ids, generated by its own elements in entry
-        order (as subgroup_from_elements gives it), with no Mat2 built."""
-        inside = np.zeros(len(self.elements), dtype=bool)
+        order (as subgroup_from_entries gives it), with no Mat2 built: the
+        generators are the table's own Mat2 members."""
+        inside = np.zeros(len(self.matrices), dtype=bool)
         inside[list(ids)] = True
         members = self._by_entry[inside[self._by_entry]].tolist()
-        return Subgroup._from_entries(
+        return Subgroup(
             self.n,
-            tuple([self.elements[i] for i in members]),
-            tuple([self.entries[i] for i in members]),
+            [self.matrices[i] for i in members],
+            [self.entries[i] for i in members],
         )
 
 
@@ -306,8 +300,8 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
     violations = []
     checked = 0
     cyclic_count = 0
-    prime_to_11 = (x for x in _gl2_elements(11) if not _ell_divides_order(x))
-    for h in _cyclic_subgroups(prime_to_11):
+    prime_to_11 = (x.entries() for x in _gl2_elements(11) if not _ell_divides_order(x))
+    for h in _cyclic_subgroups(11, prime_to_11):
         x = h.generators[0]
         checked += 1
         cyclic_count += 1
@@ -339,26 +333,24 @@ def harness_cyclic() -> HarnessResult:
     """Every odd-order prime-to-11 subgroup of SL2(F_11) from ≤ 2 generators is cyclic."""
     ell = 11
     sl2 = named_group(NamedGroupId.SL2, ell)
-    # odd orders prime to 11 divide 15, so generators have order 1, 3, 5, or 15
-    small = [x for x in sl2.elements if 15 % element_order(x) == 0]
-    cyclics = _cyclic_subgroups(small)
-    candidates = {h.elements for h in cyclics}
+    # odd orders prime to 11 divide 15, so the cyclic subgroups have order 1, 3, 5, or 15
+    cyclics = [h for h in _cyclic_subgroups(ell, sl2.entries) if 15 % h.order == 0]
+    candidates = set(cyclics)
     for i, first in enumerate(cyclics):
         for second in cyclics[i + 1 :]:
             try:
                 h = closure(ell, first.generators + second.generators, cap=15)
             except ResourceLimitError:
                 continue  # order exceeds 15, so it is even or divisible by 11
-            candidates.add(h.elements)
+            candidates.add(h)
     violations = []
     checked = 0
-    for elems in candidates:
-        order = len(elems)
-        if order % 2 == 0 or order % ell == 0:
+    for h in candidates:
+        if h.order % 2 == 0 or h.order % ell == 0:
             continue
         checked += 1
         try:
-            cyclic_generator(subgroup_from_elements(ell, elems))
+            cyclic_generator(h)
         except LemmaViolationError as exc:
             violations.append(str(exc))
     return HarnessResult("cyclic", checked, tuple(violations), {"subgroups": checked})
@@ -377,8 +369,8 @@ def harness_normalizers(ell_max: int | None = None) -> HarnessResult:
         for cartan_id, norm_id in pairs:
             cartan = named_group(cartan_id, ell)
             norm = named_group(norm_id, ell)
-            for h in _cyclic_subgroups(cartan.elements):
-                if all(m.is_scalar() for m in h.elements):
+            for h in _cyclic_subgroups(ell, cartan.entries):
+                if h.generators[0].is_scalar():
                     continue
                 x = h.generators[0]
                 n = normalizer_in_gl2(h)
@@ -400,8 +392,9 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
     violations = []
     checked = 0
     for ell in (5, 7, 11):
-        for h in _cyclic_subgroups(_gl2_elements(ell)):
-            det1 = sum(1 for m in h.elements if m.det() == 1)
+        for h in _cyclic_subgroups(ell, (x.entries() for x in _gl2_elements(ell))):
+            # det is a homomorphism, so its kernel h ∩ SL2 has |h| / |det(h)| elements
+            det1 = h.order // len(h.det_image())
             if det1 % 2 == 0 or det1 % ell == 0:
                 continue
             checked += 1
@@ -411,7 +404,7 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
                 violations.append(f"ell = {ell}, generator {h.generators[0]}: {exc}")
         for _ in range(trials):
             h = _random_abelian(rng, ell)
-            det1 = sum(1 for m in h.elements if m.det() == 1)
+            det1 = h.order // len(h.det_image())
             if det1 % 2 == 0 or det1 % ell == 0:
                 continue
             checked += 1
@@ -476,23 +469,22 @@ def harness_classify(ell_max: int | None = None) -> HarnessResult:
     return HarnessResult("classify", checked, tuple(violations), targets)
 
 
-def _subgroups_between(ambient: Subgroup, normal: frozenset[Mat2]) -> list[frozenset[Mat2]]:
-    """All subgroups of the ambient group containing the given normal subgroup,
-    enumerated through the quotient's coset multiplication."""
-    reps: list[Mat2] = []
-    cosets: list[frozenset[Mat2]] = []
-    loc: dict[Mat2, int] = {}
-    for x in sorted(ambient.elements, key=Mat2.entries):
-        if x in loc:
-            continue
-        coset = frozenset(mat_mul(x, h) for h in normal)
-        idx = len(reps)
-        reps.append(x)
-        cosets.append(coset)
-        for m in coset:
-            loc[m] = idx
-    mul = np.array([[loc[mat_mul(x, y)] for y in reps] for x in reps], dtype=np.int32)
-    ident = loc[Mat2.identity(ambient.n)]
+def _subgroups_between(table: _MulTable, normal: Subgroup) -> list[Subgroup]:
+    """All subgroups of the table's group that contain the given normal
+    subgroup, enumerated as the subgroups of the quotient by it.
+
+    Each coset x·N is labelled by its least id, min of x·n over n in N, and
+    the labels are the quotient's elements, numbered in ascending order. A
+    subgroup of the quotient grows from the trivial one by adding one
+    element at a time and closing under the quotient's Cayley table.
+    """
+    index = {e: i for i, e in enumerate(table.entries)}
+    labels = table.table[:, [index[e] for e in normal.entries]].min(axis=1)
+    # the least element of a coset is its own label
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    coset_of = np.searchsorted(reps, labels)
+    mul = coset_of[table.table[reps[:, None], reps]]
+    ident = int(coset_of[table.identity])
     subs: set[frozenset[int]] = {frozenset({ident})}
     queue = [frozenset({ident})]
     while queue:
@@ -504,13 +496,8 @@ def _subgroups_between(ambient: Subgroup, normal: frozenset[Mat2]) -> list[froze
             if grown not in subs:
                 subs.add(grown)
                 queue.append(grown)
-    out = []
-    for ids in subs:
-        elems: set[Mat2] = set()
-        for i in ids:
-            elems |= cosets[i]
-        out.append(frozenset(elems))
-    return out
+    cosets = coset_of.tolist()
+    return [table.to_subgroup([x for x, q in enumerate(cosets) if q in ids]) for ids in subs]
 
 
 def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
@@ -525,20 +512,19 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
         ):
             cartan = named_group(cartan_id, ell)
             ambient = named_group(norm_id, ell)
+            table = _MulTable(ell, sorted(ambient.elements, key=Mat2.entries))
             nonsplit = cartan_id is NamedGroupId.NONSPLIT_CARTAN
             for e in (1, 2, 3, 4, 6):
-                power = _cartan_power(cartan, e).elements
-                for elems in _subgroups_between(ambient, power):
-                    if not nonsplit and elems <= cs.elements:
+                for g in _subgroups_between(table, _cartan_power(cartan, e)):
+                    if not nonsplit and g <= cs:
                         continue
                     checked += 1
-                    g = subgroup_from_elements(ell, elems)
                     if nonsplit:
                         # divisibility holds with no extra hypotheses here
                         for vec, idx in exhaustive_spectrum(g).items():
                             if idx % 2 and idx % 3:
                                 violations.append(
-                                    f"ell = {ell}, e = {e}, order {len(elems)}: "
+                                    f"ell = {ell}, e = {e}, order {g.order}: "
                                     f"index {idx} at {vec} coprime to 6"
                                 )
                                 break

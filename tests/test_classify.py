@@ -14,7 +14,7 @@ from gl2tors.groups import (
     diagexp_pair,
     diagexp_span,
     named_group,
-    subgroup_from_elements,
+    subgroup_from_entries,
 )
 from gl2tors.lemmas import _gl2_elements
 from gl2tors.stabilizers import ProjPoint
@@ -54,7 +54,7 @@ def test_mod36_equivalent_descriptions():
 def test_cong_check_examples():
     assert cong_check(named_group(NamedGroupId.DELTA1, 11)) is True
     assert cong_check(named_group(NamedGroupId.SPLIT_CARTAN, 11)) is False
-    trivial = subgroup_from_elements(11, [Mat2.identity(11)])
+    trivial = subgroup_from_entries(11, [(1, 0, 0, 1)])
     assert cong_check(trivial) is True
 
 
@@ -82,7 +82,7 @@ def _diagonal_group(draw):
     g = diagexp_span(ell, draw(st.lists(st.tuples(exponent, exponent), max_size=3)))
     if draw(st.booleans()):
         # every element is a generator, as in the groups the bl harness enumerates
-        g = subgroup_from_elements(ell, g.elements)
+        g = subgroup_from_entries(ell, g.entries)
     return g
 
 
@@ -118,8 +118,8 @@ def test_classify_nonsplit_case():
     gen = next(x for x in cns.elements if element_order(x) == 120)
     t = Mat2(11, 2, 3, 1, 4)
     h = closure(11, [gen**8])  # order 15
-    conj = subgroup_from_elements(
-        11, [mat_mul(mat_mul(t, x), mat_inv(t)) for x in h.elements]
+    conj = subgroup_from_entries(
+        11, [mat_mul(mat_mul(t, x), mat_inv(t)).entries() for x in h.elements]
     )
     verdict = classify_image(conj, ProjPoint(11, 1, 0))
     assert verdict.target is NamedGroupId.NORM_NONSPLIT
@@ -142,7 +142,7 @@ def test_stripped_diagonal_matches_elementwise_projection(gens, by_elements):
     g = closure(11, gens)
     if by_elements:
         # every element is a generator, as in the groups the bl harness enumerates
-        g = subgroup_from_elements(11, g.elements)
+        g = subgroup_from_entries(11, g.entries)
     assert stripped_diagonal(g).elements == {Mat2.diag(11, x.a, x.d) for x in g.elements}
 
 

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from gl2tors import verify
 from gl2tors.bounds import SIEVE_CAP
 from gl2tors.cli import _build_parser, main
+from gl2tors.groups import Subgroup
+from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
@@ -81,6 +84,16 @@ def test_decompose_bad_matrix():
 
 def test_decompose_wrong_det():
     assert main(["decompose", "--ell", "5", "--matrix", "2,0,0,1"]) == 2
+
+
+def test_decompose_failed_round_trip_exit_3(capsys, monkeypatch):
+    """A shear word that does not evaluate back to its matrix is a
+    falsification event, with or without python -O."""
+    monkeypatch.setattr(SL2Word, "evaluate", lambda self: Mat2.identity(self.ell))
+    assert main(["decompose", "--ell", "5", "--matrix", "0,-1,1,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("falsified: shear word U^4 L^1 U^4 does not evaluate to")
 
 
 def test_classify_json(tmp_path, capsys):
@@ -167,6 +180,35 @@ def test_enumeration_harness_stdout_pinned(harness, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == _PINNED_VERIFY_STDOUT[harness]
+
+
+def test_classify_paths_read_no_element_set(tmp_path, capsys, monkeypatch):
+    """The classify verb, the normalizer witness on every group the ns-nns
+    harness checks mod 5, and the classify harness read entries and
+    generators alone: reading Subgroup.elements raises throughout."""
+
+    def forbidden(self):
+        raise AssertionError("Subgroup.elements was read")
+
+    monkeypatch.setattr(Subgroup, "elements", property(forbidden))
+    path = tmp_path / "g.json"
+    codes = []
+    for text in (NORM_SPLIT_7, NORM_NONSPLIT_11, NORM_NONSPLIT_47):
+        path.write_text(text)
+        codes.append(main(["--format", "json", "classify", "--input", str(path)]))
+    # the full NormNonsplit(47) has no point of odd index
+    assert codes == [0, 0, 2]
+    assert capsys.readouterr().err == "error: no projective point with odd stabilizer index\n"
+    witnesses = []
+
+    def record(h):
+        if h.n == 5:
+            witnesses.append(conjugate_into_normalizer(h))
+
+    monkeypatch.setattr(verify, "conjugate_into_normalizer", record)
+    assert verify.harness_ns_nns().ok
+    assert len(witnesses) == 110
+    assert verify.run_harness("classify", ell_max=5).checked == 121
 
 
 @pytest.mark.parametrize("flags", [[], ["--exhaustive"]])

@@ -8,12 +8,11 @@ from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_mul, primitive_root, unipotent, unipotent_lower
 from gl2tors.groups import (
     NamedGroupId,
-    Subgroup,
     closure,
     diagexp_pair,
     diagexp_span,
     named_group,
-    subgroup_from_elements,
+    subgroup_from_entries,
     subgroup_from_json,
     subgroup_to_json,
     tau,
@@ -47,9 +46,10 @@ def test_equality_ignores_generators():
     assert closure(5, []) != closure(7, [])
 
 
-def _closure_reference(n, generators):
-    """Breadth-first search over Mat2 values, every product built by the
-    validated constructor: the slow reference for closure."""
+def _closure_reference(n, generators) -> frozenset[Mat2]:
+    """The Mat2 element set found by a breadth-first search over Mat2 values,
+    every product built by the validated constructor: the slow reference
+    for closure."""
     gens = tuple(generators)
     ident = Mat2.identity(n)
     elements = {ident}
@@ -69,7 +69,7 @@ def _closure_reference(n, generators):
                     elements.add(y)
                     nxt.append(y)
         frontier = nxt
-    return Subgroup(n, gens, frozenset(elements))
+    return frozenset(elements)
 
 
 def _invertible_residues(n):
@@ -104,14 +104,14 @@ def _two_generators(draw):
 def test_closure_matches_reference(args):
     n, gens = args
     g, ref = closure(n, gens), _closure_reference(n, gens)
-    assert g.elements == ref.elements
+    assert g.elements == ref
     # same iteration order, so every choice made by iterating a group stays put
-    assert list(g.elements) == list(ref.elements)
-    assert g.generators == ref.generators == tuple(gens)
+    assert list(g.elements) == list(ref)
+    assert g.generators == tuple(gens)
     if g.order > 1:
         with pytest.raises(ResourceLimitError):
             closure(n, gens, cap=g.order - 1)
-    assert closure(n, gens, cap=g.order).elements == ref.elements
+    assert closure(n, gens, cap=g.order).elements == ref
     for x in g.elements:
         assert all(0 <= v < n for v in x.entries())
         validated = Mat2(n, *x.entries())
@@ -120,21 +120,21 @@ def test_closure_matches_reference(args):
 
 def _check_entry_views(g, ref):
     """Order, membership, determinant image, entry array, equality and hash of
-    g against the Mat2 element set of the reference group."""
-    n = ref.n
-    assert g.order == len(ref.elements)
-    assert g.det_image() == frozenset(x.det() for x in ref.elements)
-    assert all(x in g for x in ref.elements)
+    g against the reference Mat2 element set."""
+    n = g.n
+    assert g.order == len(ref)
+    assert g.det_image() == frozenset(x.det() for x in ref)
+    assert all(x in g for x in ref)
     for entries in _GL2_ENTRIES[n][::37]:
         x = Mat2(n, *entries)
-        assert (x in g) == (x in ref.elements)
+        assert (x in g) == (x in ref)
     assert Mat2(n + 1, 1, 0, 0, 1) not in g and (1, 0, 0, 1) not in g
     array = g.entry_array
     assert array.shape == (4, g.order) and array.dtype == np.int64
     assert not array.flags.writeable
-    assert sorted(map(tuple, array.T.tolist())) == sorted(x.entries() for x in ref.elements)
-    by_elements = subgroup_from_elements(n, ref.elements)
-    assert g == by_elements and hash(g) == hash(by_elements)
+    assert sorted(map(tuple, array.T.tolist())) == sorted(x.entries() for x in ref)
+    filtered = subgroup_from_entries(n, [x.entries() for x in ref])
+    assert g == filtered and hash(g) == hash(filtered)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,10 +146,13 @@ def test_entry_views_match_element_set(args):
     _check_entry_views(g, ref)
     # none of the views built the Mat2 element set
     assert "elements" not in vars(g)
-    assert g.elements == ref.elements
+    assert g.elements == ref
     _check_entry_views(g, ref)
-    # a group built from elements derives its entries on first use
-    _check_entry_views(subgroup_from_elements(n, ref.elements), ref)
+    # a filtered group holds every element as a generator, in entry order
+    filtered = subgroup_from_entries(n, [x.entries() for x in ref])
+    assert list(filtered.entries) == sorted(x.entries() for x in ref)
+    assert [x.entries() for x in filtered.generators] == list(filtered.entries)
+    _check_entry_views(filtered, ref)
 
 
 def _is_abelian_elementwise(g):
@@ -187,7 +190,7 @@ def test_le_matches_element_sets(g, data):
     """Containment reads entry sets; the Mat2 element sets are the reference.
     The second group is a random one (often of the other modulus), a subgroup
     or supergroup of the first, or a named group mod 5 or 7, and is built
-    either by closure or from elements."""
+    either by closure or by subgroup_from_entries."""
     kind = data.draw(st.sampled_from(["random", "sub", "super", "named"]))
     other = data.draw(_small_groups())
     if kind == "sub":
@@ -200,7 +203,7 @@ def test_le_matches_element_sets(g, data):
     else:
         h = other
     if data.draw(st.booleans()):
-        h = subgroup_from_elements(h.n, h.elements)
+        h = subgroup_from_entries(h.n, h.entries)
     assert (g <= h) == (g.elements <= h.elements)
     assert (h <= g) == (h.elements <= g.elements)
     assert g <= g and h <= h
@@ -244,7 +247,7 @@ def _named_group_reference(gid, ell):
         elems = [
             Mat2(ell, *e) for e in _invertible_residues(ell) if (e[0] * e[3] - e[1] * e[2]) % ell == 1
         ]
-    return subgroup_from_elements(ell, elems)
+    return subgroup_from_entries(ell, [x.entries() for x in elems])
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13])

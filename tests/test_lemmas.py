@@ -23,7 +23,7 @@ from gl2tors.groups import (
     _cyclic_subgroups,
     closure,
     named_group,
-    subgroup_from_elements,
+    subgroup_from_entries,
 )
 from gl2tors.lemmas import (
     Conjugation,
@@ -71,16 +71,19 @@ def _normalizer_scan_reference(h: Subgroup) -> frozenset[Mat2]:
 
 def _cyclic_prime_to(ell: int) -> list[Subgroup]:
     """Every cyclic subgroup of GL2(F_ell) of order prime to ell."""
-    return _cyclic_subgroups(x for x in _gl2_elements(ell) if not _ell_divides_order(x))
+    return _cyclic_subgroups(
+        ell, (x.entries() for x in _gl2_elements(ell) if not _ell_divides_order(x))
+    )
 
 
 def _cyclic(ell, x):
-    elems = {Mat2.identity(ell)}
+    """<x>, its powers listed by repeated Mat2 multiplication."""
+    powers = [Mat2.identity(ell)]
     y = x
     while not y.is_identity():
-        elems.add(y)
+        powers.append(y)
         y = mat_mul(y, x)
-    return Subgroup(ell, (x,), frozenset(elems))
+    return Subgroup(ell, (x,), [y.entries() for y in powers])
 
 
 def test_decompose_shear_is_single_letter():
@@ -152,7 +155,7 @@ def test_brute_force_agrees_on_sample():
 
 
 def test_cyclic_generator_trivial():
-    h = subgroup_from_elements(11, [Mat2.identity(11)])
+    h = subgroup_from_entries(11, [(1, 0, 0, 1)])
     assert cyclic_generator(h).is_identity()
 
 
@@ -182,20 +185,21 @@ def test_normalizer_of_nonsplit_cartan():
 
 
 def test_normalizer_of_trivial_group():
-    n = normalizer_in_gl2(subgroup_from_elements(5, [Mat2.identity(5)]))
+    n = normalizer_in_gl2(subgroup_from_entries(5, [(1, 0, 0, 1)]))
     assert n.order == 480
 
 
 def test_normalizer_scan_cap():
     with pytest.raises(ResourceLimitError):
-        normalizer_in_gl2(subgroup_from_elements(17, [Mat2.identity(17)]))
+        normalizer_in_gl2(subgroup_from_entries(17, [(1, 0, 0, 1)]))
 
 
 def test_conjugate_into_normalizer_split():
     # a conjugated diagonal group whose determinant-1 part is trivial (odd)
     t = Mat2(7, 1, 1, 0, 1)
-    g = subgroup_from_elements(
-        7, [mat_mul(mat_mul(t, x), mat_inv(t)) for x in _cyclic(7, Mat2.diag(7, 3, 1)).elements]
+    g = subgroup_from_entries(
+        7,
+        [mat_mul(mat_mul(t, x), mat_inv(t)).entries() for x in _cyclic(7, Mat2.diag(7, 3, 1)).elements],
     )
     emb = conjugate_into_normalizer(g)
     assert emb.target is NamedGroupId.NORM_SPLIT
@@ -301,6 +305,34 @@ def test_oracles_match_reference_scans_on_two_generators(ell, i, j, cartan, y_in
     assert normalizer_in_gl2(h).elements == _normalizer_scan_reference(h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11, 13]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_cartan_witness_reads_generators_only(ell, seed, cyclic, shuffler):
+    """The same generators over the same entries in another order give the
+    same witness, on cyclic and on random abelian groups of order prime to
+    ell, and the witness places the group."""
+    rng = random.Random(seed)
+    if cyclic:
+        pool = _gl2_elements(ell)
+        x = pool[rng.randrange(len(pool))]
+        while _ell_divides_order(x):
+            x = pool[rng.randrange(len(pool))]
+        h = closure(ell, [x])
+    else:
+        h = _random_abelian(rng, ell)
+    entries = list(h.entries)
+    shuffler.shuffle(entries)
+    reordered = Subgroup(ell, h.generators, entries)
+    emb = conjugate_into_cartan(h)
+    assert conjugate_into_cartan(reordered) == emb
+    assert emb.verify(h)
+
+
 def test_cartan_witness_failing_verify_raises(monkeypatch):
     """A witness that fails its own check is a falsification event: no
     other construction is tried in its place."""
@@ -320,9 +352,11 @@ def _digest(lines) -> str:
 
 
 # sha256 of the witness lines of the two tests below: every conjugator and
-# target on those groups is pinned, since `classify` prints the conjugator
-CARTAN_WITNESS_DIGEST = "d7c2ba0ed041c58ff218eee6cd0425af5613d70ee477735a6dbdcd9065521a72"
-NORMALIZER_WITNESS_DIGEST = "b70a931cdc3cdd85a4297cd760b6d926d415bf1d4cfb432b762e20a421896e8e"
+# target on those groups is pinned, since `classify` prints the conjugator.
+# The witness is read off the generators alone, so each digest moves only
+# with the witness rule or with the generators the groups are built from.
+CARTAN_WITNESS_DIGEST = "f097caec01e5bc8b0a0f83feb76332c1dbdb548d02c00656b7b5390801bcebf0"
+NORMALIZER_WITNESS_DIGEST = "2e9d2338724765d6bcf6ca41c406f4ac8cfa82b0f2606e0d99bbfc06d541cbb6"
 
 
 def test_cartan_witnesses_pinned():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.groups import NamedGroupId, closure, named_group, subgroup_from_elements
+from gl2tors.classify import _cartan_power
+from gl2tors.groups import NamedGroupId, Subgroup, closure, named_group, subgroup_from_entries
 from gl2tors.lemmas import _gl2_elements
-from gl2tors.modarith import Mat2, element_order
+from gl2tors.modarith import Mat2, element_order, mat_mul
 from gl2tors.verify import (
     HARNESS_IDS,
     HarnessResult,
@@ -16,6 +17,7 @@ from gl2tors.verify import (
     _gl2_table,
     _gl2_two_generated,
     _MulTable,
+    _subgroups_between,
     _table_closure,
     run_harness,
 )
@@ -25,8 +27,8 @@ def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
     """The ids of the closure of the given elements, found by the tuple BFS
     of groups.closure and read back through the elements' entries: a closure
     that shares no code with the table search."""
-    index = {x.entries(): i for i, x in enumerate(table.elements)}
-    group = closure(table.n, [table.elements[i] for i in gen_ids])
+    index = {e: i for i, e in enumerate(table.entries)}
+    group = closure(table.n, [table.matrices[i] for i in gen_ids])
     return frozenset(index[e] for e in group.entries)
 
 
@@ -132,7 +134,7 @@ def test_table_closure_matches_tuple_bfs(name, data):
     """The mask closure equals the tuple BFS of groups.closure, and a start
     set inside the group leaves it unchanged."""
     table = _closure_table(name)
-    k = len(table.elements)
+    k = len(table.matrices)
     ids = data.draw(st.lists(st.integers(0, k - 1), max_size=4), label="ids")
     expected = _closure_ids(table, ids)
     assert _table_closure(table.table, table.identity, ids) == expected
@@ -143,7 +145,7 @@ def test_table_closure_matches_tuple_bfs(name, data):
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
 def test_table_closure_edge_cases(name):
     table = _closure_table(name)
-    k, e = len(table.elements), table.identity
+    k, e = len(table.matrices), table.identity
     x, y = [i for i in range(k) if i != e][:2]
     for ids in ([], [e], [e, e], [x, x, y, x, e], list(range(k))):
         expected = _closure_ids(table, ids)
@@ -169,7 +171,7 @@ def test_mul_table_rejects_a_list_that_is_not_a_group(elements, message):
 @pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
 def test_blocked_table_matches_row_by_row(name):
     table = _closure_table(name)
-    assert np.array_equal(table.table, _row_by_row_table(table.n, table.elements))
+    assert np.array_equal(table.table, _row_by_row_table(table.n, table.matrices))
 
 
 def _counted_mat2_builds(monkeypatch) -> list:
@@ -192,8 +194,9 @@ def _counted_mat2_builds(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
 def test_to_subgroup_matches_element_built_group(name, monkeypatch):
-    """Every enumerated group equals the group built from its Mat2 elements,
-    with the same generators, and comes back with no Mat2 built."""
+    """Every enumerated group equals the group subgroup_from_entries builds
+    from its members, with the same generators, and comes back with no Mat2
+    built: its generators are the table's own Mat2 objects."""
     table = _closure_table(name)
     subgroups = list(_gl2_two_generated(5) if name == "GL2(5)" else table.two_generated())
     if name == "GL2(5)":
@@ -203,12 +206,73 @@ def test_to_subgroup_matches_element_built_group(name, monkeypatch):
     assert built == []
     monkeypatch.undo()
     for ids, g in zip(subgroups, enumerated):
-        reference = subgroup_from_elements(table.n, [table.elements[i] for i in ids])
+        reference = subgroup_from_entries(table.n, [table.entries[i] for i in ids])
         assert g == reference
         assert g.order == reference.order == len(ids)
         assert g.det_image() == reference.det_image()
+        assert g.entries == reference.entries
         assert g.generators == reference.generators
-        assert all(x is y for x, y in zip(g.generators, reference.generators))
+        in_entry_order = sorted(ids, key=table.entries.__getitem__)
+        assert all(x is table.matrices[i] for x, i in zip(g.generators, in_entry_order))
+
+
+def _subgroups_between_reference(
+    ambient: Subgroup, normal: frozenset[Mat2]
+) -> list[frozenset[Mat2]]:
+    """All subgroups of the ambient group containing the given normal subgroup,
+    enumerated through the quotient's coset multiplication, with every coset
+    built as a set of Mat2 products: the reference for _subgroups_between."""
+    reps: list[Mat2] = []
+    cosets: list[frozenset[Mat2]] = []
+    loc: dict[Mat2, int] = {}
+    for x in sorted(ambient.elements, key=Mat2.entries):
+        if x in loc:
+            continue
+        coset = frozenset(mat_mul(x, h) for h in normal)
+        idx = len(reps)
+        reps.append(x)
+        cosets.append(coset)
+        for m in coset:
+            loc[m] = idx
+    mul = np.array([[loc[mat_mul(x, y)] for y in reps] for x in reps], dtype=np.int32)
+    ident = loc[Mat2.identity(ambient.n)]
+    subs: set[frozenset[int]] = {frozenset({ident})}
+    queue = [frozenset({ident})]
+    while queue:
+        base = queue.pop()
+        for q in range(len(reps)):
+            if q in base:
+                continue
+            grown = _table_closure(mul, ident, base | {q})
+            if grown not in subs:
+                subs.add(grown)
+                queue.append(grown)
+    out = []
+    for ids in subs:
+        elems: set[Mat2] = set()
+        for i in ids:
+            elems |= cosets[i]
+        out.append(frozenset(elems))
+    return out
+
+
+@pytest.mark.parametrize("ell", [11, 13])
+def test_subgroups_between_matches_coset_reference(ell):
+    """On every call the not-bl harness makes, the quotient of the ambient
+    group's table gives the same subgroups as the Mat2 coset reference."""
+    pairs = (
+        (NamedGroupId.NONSPLIT_CARTAN, NamedGroupId.NORM_NONSPLIT),
+        (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NORM_SPLIT),
+    )
+    for cartan_id, norm_id in pairs:
+        ambient = named_group(norm_id, ell)
+        table = _MulTable(ell, sorted(ambient.elements, key=Mat2.entries))
+        for e in (1, 2, 3, 4, 6):
+            power = _cartan_power(named_group(cartan_id, ell), e)
+            got = [frozenset(g.entries) for g in _subgroups_between(table, power)]
+            reference = _subgroups_between_reference(ambient, power.elements)
+            assert len(got) == len(set(got)) == len(reference)
+            assert set(got) == {frozenset(x.entries() for x in elems) for elems in reference}
 
 
 def test_unknown_harness():
