@@ -16,7 +16,7 @@ from .modarith import (
     _check_modulus,
     _check_odd_prime,
     gl2_order,
-    mat_mul,
+    mat_mul,  # not called here; bench/tests/test_bench.py reads groups.mat_mul
     primitive_root,
     unipotent,
     unipotent_lower,
@@ -34,27 +34,34 @@ class Subgroup:
     `Subgroup(n, generators, entries)` is the one constructor, and it is
     trusted: it checks nothing, so the caller guarantees that the entries are
     distinct, reduced into [0, n) and closed under multiplication, and that
-    the generators generate them. `closure` keeps the entries in discovery
-    order; `subgroup_from_entries` wraps a filtered subset. Order, the
-    determinant image, the entry array, membership, containment (`<=`),
-    equality and hashing read the tuples alone. Containment, equality and
-    hashing use only (n, the entry set), so one group with two generating
-    sets compares equal. The `Mat2` element set (`elements`) is a derived,
-    read-only view, built on first read; the library reads it only to build
-    the multiplication table of a named group.
+    the generators generate them. With generators None, as
+    `subgroup_from_entries` wraps a filtered or enumerated subset, every
+    element in entry order is a generator, built as `Mat2` on first read.
+    Order, the determinant image, the entry array, membership, containment
+    (`<=`), equality and hashing read the tuples alone; the last three use
+    only (n, the entry set), so one group with two generating sets compares
+    equal. The `Mat2` element set (`elements`), built on first read, is a
+    view that the library never reads.
     """
 
     n: int
-    generators: tuple[Mat2, ...]
     entries: tuple[tuple[int, int, int, int], ...]
 
     def __init__(
-        self, n: int, generators: Iterable[Mat2], entries: Iterable[tuple[int, int, int, int]]
+        self, n: int, generators: Iterable[Mat2] | None, entries: Iterable[tuple[int, int, int, int]]
     ):
-        vars(self).update(n=n, generators=tuple(generators), entries=tuple(entries))
+        vars(self).update(n=n, entries=tuple(entries))
+        if generators is not None:
+            vars(self)["generators"] = tuple(generators)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subgroup is immutable; cannot set {name}")
+
+    @cached_property
+    def generators(self) -> tuple[Mat2, ...]:
+        """Every element, in entry order, for a group made with generators None."""
+        trusted, n = Mat2._reduced, self.n
+        return tuple(trusted(n, a, b, c, d) for a, b, c, d in self.entries)
 
     @cached_property
     def elements(self) -> frozenset[Mat2]:
@@ -106,10 +113,13 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, which makes the group abelian."""
-        gens = self.generators
-        for i, x in enumerate(gens):
-            for y in gens[i + 1 :]:
-                if mat_mul(x, y) != mat_mul(y, x):
+        n = self.n
+        gens = [x.entries() for x in self.generators]
+        for i, (a, b, c, d) in enumerate(gens):
+            for p, q, r, s in gens[i + 1 :]:
+                # x y - y x = (br - qc, q(a-d) - b(p-s); r(a-d) - c(p-s), qc - br)
+                ad, ps = a - d, p - s
+                if (b * r - q * c) % n or (q * ad - b * ps) % n or (r * ad - c * ps) % n:
                     return False
         return True
 
@@ -202,11 +212,9 @@ def _conjugation_target(
 
 def subgroup_from_entries(n: int, entries: Iterable[tuple[int, int, int, int]]) -> Subgroup:
     """Wrap the reduced entries of an already-closed subset, such as one cut
-    out of a group by a filter, with every element as a generator, in
-    ascending entry order."""
-    members = tuple(sorted(set(entries)))
-    trusted = Mat2._reduced
-    return Subgroup(n, [trusted(n, *e) for e in members], members)
+    out of a group by a filter or found by enumeration, in ascending entry
+    order; its generators are every element, built on first read."""
+    return Subgroup(n, None, sorted(set(entries)))
 
 
 class NamedGroupId(Enum):

@@ -36,6 +36,7 @@ class ProjPoint:
 
     @staticmethod
     def from_vector(ell: int, c: int, d: int) -> "ProjPoint":
+        _check_odd_prime(ell)
         c, d = c % ell, d % ell
         if (c, d) == (0, 0):
             raise PreconditionError("the zero vector spans no projective point")
@@ -196,15 +197,12 @@ def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
     _check_odd_prime(g.n)
     ell = g.n
-    entries = g.entry_array
     points = ProjPoint.all_points(ell)
     # the representatives (0, 1) and (1, s) have codes 1 and ell..2ell-1, so
     # labels below 2ell cover them in O(ell) memory
-    indices = _orbit_indices(ell, entries, [p.c * ell + p.d for p in points], 2 * ell)
-    a, b, c, d = entries
+    indices = _orbit_indices(ell, g.entry_array, [p.c * ell + p.d for p in points], 2 * ell)
     # g / (g ∩ SL2) is the determinant image
-    sl_index = int(np.count_nonzero(np.bincount((a * d - b * c) % ell)))
-    return DegreeSpectrum(g.order, dict(zip(points, indices)), sl_index)
+    return DegreeSpectrum(g.order, dict(zip(points, indices)), len(g.det_image()))
 
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:

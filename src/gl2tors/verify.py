@@ -12,7 +12,14 @@ import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError, UsageError
 from .modarith import Mat2
-from .groups import NamedGroupId, Subgroup, _cyclic_subgroups, closure, named_group
+from .groups import (
+    NamedGroupId,
+    Subgroup,
+    _cyclic_subgroups,
+    closure,
+    named_group,
+    subgroup_from_entries,
+)
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
 from .lemmas import (
     _gl2_elements,
@@ -100,23 +107,18 @@ def _table_closure(
 
 
 class _MulTable:
-    """Multiplication table over an explicit element list, indexed by integers.
-
-    The elements must form a group: a product outside the list, a missing
-    identity or an element with no inverse in the list is a PreconditionError.
+    """Multiplication table over a list of reduced (a, b, c, d) entry tuples
+    mod n, indexed by integers. A list that is not a group (a product outside
+    it, no identity, an element with no inverse in it) is a PreconditionError.
     """
 
-    def __init__(self, n: int, elements: list[Mat2]):
+    def __init__(self, n: int, entries: Iterable[tuple[int, int, int, int]]):
         self.n = n
-        self.matrices = list(elements)
-        self.entries = [x.entries() for x in self.matrices]
-        k = len(self.matrices)
+        self.entries = list(entries)
+        k = len(self.entries)
         a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
-        pack = ((a * n + b) * n + c) * n + d
         lut = np.full(n**4, -1, dtype=np.int32)
-        lut[pack] = np.arange(k, dtype=np.int32)
-        # ids in ascending entry order, the order of subgroup generators
-        self._by_entry = np.argsort(pack, kind="stable")
+        lut[((a * n + b) * n + c) * n + d] = np.arange(k, dtype=np.int32)
         self.table = np.empty((k, k), dtype=np.int32)
         # a block of rows at a time keeps the int64 temporaries small
         for lo in range(0, k, 64):
@@ -143,7 +145,7 @@ class _MulTable:
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """Distinct cyclic subgroups as element-id sets, with one generator each."""
         out: dict[frozenset[int], int] = {}
-        for i in range(len(self.matrices)):
+        for i in range(len(self.entries)):
             ids = {self.identity}
             j = i
             while j != self.identity:
@@ -214,24 +216,15 @@ class _MulTable:
         return subgroups
 
     def to_subgroup(self, ids: Iterable[int]) -> Subgroup:
-        """The subgroup on these ids, generated by its own elements in entry
-        order (as subgroup_from_entries gives it), with no Mat2 built: the
-        generators are the table's own Mat2 members."""
-        inside = np.zeros(len(self.matrices), dtype=bool)
-        inside[list(ids)] = True
-        members = self._by_entry[inside[self._by_entry]].tolist()
-        return Subgroup(
-            self.n,
-            [self.matrices[i] for i in members],
-            [self.entries[i] for i in members],
-        )
+        """The subgroup on these ids, wrapped by subgroup_from_entries: no Mat2 is built."""
+        return subgroup_from_entries(self.n, (self.entries[i] for i in ids))
 
 
 @lru_cache(maxsize=None)
 def _gl2_table(ell: int) -> _MulTable:
     if ell > 7:
         raise ResourceLimitError(f"full GL2 table not built for ell = {ell}")
-    return _MulTable(ell, list(_gl2_elements(ell)))
+    return _MulTable(ell, [x.entries() for x in _gl2_elements(ell)])
 
 
 @lru_cache(maxsize=None)
@@ -512,7 +505,7 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
         ):
             cartan = named_group(cartan_id, ell)
             ambient = named_group(norm_id, ell)
-            table = _MulTable(ell, sorted(ambient.elements, key=Mat2.entries))
+            table = _MulTable(ell, sorted(ambient.entries))
             nonsplit = cartan_id is NamedGroupId.NONSPLIT_CARTAN
             for e in (1, 2, 3, 4, 6):
                 for g in _subgroups_between(table, _cartan_power(cartan, e)):
@@ -542,7 +535,7 @@ def harness_bl() -> HarnessResult:
     """Exhaustive scan of 2-generated upper-triangular subgroups mod 11."""
     ell = 11
     borel = named_group(NamedGroupId.BOREL, ell)
-    table = _MulTable(ell, sorted(borel.elements, key=Mat2.entries))
+    table = _MulTable(ell, sorted(borel.entries))
     violations = []
     checked = 0
     details = {"verified": 0, "rejected_no_inertia": 0}

@@ -184,8 +184,9 @@ def test_enumeration_harness_stdout_pinned(harness, capsys):
 
 def test_classify_paths_read_no_element_set(tmp_path, capsys, monkeypatch):
     """The classify verb, the normalizer witness on every group the ns-nns
-    harness checks mod 5, and the classify harness read entries and
-    generators alone: reading Subgroup.elements raises throughout."""
+    harness checks mod 5, and the classify, bl and not-bl harnesses read
+    entries and generators alone: reading Subgroup.elements raises
+    throughout."""
 
     def forbidden(self):
         raise AssertionError("Subgroup.elements was read")
@@ -209,6 +210,8 @@ def test_classify_paths_read_no_element_set(tmp_path, capsys, monkeypatch):
     assert verify.harness_ns_nns().ok
     assert len(witnesses) == 110
     assert verify.run_harness("classify", ell_max=5).checked == 121
+    assert verify.run_harness("bl").checked == 24
+    assert verify.run_harness("not-bl", ell_max=11).checked == 56
 
 
 @pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
@@ -328,6 +331,15 @@ def test_classify_bad_witness_exit_1(witness, tmp_path, capsys):
     assert main(["classify", "--input", str(path), "--witness", witness]) == 1
     err = capsys.readouterr().err
     assert err == "error: witness must be two integers c,d\n"
+
+
+def test_classify_witness_needs_odd_prime_modulus_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"modulus": 9, "generators": [[[1,1],[0,1]]]}')
+    assert main(["classify", "--input", str(path), "--witness", "3,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected an odd prime, got 9\n"
 
 
 def test_classify_explicit_witness(tmp_path, capsys):

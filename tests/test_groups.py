@@ -179,8 +179,12 @@ def _small_groups(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_small_groups())
-def test_is_abelian_matches_elementwise(g):
+@given(_small_groups(), st.booleans())
+def test_is_abelian_matches_elementwise(g, filtered):
+    """Pairwise commutation of the generators, on entry tuples, against every
+    pair of elements; a filtered group holds every element as a generator."""
+    if filtered:
+        g = subgroup_from_entries(g.n, g.entries)
     assert g.is_abelian() == _is_abelian_elementwise(g)
 
 
