@@ -169,6 +169,8 @@ def test_group_verb_stdout_pinned(group, verb, fmt, tmp_path, capsys):
 _PINNED_VERIFY_STDOUT = {
     "easy-d --ell-max 5": "61225549014fab9b3dd23d0a35d1ff5c09ec2649a4cb98c942918be6ca10e410",
     "classify --ell-max 5": "2dfbc10f6a678b3985026b2d43bc869a710e6c39d790c8ec96f6529515ff1bb6",
+    "easy-d": "506966274527eeae4045f774c715ffae581241c8a96a821516e897624ff528ce",
+    "classify": "81d8229067fdefaccf0458060d072bea58d342fba1872c726eb768bde2a52c3d",
     "bl": "88a2acd288ac840dec378a233446d754e9d9a5c5dd9f98882616dbb3b680bcee",
     "not-bl": "df97baa048752abeb813858aaeebcfdda247cd174cdb7842a01ea18ae06b0697",
 }
