@@ -14,6 +14,7 @@ from .groups import (
     closure,
     diagexp_pair,
     named_group,
+    subgroup_from_entries,
     tau,
 )
 from .lemmas import Conjugation, conjugate_into_normalizer
@@ -242,14 +243,15 @@ class BlVerdict:
 def stripped_diagonal(g: Subgroup) -> Subgroup:
     """Image of an upper-triangular group under the diagonal projection.
 
-    The projection is a homomorphism on upper-triangular matrices, so the
-    image is the closure of the generators' distinct diagonals (a group from
-    subgroup_from_entries has every element as a generator).
+    The projection is a homomorphism on upper-triangular matrices, and the
+    image of a group under a homomorphism is the set of its elements'
+    images, already a group: so the diagonals of the entries are wrapped
+    as they are, with no closure and no Mat2 per element.
     """
-    for x in g.generators:
-        if x.c != 0:
-            raise PreconditionError(f"generator {x} is not upper triangular")
-    return closure(g.n, dict.fromkeys(Mat2.diag(g.n, x.a, x.d) for x in g.generators))
+    for entry in g.entries:
+        if entry[2] != 0:
+            raise PreconditionError(f"element with entries {entry} is not upper triangular")
+    return subgroup_from_entries(g.n, ((a, 0, 0, d) for a, _, _, d in g.entries))
 
 
 def derive_delta(g: Subgroup, hyp: BlHypotheses) -> BlVerdict:

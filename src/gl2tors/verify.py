@@ -6,7 +6,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,30 +81,42 @@ class HarnessResult:
 # integer-indexed multiplication tables for exhaustive subgroup enumeration
 
 
-def _table_closure(
-    table: np.ndarray, identity: int, gen_ids: Iterable[int], start: Iterable[int] = ()
-) -> frozenset[int]:
-    """Closure of a set of ids under an int32 Cayley table of a finite group.
+# rows of a Cayley table filled per numpy call: a block keeps the int64
+# index temporaries small
+_BLOCK_ROWS = 64
 
-    A breadth-first search from the identity, the generators and the start
-    ids multiplies each level on the right by the generators. The start ids
-    must lie in the group the generators generate; seeding with more of it
-    reaches the group in fewer levels. One membership mask replaces any
-    sorting: a level's products not yet in the mask, each once, are the
-    next frontier.
+
+def _table_closures(
+    table: np.ndarray, identity: int, gen_rows: np.ndarray, starts: Iterable[Iterable[int]]
+) -> Iterator[frozenset[int]]:
+    """Closures of a batch of id sets under an int32 Cayley table of a finite
+    group, one frozenset per row of the B × m array gen_rows, yielded as the
+    caller reads them.
+
+    A breadth-first search from the identity, each row's generators and its
+    start ids multiplies each level on the right by that row's generators.
+    A start set must lie in the group its row generates; seeding with more
+    of it reaches the group in fewer levels. One flat boolean mask over the
+    codes row·k + id holds every row's members, so a level is the same few
+    numpy calls for the whole batch: its products not yet in the mask, each
+    once, are the next frontier.
     """
-    inside = np.zeros(len(table), dtype=bool)
-    inside[list(gen_ids)] = True
-    gens = np.flatnonzero(inside)
-    inside[list(start)] = True
-    inside[identity] = True
+    k = len(table)
+    offsets = np.arange(len(gen_rows)) * k
+    inside = np.zeros(len(gen_rows) * k, dtype=bool)
+    inside[(offsets[:, None] + gen_rows).ravel()] = True
+    inside[offsets + identity] = True
+    for offset, start in zip(offsets, starts):
+        inside[offset + np.fromiter(start, dtype=np.intp)] = True
     frontier = np.flatnonzero(inside)
     while frontier.size:
+        row, ids = np.divmod(frontier, k)
         reached = inside.copy()
-        reached[table[frontier[:, None], gens]] = True
+        reached[(row * k)[:, None] + table[ids[:, None], gen_rows[row]]] = True
         frontier = np.flatnonzero(reached > inside)
         inside = reached
-    return frozenset(np.flatnonzero(inside).tolist())
+    for members in inside.reshape(-1, k):
+        yield frozenset(np.flatnonzero(members).tolist())
 
 
 class _MulTable:
@@ -117,18 +130,19 @@ class _MulTable:
         self.entries = list(entries)
         k = len(self.entries)
         a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
+        # an entry packs as row1 · n² + row2, its two rows read as vectors mod n
+        row1, row2 = a * n + b, c * n + d
         lut = np.full(n**4, -1, dtype=np.int32)
-        lut[((a * n + b) * n + c) * n + d] = np.arange(k, dtype=np.int32)
+        lut[row1 * n**2 + row2] = np.arange(k, dtype=np.int32)
+        # x·y has rows (row1(x)·y, row2(x)·y), so act[v, y], the vector v·y
+        # for each of the n² vectors v, gives every product by lookups alone
+        vectors = np.arange(n * n)[:, None]
+        p, q = vectors // n, vectors % n
+        act = (p * a + q * c) % n * n + (p * b + q * d) % n
         self.table = np.empty((k, k), dtype=np.int32)
-        # a block of rows at a time keeps the int64 temporaries small
-        for lo in range(0, k, 64):
-            rows = slice(lo, lo + 64)
-            ai, bi, ci, di = a[rows, None], b[rows, None], c[rows, None], d[rows, None]
-            pa = (ai * a + bi * c) % n
-            pb = (ai * b + bi * d) % n
-            pc = (ci * a + di * c) % n
-            pd = (ci * b + di * d) % n
-            self.table[rows] = lut[((pa * n + pb) * n + pc) * n + pd]
+        for lo in range(0, k, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            self.table[rows] = lut[act[row1[rows]] * n**2 + act[row2[rows]]]
         self.identity = int(lut[n**3 + 1])  # pack of (1, 0, 0, 1)
         if self.identity < 0:
             raise PreconditionError("element list holds no identity")
@@ -140,7 +154,8 @@ class _MulTable:
         self.inverse = np.argmax(is_identity, axis=1)
 
     def close(self, gen_ids: Iterable[int], start: Iterable[int] = ()) -> frozenset[int]:
-        return _table_closure(self.table, self.identity, gen_ids, start)
+        gen_row = np.fromiter(gen_ids, dtype=np.intp)[None, :]
+        return next(_table_closures(self.table, self.identity, gen_row, [start]))
 
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """Distinct cyclic subgroups as element-id sets, with one generator each."""
@@ -166,11 +181,12 @@ class _MulTable:
         table = self.table
         k = len(table)
         inv = self.inverse
-        # conj[g, x] = g⁻¹·x·g, filled a row at a time: a single fancy index
-        # would hold int64 copies of a k × k array at once
+        # conj[g, x] = g⁻¹·x·g, filled a block of rows at a time: a single
+        # fancy index would hold int64 copies of a k × k array at once
         conj = np.empty_like(table)
-        for g in range(k):
-            conj[g] = table[table[inv[g]], g]
+        for lo in range(0, k, _BLOCK_ROWS):
+            g = np.arange(lo, min(lo + _BLOCK_ROWS, k))
+            conj[g] = table[table[inv[g]], g[:, None]]
         cyclic = self.cyclic_subgroups()
         keys = sorted(cyclic, key=len)
         gens = np.array([cyclic[s] for s in keys])
@@ -196,23 +212,29 @@ class _MulTable:
                     reps.append(j)
             return reps
 
-        subgroups: set[frozenset[int]] = set(keys)
+        pairs = []
         for i in orbit_reps(np.arange(k)):
             first, g1 = keys[i], int(gens[i])
             for j in orbit_reps(normalizer(np.fromiter(first, dtype=np.int64))):
-                g2 = int(gens[j])
-                if g2 in first or g1 in keys[j]:
-                    continue
-                # started from both cyclic subgroups, the search needs fewer levels
-                h = self.close([g1, g2], first | keys[j])
-                if h in subgroups:
-                    continue
-                ids = np.fromiter(h, dtype=np.int64)
-                # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
-                labels = np.zeros(k, dtype=bool)
-                labels[table[normalizer(ids), :].min(axis=0)] = True
-                cosets = np.flatnonzero(labels)
-                subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
+                if int(gens[j]) not in first and g1 not in keys[j]:
+                    pairs.append((i, j))
+        # started from both cyclic subgroups, each search needs fewer levels
+        closures = _table_closures(
+            table,
+            self.identity,
+            gens[np.array(pairs, dtype=np.intp).reshape(-1, 2)],
+            (chain(keys[i], keys[j]) for i, j in pairs),
+        )
+        subgroups: set[frozenset[int]] = set(keys)
+        for h in closures:
+            if h in subgroups:
+                continue
+            ids = np.fromiter(h, dtype=np.int64)
+            # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
+            labels = np.zeros(k, dtype=bool)
+            labels[table[normalizer(ids), :].min(axis=0)] = True
+            cosets = np.flatnonzero(labels)
+            subgroups.update(frozenset(row) for row in conj[np.ix_(cosets, ids)].tolist())
         return subgroups
 
     def to_subgroup(self, ids: Iterable[int]) -> Subgroup:
@@ -482,10 +504,10 @@ def _subgroups_between(table: _MulTable, normal: Subgroup) -> list[Subgroup]:
     queue = [frozenset({ident})]
     while queue:
         base = queue.pop()
-        for q in range(len(reps)):
-            if q in base:
-                continue
-            grown = _table_closure(mul, ident, base | {q})
+        grow = [q for q in range(len(reps)) if q not in base]
+        gen_rows = np.array([[*base, q] for q in grow], dtype=np.intp)
+        gen_rows = gen_rows.reshape(len(grow), len(base) + 1)
+        for grown in _table_closures(mul, ident, gen_rows, repeat(())):
             if grown not in subs:
                 subs.add(grown)
                 queue.append(grown)

@@ -18,9 +18,30 @@ from gl2tors.verify import (
     _gl2_two_generated,
     _MulTable,
     _subgroups_between,
-    _table_closure,
+    _table_closures,
     run_harness,
 )
+
+
+def _table_closure(
+    table: np.ndarray, identity: int, gen_ids, start=()
+) -> frozenset[int]:
+    """The closure of one id set under an int32 Cayley table, by a
+    breadth-first search on one membership mask: the per-row search that
+    the batched _table_closures replaced, kept as the quotient closure of
+    _subgroups_between_reference so that reference shares no code with it."""
+    inside = np.zeros(len(table), dtype=bool)
+    inside[list(gen_ids)] = True
+    gens = np.flatnonzero(inside)
+    inside[list(start)] = True
+    inside[identity] = True
+    frontier = np.flatnonzero(inside)
+    while frontier.size:
+        reached = inside.copy()
+        reached[table[frontier[:, None], gens]] = True
+        frontier = np.flatnonzero(reached > inside)
+        inside = reached
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
@@ -119,12 +140,15 @@ _CLOSURE_TABLES = ("GL2(5)", "Borel(7)", "small")
 
 @functools.lru_cache(maxsize=None)
 def _closure_table(name: str) -> _MulTable:
-    if name == "GL2(5)":
-        return _gl2_table(5)
-    if name == "Borel(7)":
-        return _borel_table(7)
-    small = _small_ambient(7, random.Random(5))
-    return _MulTable(7, sorted(small.entries))
+    """The table of GL2(ell) or of a named group, by its name "Family(ell)",
+    or of a small seeded subgroup of GL2(F_7) for "small"."""
+    if name == "small":
+        small = _small_ambient(7, random.Random(5))
+        return _MulTable(7, sorted(small.entries))
+    family, ell = name.rstrip(")").split("(")
+    if family == "GL2":
+        return _gl2_table(int(ell))
+    return _MulTable(int(ell), sorted(named_group(NamedGroupId(family), int(ell)).entries))
 
 
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
@@ -137,9 +161,30 @@ def test_table_closure_matches_tuple_bfs(name, data):
     k = len(table.entries)
     ids = data.draw(st.lists(st.integers(0, k - 1), max_size=4), label="ids")
     expected = _closure_ids(table, ids)
-    assert _table_closure(table.table, table.identity, ids) == expected
+    assert table.close(ids) == expected
     start = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=6), label="start")
     assert table.close(ids, start) == expected
+
+
+@pytest.mark.parametrize("name", _CLOSURE_TABLES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_closure_matches_tuple_bfs(name, data):
+    """Every row of a batch closes to the tuple BFS of its own generators:
+    rows of one common width, identity-only rows among them, each started
+    from ids drawn inside its own group."""
+    table = _closure_table(name)
+    k, e = len(table.entries), table.identity
+    width = data.draw(st.integers(0, 3), label="width")
+    row = st.lists(st.integers(0, k - 1), min_size=width, max_size=width)
+    rows = data.draw(st.lists(st.one_of(row, st.just([e] * width)), max_size=6), label="rows")
+    expected = [_closure_ids(table, ids) for ids in rows]
+    starts = [
+        data.draw(st.lists(st.sampled_from(sorted(group)), max_size=6), label="start")
+        for group in expected
+    ]
+    gen_rows = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    assert list(_table_closures(table.table, e, gen_rows, starts)) == expected
 
 
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
@@ -149,9 +194,25 @@ def test_table_closure_edge_cases(name):
     x, y = [i for i in range(k) if i != e][:2]
     for ids in ([], [e], [e, e], [x, x, y, x, e], list(range(k))):
         expected = _closure_ids(table, ids)
-        assert _table_closure(table.table, table.identity, ids) == expected
-    assert _table_closure(table.table, e, []) == {e}
-    assert _table_closure(table.table, e, range(k)) == frozenset(range(k))
+        assert table.close(ids) == expected
+    assert table.close([]) == {e}
+    assert table.close(range(k)) == frozenset(range(k))
+    for width in (0, 2):
+        no_rows = np.empty((0, width), dtype=np.intp)
+        assert list(_table_closures(table.table, e, no_rows, [])) == []
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(1, 0, 0, 1)], sorted(closure(5, [Mat2(5, 2, 0, 0, 1)]).entries)],
+    ids=["trivial", "cyclic-4"],
+)
+def test_two_generated_with_no_pair_to_close(entries):
+    """In a cyclic group every pair of cyclic subgroups is nested, so the
+    batch of pairs is empty and the answer is the cyclic subgroups alone."""
+    table = _MulTable(5, entries)
+    assert table.two_generated() == set(table.cyclic_subgroups())
+    assert table.two_generated() == _two_generated_reference(table)
 
 
 @pytest.mark.parametrize(
@@ -168,8 +229,22 @@ def test_mul_table_rejects_a_list_that_is_not_a_group(entries, message):
         _MulTable(5, entries)
 
 
-@pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "GL2(5)",
+        "Borel(7)",
+        "GL2(7)",
+        "Borel(11)",
+        "NormSplit(11)",
+        "NormNonsplit(11)",
+        "NormSplit(13)",
+        "NormNonsplit(13)",
+    ],
+)
 def test_blocked_table_matches_row_by_row(name):
+    """The row-action build equals the product arithmetic, row by row, on
+    every table a harness builds."""
     table = _closure_table(name)
     assert np.array_equal(table.table, _row_by_row_table(table.n, table.entries))
 
