@@ -505,8 +505,7 @@ def _subgroups_between(table: _MulTable, normal: Subgroup) -> list[Subgroup]:
     while queue:
         base = queue.pop()
         grow = [q for q in range(len(reps)) if q not in base]
-        gen_rows = np.array([[*base, q] for q in grow], dtype=np.intp)
-        gen_rows = gen_rows.reshape(len(grow), len(base) + 1)
+        gen_rows = np.array([[*base, q] for q in grow], dtype=np.intp).reshape(-1, len(base) + 1)
         for grown in _table_closures(mul, ident, gen_rows, repeat(())):
             if grown not in subs:
                 subs.add(grown)

@@ -23,9 +23,7 @@ from gl2tors.verify import (
 )
 
 
-def _table_closure(
-    table: np.ndarray, identity: int, gen_ids, start=()
-) -> frozenset[int]:
+def _table_closure(table: np.ndarray, identity: int, gen_ids, start=()) -> frozenset[int]:
     """The closure of one id set under an int32 Cayley table, by a
     breadth-first search on one membership mask: the per-row search that
     the batched _table_closures replaced, kept as the quotient closure of
