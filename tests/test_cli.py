@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gl2tors import verify
+from gl2tors import cli, verify
 from gl2tors.bounds import SIEVE_CAP
 from gl2tors.cli import _build_parser, main
 from gl2tors.groups import Subgroup
@@ -165,7 +165,8 @@ def test_group_verb_stdout_pinned(group, verb, fmt, tmp_path, capsys):
 
 
 # sha256 of `verify --format json` stdout for the harnesses that enumerate
-# subgroups: how the subgroups are enumerated may change, the bytes may not
+# subgroups or cyclic subgroups: how they are enumerated may change, the
+# bytes may not
 _PINNED_VERIFY_STDOUT = {
     "easy-d --ell-max 5": "61225549014fab9b3dd23d0a35d1ff5c09ec2649a4cb98c942918be6ca10e410",
     "classify --ell-max 5": "2dfbc10f6a678b3985026b2d43bc869a710e6c39d790c8ec96f6529515ff1bb6",
@@ -173,11 +174,17 @@ _PINNED_VERIFY_STDOUT = {
     "classify": "81d8229067fdefaccf0458060d072bea58d342fba1872c726eb768bde2a52c3d",
     "bl": "88a2acd288ac840dec378a233446d754e9d9a5c5dd9f98882616dbb3b680bcee",
     "not-bl": "df97baa048752abeb813858aaeebcfdda247cd174cdb7842a01ea18ae06b0697",
+    "cyclic": "7998b81a0f10c488682a326ff73a9adc0e3c83c6c7c64932dda91b854cc32f54",
+    "normalizers": "026ea356fb5ffcef0bcdb0ba69e15b78e41157feb69cb59158fa2da696adb5c8",
+    "ns-nns": "98fe2c4275d35797583ef9821cff8e0d290fec191acac5d4b5e816e6e4ecd670",
+    "ab-subgp --trials 5": "0ce410f78ccec99205405fdfe5aa2bb26bd7b46174d3474870ccde807839e2ec",
 }
 
 
 @pytest.mark.parametrize("harness", sorted(_PINNED_VERIFY_STDOUT))
-def test_enumeration_harness_stdout_pinned(harness, capsys):
+def test_enumeration_harness_stdout_pinned(harness, capsys, monkeypatch, harness_run):
+    # the CLI prints a session-shared run, which the count tests of the same call read too
+    monkeypatch.setattr(cli, "run_harness", harness_run)
     assert main(["--format", "json", "verify", *harness.split()]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

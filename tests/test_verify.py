@@ -365,8 +365,8 @@ def test_sl_small():
     assert r.details == {"ell_5": 120, "ell_7": 336}
 
 
-def test_cyclic():
-    r = run_harness("cyclic")
+def test_cyclic(harness_run):
+    r = harness_run("cyclic")
     assert r.ok and r.checked == 122
     assert r.details == {"subgroups": 122}
 
@@ -377,14 +377,14 @@ def test_normalizers_small():
     assert r.details == {"ell_5": 12, "ell_7": 22}
 
 
-def test_easy_d_small():
-    r = run_harness("easy-d", ell_max=5)
+def test_easy_d_small(harness_run):
+    r = harness_run("easy-d", ell_max=5)
     assert r.ok and r.checked == 2766
     assert r.details == {"ell_5_subgroups": 461}
 
 
-def test_classify_small():
-    r = run_harness("classify", ell_max=5)
+def test_classify_small(harness_run):
+    r = harness_run("classify", ell_max=5)
     assert r.ok and r.checked == 121
     assert r.details == {"Borel": 30, "NormNonsplit": 30, "NormSplit": 61}
 
@@ -395,8 +395,8 @@ def test_not_bl_small():
     assert r.details == {"precondition_excluded": 25, "verified": 31}
 
 
-def test_bl():
-    r = run_harness("bl")
+def test_bl(harness_run):
+    r = harness_run("bl")
     assert r.ok and r.checked == 24
     assert r.details == {"verified": 2, "rejected_no_inertia": 22}
 
@@ -407,8 +407,8 @@ def test_ell_divides_order_matches_element_order(ell):
         assert _ell_divides_order(x) == (element_order(x) % ell == 0)
 
 
-def test_ab_subgp_random_only_smoke():
-    r = run_harness("ab-subgp", trials=5)
+def test_ab_subgp_random_only_smoke(harness_run):
+    r = harness_run("ab-subgp", trials=5)
     assert r.ok and r.checked == 2263
     assert r.details == {"cyclic_subgroups": 2248, "random_abelian": 15}
 
