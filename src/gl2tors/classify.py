@@ -176,10 +176,6 @@ class NotBlReport:
     exponent: int
     table: dict[tuple[int, int], tuple[int, int]]  # vector -> (index, small divisor)
 
-    @property
-    def all_divisible(self) -> bool:
-        return all(div in (2, 3) for _, div in self.table.values())
-
 
 def not_bl_check(g: Subgroup, hyp: BlHypotheses) -> NotBlReport:
     """Verify that every vector-stabilizer index is divisible by 2 or 3."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -170,10 +171,23 @@ def closure(
 def _cyclic_subgroups(n: int, entries: Iterable[tuple[int, int, int, int]]) -> list[Subgroup]:
     """The distinct cyclic subgroups that the elements with these reduced
     entries mod n generate, in order of first appearance, each generated by
-    the first element that generates it."""
-    # groups hash and compare on their entries, and a dict keeps the first of equal keys
+    the first element that generates it.
+
+    One closure per group: the closure of one x of order m lists x^0, x^1,
+    ..., x^(m-1) in that order, and x^k generates <x> exactly when
+    gcd(k, m) = 1, so those entries are marked covered. An element that is
+    not covered generates none of the groups found so far, so it is the
+    first listed generator of a new group; only such elements are closed.
+    """
     trusted = Mat2._reduced
-    return list(dict.fromkeys(closure(n, [trusted(n, *e)]) for e in entries))
+    covered: set[tuple[int, int, int, int]] = set()
+    out = []
+    for e in entries:
+        if e not in covered:
+            h = closure(n, [trusted(n, *e)])
+            covered.update(y for k, y in enumerate(h.entries) if math.gcd(k, h.order) == 1)
+            out.append(h)
+    return out
 
 
 def _conjugation_target(
@@ -342,7 +356,7 @@ def _is_2x2(m) -> bool:
     )
 
 
-def subgroup_from_json(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+def subgroup_from_json(text: str) -> Subgroup:
     """Parse {"modulus": N, "generators": [[[a,b],[c,d]], ...]} and close it."""
     try:
         payload = json.loads(text)
@@ -358,7 +372,7 @@ def subgroup_from_json(text: str, cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
     # type(...) is int also turns away JSON true/false, which Python reads as ints
     if not all(type(v) is int for v in (n, *(v for e in entries for v in e))):
         raise PreconditionError("malformed subgroup input: modulus and entries must be integers")
-    return closure(n, [Mat2(n, *e) for e in entries], cap=cap)
+    return closure(n, [Mat2(n, *e) for e in entries])
 
 
 def verify_named_orders(ell: int) -> dict[str, tuple[int, int]]:

@@ -142,9 +142,6 @@ class DegreeSpectrum:
     entries: dict[ProjPoint, int]
     sl_index: int
 
-    def values(self) -> list[int]:
-        return [self.entries[p] for p in sorted(self.entries)]
-
     def odd_index_point(self) -> ProjPoint | None:
         """The first point, in sorted order, whose stabilizer index is odd."""
         return next((p for p in sorted(self.entries) if self.entries[p] % 2 == 1), None)

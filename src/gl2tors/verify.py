@@ -128,6 +128,7 @@ class _MulTable:
     def __init__(self, n: int, entries: Iterable[tuple[int, int, int, int]]):
         self.n = n
         self.entries = list(entries)
+        self.index = {e: i for i, e in enumerate(self.entries)}
         k = len(self.entries)
         a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
         # an entry packs as row1 · n² + row2, its two rows read as vectors mod n
@@ -153,23 +154,6 @@ class _MulTable:
             raise PreconditionError("element list holds an element with no inverse in it")
         self.inverse = np.argmax(is_identity, axis=1)
 
-    def close(self, gen_ids: Iterable[int], start: Iterable[int] = ()) -> frozenset[int]:
-        gen_row = np.fromiter(gen_ids, dtype=np.intp)[None, :]
-        return next(_table_closures(self.table, self.identity, gen_row, [start]))
-
-    def cyclic_subgroups(self) -> dict[frozenset[int], int]:
-        """Distinct cyclic subgroups as element-id sets, with one generator each."""
-        out: dict[frozenset[int], int] = {}
-        for i in range(len(self.entries)):
-            ids = {self.identity}
-            j = i
-            while j != self.identity:
-                ids.add(j)
-                j = int(self.table[j, i])
-            key = frozenset(ids)
-            out.setdefault(key, i)
-        return out
-
     def two_generated(self) -> set[frozenset[int]]:
         """All subgroups generated by at most two elements, deduplicated.
 
@@ -187,7 +171,11 @@ class _MulTable:
         for lo in range(0, k, _BLOCK_ROWS):
             g = np.arange(lo, min(lo + _BLOCK_ROWS, k))
             conj[g] = table[table[inv[g]], g[:, None]]
-        cyclic = self.cyclic_subgroups()
+        index = self.index
+        cyclic = {
+            frozenset(index[e] for e in h.entries): index[h.generators[0].entries()]
+            for h in _cyclic_subgroups(self.n, self.entries)
+        }
         keys = sorted(cyclic, key=len)
         gens = np.array([cyclic[s] for s in keys])
         # cyc_of[x] is the index in keys of ⟨x⟩, the least cyclic subgroup
@@ -347,25 +335,15 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
 def harness_cyclic() -> HarnessResult:
     """Every odd-order prime-to-11 subgroup of SL2(F_11) from ≤ 2 generators is cyclic."""
     ell = 11
-    sl2 = named_group(NamedGroupId.SL2, ell)
-    # odd orders prime to 11 divide 15, so the cyclic subgroups have order 1, 3, 5, or 15
-    cyclics = [h for h in _cyclic_subgroups(ell, sl2.entries) if 15 % h.order == 0]
-    candidates = set(cyclics)
-    for i, first in enumerate(cyclics):
-        for second in cyclics[i + 1 :]:
-            try:
-                h = closure(ell, first.generators + second.generators, cap=15)
-            except ResourceLimitError:
-                continue  # order exceeds 15, so it is even or divisible by 11
-            candidates.add(h)
+    table = _MulTable(ell, sorted(named_group(NamedGroupId.SL2, ell).entries))
     violations = []
     checked = 0
-    for h in candidates:
-        if h.order % 2 == 0 or h.order % ell == 0:
+    for ids in table.two_generated():
+        if len(ids) % 2 == 0 or len(ids) % ell == 0:
             continue
         checked += 1
         try:
-            cyclic_generator(h)
+            cyclic_generator(table.to_subgroup(ids))
         except LemmaViolationError as exc:
             violations.append(str(exc))
     return HarnessResult("cyclic", checked, tuple(violations), {"subgroups": checked})
@@ -493,8 +471,7 @@ def _subgroups_between(table: _MulTable, normal: Subgroup) -> list[Subgroup]:
     subgroup of the quotient grows from the trivial one by adding one
     element at a time and closing under the quotient's Cayley table.
     """
-    index = {e: i for i, e in enumerate(table.entries)}
-    labels = table.table[:, [index[e] for e in normal.entries]].min(axis=1)
+    labels = table.table[:, [table.index[e] for e in normal.entries]].min(axis=1)
     # the least element of a coset is its own label
     reps = np.flatnonzero(labels == np.arange(len(labels)))
     coset_of = np.searchsorted(reps, labels)

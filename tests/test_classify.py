@@ -218,14 +218,12 @@ def test_not_bl_nonsplit_cartan_13():
     report = not_bl_check(g, BlHypotheses(inertia_exponent=1))
     assert report.ambient == "NormNonsplit"
     assert {idx for idx, _ in report.table.values()} == {168}
-    assert report.all_divisible
 
 
 def test_not_bl_norm_split_11():
     g = named_group(NamedGroupId.NORM_SPLIT, 11)
     report = not_bl_check(g, BlHypotheses(inertia_exponent=1))
     assert report.table[(1, 0)] == (20, 2)
-    assert report.all_divisible
 
 
 def test_not_bl_norm_nonsplit_5():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gl2tors import cli, verify
+from gl2tors import cli, groups, verify
 from gl2tors.bounds import SIEVE_CAP
 from gl2tors.cli import _build_parser, main
 from gl2tors.groups import Subgroup
@@ -275,6 +275,22 @@ def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):
     assert main(["spectrum", "--input", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err)
+
+
+def test_input_past_closure_cap_exit_2(tmp_path, capsys, monkeypatch):
+    """Input read by subgroup_from_json closes under closure's default cap.
+    The default is lowered to 41 here, one below the order of the BOREL_7
+    input, since a group past DEFAULT_CLOSURE_CAP = 10^7 would take minutes
+    and gigabytes to reach it."""
+    assert groups.closure.__defaults__ == (groups.DEFAULT_CLOSURE_CAP,)
+    assert groups.subgroup_from_json(BOREL_7).order == 42
+    monkeypatch.setattr(groups.closure, "__defaults__", (41,))
+    path = tmp_path / "g.json"
+    path.write_text(BOREL_7)
+    assert main(["spectrum", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closure exceeded cap of 41 elements\n"
 
 
 def test_bound_json(tmp_path, capsys):

@@ -243,4 +243,4 @@ def test_exhaustive_spectrum_cap():
     assert len(exhaustive_spectrum(closure(313, [unipotent(313)]))) == 313 * 313 - 1
     spec = degree_spectrum(g)
     assert spec.entries[ProjPoint(ell, 0, 1)] == 1
-    assert set(spec.values()) == {1, ell}
+    assert set(spec.entries.values()) == {1, ell}

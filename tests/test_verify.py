@@ -7,7 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.classify import _cartan_power
-from gl2tors.groups import NamedGroupId, Subgroup, closure, named_group, subgroup_from_entries
+from gl2tors.groups import (
+    NamedGroupId,
+    Subgroup,
+    _cyclic_subgroups,
+    closure,
+    named_group,
+    subgroup_from_entries,
+)
 from gl2tors.lemmas import _gl2_elements
 from gl2tors.modarith import Mat2, element_order, mat_mul
 from gl2tors.verify import (
@@ -51,10 +58,33 @@ def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
     return frozenset(index[e] for e in group.entries)
 
 
+def _close_one(table: _MulTable, gen_ids, start=()) -> frozenset[int]:
+    """The closure of one id set: a batch of one row of _table_closures."""
+    gen_row = np.fromiter(gen_ids, dtype=np.intp)[None, :]
+    return next(_table_closures(table.table, table.identity, gen_row, [start]))
+
+
+def _cyclic_subgroups_reference(n: int, entries) -> list[Subgroup]:
+    """The distinct cyclic subgroups the entries generate, in order of first
+    appearance, each generated by the first element that generates it, by
+    closing every element: the reference for groups._cyclic_subgroups."""
+    # groups hash and compare on their entries, and a dict keeps the first of equal keys
+    return list(dict.fromkeys(closure(n, [Mat2(n, *e)]) for e in entries))
+
+
+def _cyclic_ids_reference(table: _MulTable) -> dict[frozenset[int], int]:
+    """The table's cyclic subgroups as id sets, each with its generator's id."""
+    index = {e: i for i, e in enumerate(table.entries)}
+    return {
+        frozenset(index[e] for e in h.entries): index[h.generators[0].entries()]
+        for h in _cyclic_subgroups_reference(table.n, table.entries)
+    }
+
+
 def _two_generated_reference(table: _MulTable) -> set[frozenset[int]]:
     """Every subgroup generated by at most two elements, by closing all pairs
     of cyclic subgroups: the slow reference for _MulTable.two_generated."""
-    cyclic = table.cyclic_subgroups()
+    cyclic = _cyclic_ids_reference(table)
     keys = sorted(cyclic, key=lambda s: (len(s), sorted(s)))
     subgroups: set[frozenset[int]] = set(keys)
     for i, first in enumerate(keys):
@@ -159,9 +189,9 @@ def test_table_closure_matches_tuple_bfs(name, data):
     k = len(table.entries)
     ids = data.draw(st.lists(st.integers(0, k - 1), max_size=4), label="ids")
     expected = _closure_ids(table, ids)
-    assert table.close(ids) == expected
+    assert _close_one(table, ids) == expected
     start = data.draw(st.lists(st.sampled_from(sorted(expected)), max_size=6), label="start")
-    assert table.close(ids, start) == expected
+    assert _close_one(table, ids, start) == expected
 
 
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
@@ -192,9 +222,9 @@ def test_table_closure_edge_cases(name):
     x, y = [i for i in range(k) if i != e][:2]
     for ids in ([], [e], [e, e], [x, x, y, x, e], list(range(k))):
         expected = _closure_ids(table, ids)
-        assert table.close(ids) == expected
-    assert table.close([]) == {e}
-    assert table.close(range(k)) == frozenset(range(k))
+        assert _close_one(table, ids) == expected
+    assert _close_one(table, []) == {e}
+    assert _close_one(table, range(k)) == frozenset(range(k))
     for width in (0, 2):
         no_rows = np.empty((0, width), dtype=np.intp)
         assert list(_table_closures(table.table, e, no_rows, [])) == []
@@ -209,7 +239,7 @@ def test_two_generated_with_no_pair_to_close(entries):
     """In a cyclic group every pair of cyclic subgroups is nested, so the
     batch of pairs is empty and the answer is the cyclic subgroups alone."""
     table = _MulTable(5, entries)
-    assert table.two_generated() == set(table.cyclic_subgroups())
+    assert table.two_generated() == set(_cyclic_ids_reference(table))
     assert table.two_generated() == _two_generated_reference(table)
 
 
@@ -347,6 +377,78 @@ def test_subgroups_between_matches_coset_reference(ell):
             reference = _subgroups_between_reference(ambient, power.elements)
             assert len(got) == len(set(got)) == len(reference)
             assert set(got) == {frozenset(x.entries() for x in elems) for elems in reference}
+
+
+def _sl2_11_entries():
+    return sorted(named_group(NamedGroupId.SL2, 11).entries)
+
+
+@pytest.mark.parametrize(
+    "n, entries",
+    [
+        pytest.param(5, lambda: [x.entries() for x in _gl2_elements(5)], id="GL2(5)"),
+        pytest.param(7, lambda: [x.entries() for x in _gl2_elements(7)], id="GL2(7)"),
+        pytest.param(
+            11,
+            lambda: [x.entries() for x in _gl2_elements(11) if not _ell_divides_order(x)],
+            id="GL2(11)-prime-to-11",
+        ),
+        pytest.param(11, _sl2_11_entries, id="SL2(11)"),
+    ],
+)
+def test_cyclic_subgroups_match_reference(n, entries):
+    _assert_cyclic_subgroups_match_reference(n, entries())
+
+
+def _assert_cyclic_subgroups_match_reference(n, entries):
+    """One closure per cyclic subgroup finds the same groups as closing every
+    element, in the same order, with the same generators and entry order."""
+    got, reference = _cyclic_subgroups(n, entries), _cyclic_subgroups_reference(n, entries)
+    assert [(h.generators, h.entries) for h in got] == [
+        (h.generators, h.entries) for h in reference
+    ]
+
+
+@st.composite
+def _shuffled_small_group(draw):
+    """The modulus and the entries, in a random order, of a small subgroup of
+    GL2(F_5) or GL2(F_7)."""
+    g = draw(_small_two_generated_group())
+    return g.n, draw(st.permutations(g.entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shuffled_small_group())
+@example((5, named_group(NamedGroupId.SL2, 5).entries[::-1]))
+def test_cyclic_subgroups_match_reference_on_shuffled_groups(args):
+    _assert_cyclic_subgroups_match_reference(*args)
+
+
+def _cyclic_harness_pairs_reference() -> set[Subgroup]:
+    """The odd-order prime-to-11 subgroups of SL2(F_11) generated by at most
+    two elements, by closing every pair of cyclic subgroups of order dividing
+    15 with a closure capped at 15 elements: the pair search the cyclic
+    harness ran before it enumerated on the table."""
+    ell = 11
+    # odd orders prime to 11 divide 15, so the cyclic subgroups have order 1, 3, 5, or 15
+    cyclics = [h for h in _cyclic_subgroups_reference(ell, _sl2_11_entries()) if 15 % h.order == 0]
+    candidates = set(cyclics)
+    for i, first in enumerate(cyclics):
+        for second in cyclics[i + 1 :]:
+            try:
+                candidates.add(closure(ell, first.generators + second.generators, cap=15))
+            except ResourceLimitError:
+                continue  # order exceeds 15, so it is even or divisible by 11
+    return {h for h in candidates if h.order % 2 and h.order % ell}
+
+
+def test_cyclic_harness_domain_matches_pair_search():
+    """The odd prime-to-11 groups among the two-generated subgroups of
+    SL2(F_11) are the 122 groups the old pair search found."""
+    table = _MulTable(11, _sl2_11_entries())
+    odd = {table.to_subgroup(ids) for ids in table.two_generated() if len(ids) % 2 and len(ids) % 11}
+    assert len(odd) == 122
+    assert odd == _cyclic_harness_pairs_reference()
 
 
 def test_unknown_harness():
