@@ -15,6 +15,10 @@ from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
+DELTA_U2_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[10,0],[0,1]],[[1,1],[0,1]]]}'
+# a two-generated subgroup of Borel(11) of order 110 with full determinant
+# image, on whose diagonal image the exponent congruence fails
+BOREL_CONG_11 = '{"modulus": 11, "generators": [[[1,0],[0,2]],[[1,1],[0,1]]]}'
 BOREL_7 = '{"modulus": 7, "generators": [[[3,0],[0,1]],[[1,1],[0,1]]]}'
 # the non-split Cartan normalizer mod 47: a generator of the non-split Cartan
 # and diag(1, -1)
@@ -125,8 +129,16 @@ def test_spectrum_exhaustive_json(tmp_path, capsys):
 
 # sha256 of the stdout of each group verb and format: how the rows are built
 # may change, the bytes printed may not. The classify cases cover all three
-# targets: Borel, NormSplit and NormNonsplit.
-_GROUPS = {"BOREL_7": BOREL_7, "NORM_SPLIT_7": NORM_SPLIT_7, "NORM_NONSPLIT_11": NORM_NONSPLIT_11}
+# targets: Borel, NormSplit and NormNonsplit, and the three replies of the
+# Borel refinement past ell >= 11: Delta1, Delta2 and a failed precondition.
+_GROUPS = {
+    "BOREL_7": BOREL_7,
+    "NORM_SPLIT_7": NORM_SPLIT_7,
+    "NORM_NONSPLIT_11": NORM_NONSPLIT_11,
+    "DELTA_U1_11": DELTA_U1_11,
+    "DELTA_U2_11": DELTA_U2_11,
+    "BOREL_CONG_11": BOREL_CONG_11,
+}
 _PINNED_STDOUT = {
     ("BOREL_7", "spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
     ("BOREL_7", "spectrum", "csv"): "559e0468c0d2ecc28ce7c1febe77d09ab4401e60209fe83858b7f86dcc494ff3",
@@ -143,6 +155,15 @@ _PINNED_STDOUT = {
     ("NORM_NONSPLIT_11", "classify", "text"): "aabf0b8d86108ce4e65e14cefdc06a2bd0c22a87a207ea4468a633f6238f4ae7",
     ("NORM_NONSPLIT_11", "classify", "csv"): "5b588a04a79793be5b64d1cc7b8efe57615484281bb3a932c8b16b5b03a1359e",
     ("NORM_NONSPLIT_11", "classify", "json"): "487edb452bba6b0d150a62f1d7856da0b8768a5cdb2b12587cdc94c69ea26ae1",
+    ("DELTA_U1_11", "classify", "text"): "d9b308409558fa2c570d1bdabd900063fe39d9968a25e8017dc6a142286802e8",
+    ("DELTA_U1_11", "classify", "csv"): "9c0304fe5b04ef450698ea2db928826a56811f4a05486f32fcbcabcc66b401a7",
+    ("DELTA_U1_11", "classify", "json"): "1e283020aa02c29d3fb7190d08ace05b71ec781357f6e37b11d1d0d297e28ae4",
+    ("DELTA_U2_11", "classify", "text"): "e4b369f0a3a207c9cbbbd6e3cd07f00fe04fa2a006447a3b7bb6482bed055ab8",
+    ("DELTA_U2_11", "classify", "csv"): "9f1fa797c3959a0bbd5e26ebf2813ce78aeae1f66c46cc3f04ae950007e0e988",
+    ("DELTA_U2_11", "classify", "json"): "4a171a2038bb400aa0b803083a6ac8f9f6e1b616809e36bf57c62979683057ab",
+    ("BOREL_CONG_11", "classify", "text"): "1a1e85b5916b1acf5c9ae62c7ba887627f4db177ad41f570a32b92579e3da6f9",
+    ("BOREL_CONG_11", "classify", "csv"): "bd902dcfbb0c97e3ac49a15aa329f50afd4af587d4dbf6fc33ac5677e8a7270e",
+    ("BOREL_CONG_11", "classify", "json"): "dda257b97fb8331f3f9079cea4ecb609958872808f7769dbfa6723bfc19d1789",
 }
 
 
