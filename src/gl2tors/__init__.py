@@ -48,7 +48,6 @@ from .lemmas import (
     normalizer_in_gl2,
 )
 from .classify import (
-    BlHypotheses,
     BlVerdict,
     classify_image,
     cong_check,

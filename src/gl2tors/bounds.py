@@ -14,6 +14,8 @@ from .classify import MOD36_RESIDUES, mod36_filter
 
 # largest sieve limit; congruence_sieve takes about 0.04 s there on one Xeon core
 SIEVE_CAP = 10**6
+# the sieve limit of a bound report's window of surviving primes
+REPORT_SIEVE_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -296,12 +298,12 @@ class BoundReport:
         }
 
 
-def bound_report(inp: FieldInput, sieve_limit: int = 100) -> BoundReport:
+def bound_report(inp: FieldInput) -> BoundReport:
     return BoundReport(
         label=inp.label,
         r_set=frozenset(r_set(inp)),
         p_k=p_bound(inp),
-        sieve_window=tuple(congruence_sieve(sieve_limit)),
+        sieve_window=tuple(congruence_sieve(REPORT_SIEVE_LIMIT)),
     )
 
 

@@ -46,36 +46,10 @@ def cong_check(delta: Subgroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlHypotheses:
-    """Group-theoretic shadows of the number-field hypotheses.
-
-    det_surjective asserts the determinant image is the full unit group;
-    odd_degree_witness is a nonzero vector whose stabilizer index is coprime
-    to 6; inertia_exponent is the ramification datum e restricted to its
-    admissible values.
-    """
-
-    det_surjective: bool = True
-    odd_degree_witness: tuple[int, int] | None = None
-    inertia_exponent: int = 1
-
-    def __post_init__(self):
-        if self.inertia_exponent not in INERTIA_EXPONENTS:
-            raise PreconditionError(
-                f"inertia exponent must be one of {INERTIA_EXPONENTS}"
-            )
-
-    def validate_against(self, g: Subgroup) -> None:
-        if self.det_surjective and len(g.det_image()) != g.n - 1:
-            raise PreconditionError("determinant image is not the full unit group")
-        if self.odd_degree_witness is not None:
-            idx = orbit_size(g, *self.odd_degree_witness)
-            if math.gcd(idx, 6) != 1:
-                raise PreconditionError(
-                    f"witness vector {self.odd_degree_witness} has index {idx}, "
-                    "not coprime to 6"
-                )
+def _require_full_determinant(g: Subgroup) -> None:
+    """The determinant hypothesis of not_bl_check and derive_delta."""
+    if len(g.det_image()) != g.n - 1:
+        raise PreconditionError("determinant image is not the full unit group")
 
 
 def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
@@ -177,13 +151,15 @@ class NotBlReport:
     table: dict[tuple[int, int], tuple[int, int]]  # vector -> (index, small divisor)
 
 
-def not_bl_check(g: Subgroup, hyp: BlHypotheses) -> NotBlReport:
-    """Verify that every vector-stabilizer index is divisible by 2 or 3."""
+def not_bl_check(g: Subgroup, e: int) -> NotBlReport:
+    """Verify that every vector-stabilizer index is divisible by 2 or 3, for
+    an image with inertia exponent e."""
+    if e not in INERTIA_EXPONENTS:
+        raise PreconditionError(f"inertia exponent must be one of {INERTIA_EXPONENTS}")
     ell = g.n
     ns = named_group(NamedGroupId.NORM_SPLIT, ell)
     nns = named_group(NamedGroupId.NORM_NONSPLIT, ell)
     cs = named_group(NamedGroupId.SPLIT_CARTAN, ell)
-    e = hyp.inertia_exponent
     if g <= nns and not g <= cs:
         ambient = "NormNonsplit"
         cart = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
@@ -194,9 +170,7 @@ def not_bl_check(g: Subgroup, hyp: BlHypotheses) -> NotBlReport:
         raise PreconditionError(
             "group must lie in a Cartan normalizer without being inside the split Cartan"
         )
-    if not hyp.det_surjective:
-        raise PreconditionError("determinant surjectivity hypothesis is required")
-    hyp.validate_against(g)
+    _require_full_determinant(g)
     if not _cartan_power(cart, e) <= g:
         raise PreconditionError(
             f"the {e}-th power of the ambient Cartan is not contained in the group"
@@ -250,32 +224,33 @@ def stripped_diagonal(g: Subgroup) -> Subgroup:
     return subgroup_from_entries(g.n, ((a, 0, 0, d) for a, _, _, d in g.entries))
 
 
-def derive_delta(g: Subgroup, hyp: BlHypotheses) -> BlVerdict:
+def derive_delta(g: Subgroup) -> BlVerdict:
     """Identify the diagonal part of a Borel image as one of the two derived
     diagonal groups, and verify its consequences."""
-    return _derive_delta(g, hyp, None)
+    return _delta_verdict(g, _bl_candidate_spectrum(g))
 
 
-def _derive_delta(
-    g: Subgroup, hyp: BlHypotheses, spectrum: dict[tuple[int, int], int] | None
-) -> BlVerdict:
-    """derive_delta, reading the exhaustive spectrum of g from the caller when
-    it has one; it is computed only after every precondition holds."""
+def _bl_candidate_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
+    """Check the hypotheses of derive_delta on g, in order, and return the
+    exhaustive spectrum of g, which the last of them reads."""
     ell = g.n
     if not g <= named_group(NamedGroupId.BOREL, ell):
         raise PreconditionError("group is not contained in the Borel subgroup")
     if ell < 11:
         raise PreconditionError("derivation requires ell >= 11")
-    if not hyp.det_surjective:
-        raise PreconditionError("determinant surjectivity hypothesis is required")
-    hyp.validate_against(g)
+    _require_full_determinant(g)
     if not cong_check(stripped_diagonal(g)):
         raise PreconditionError("exponent congruence fails on the diagonal image")
-    if spectrum is None:
-        spectrum = exhaustive_spectrum(g)
+    spectrum = exhaustive_spectrum(g)
     if not any(math.gcd(idx, 6) == 1 for idx in spectrum.values()):
         raise PreconditionError("no stabilizer index coprime to 6")
+    return spectrum
 
+
+def _delta_verdict(g: Subgroup, spectrum: dict[tuple[int, int], int]) -> BlVerdict:
+    """derive_delta on a group that passed _bl_candidate_spectrum, which
+    returned this spectrum."""
+    ell = g.n
     if unipotent(ell) not in g:
         if not admissible_inertia_exponents(g):
             raise PreconditionError(

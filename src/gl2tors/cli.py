@@ -12,7 +12,7 @@ from .modarith import Mat2, gl2_order
 from .groups import NamedGroupId, subgroup_from_json
 from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
 from .lemmas import decompose_sl2
-from .classify import BlHypotheses, classify_image, derive_delta
+from .classify import classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
 from .verify import HARNESS_IDS, run_harness
 
@@ -118,15 +118,11 @@ def _cmd_classify(args) -> int:
     verdict = classify_image(g, witness)
     payload = verdict.to_dict()
     payload["witness"] = [witness.c, witness.d]
-    if verdict.target is NamedGroupId.BOREL:
-        det_full = len(g.det_image()) == g.n - 1
-        if det_full:
-            try:
-                payload["borel_refinement"] = derive_delta(
-                    g, BlHypotheses(det_surjective=True)
-                ).to_dict()
-            except PreconditionError as exc:
-                payload["borel_refinement"] = f"not derivable: {exc}"
+    if verdict.target is NamedGroupId.BOREL and len(g.det_image()) == g.n - 1:
+        try:
+            payload["borel_refinement"] = derive_delta(g).to_dict()
+        except PreconditionError as exc:
+            payload["borel_refinement"] = f"not derivable: {exc}"
     rows = ((k, json.dumps(payload[k], sort_keys=True)) for k in sorted(payload))
     _emit(args.format, payload, rows, ("field", "value"))
     return EXIT_OK

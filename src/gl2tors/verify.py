@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import inspect
-import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,28 +31,13 @@ from .lemmas import (
     normalizer_in_gl2,
 )
 from .classify import (
-    BlHypotheses,
+    _bl_candidate_spectrum,
     _cartan_power,
-    _derive_delta,
+    _delta_verdict,
     classify_image,
-    cong_check,
     not_bl_check,
-    stripped_diagonal,
 )
 from .bounds import AbelianGroupSpec, Embedding, LPartVerdict, l_part_check
-
-HARNESS_IDS = (
-    "sl",
-    "ab-subgp",
-    "cyclic",
-    "normalizers",
-    "ns-nns",
-    "easy-d",
-    "classify",
-    "not-bl",
-    "bl",
-    "l-part",
-)
 
 
 @dataclass(frozen=True)
@@ -300,36 +284,30 @@ def _random_abelian(rng: random.Random, ell: int) -> Subgroup:
 
 def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
     rng = random.Random(seed)
-    violations = []
-    checked = 0
-    cyclic_count = 0
     prime_to_11 = (x.entries() for x in _gl2_elements(11) if not _ell_divides_order(x))
-    for h in _cyclic_subgroups(11, prime_to_11):
-        x = h.generators[0]
-        checked += 1
-        cyclic_count += 1
+    # (details key, group, its label in a violation), each random group drawn
+    # as the loop reaches it
+    groups = chain(
+        (
+            ("cyclic_subgroups", h, f"for cyclic group of {h.generators[0]}")
+            for h in _cyclic_subgroups(11, prime_to_11)
+        ),
+        (
+            ("random_abelian", h, f"mod {ell}, order {h.order}")
+            for ell in (5, 7, 11)
+            for h in (_random_abelian(rng, ell) for _ in range(trials))
+        ),
+    )
+    violations = []
+    details = {"cyclic_subgroups": 0, "random_abelian": 0}
+    for source, h, where in groups:
+        details[source] += 1
         emb = conjugate_into_cartan(h)
         if not emb.verify(h):
-            violations.append(f"unverified embedding for cyclic group of {x}")
+            violations.append(f"unverified embedding {where}")
         if brute_force_cartan_conjugator(h) is None:
-            violations.append(f"oracle disagreement for cyclic group of {x}")
-    random_count = 0
-    for ell in (5, 7, 11):
-        for _ in range(trials):
-            h = _random_abelian(rng, ell)
-            checked += 1
-            random_count += 1
-            emb = conjugate_into_cartan(h)
-            if not emb.verify(h):
-                violations.append(f"unverified embedding mod {ell}, order {h.order}")
-            if brute_force_cartan_conjugator(h) is None:
-                violations.append(f"oracle disagreement mod {ell}, order {h.order}")
-    return HarnessResult(
-        "ab-subgp",
-        checked,
-        tuple(violations),
-        {"cyclic_subgroups": cyclic_count, "random_abelian": random_count},
-    )
+            violations.append(f"oracle disagreement {where}")
+    return HarnessResult("ab-subgp", sum(details.values()), tuple(violations), details)
 
 
 def harness_cyclic() -> HarnessResult:
@@ -385,7 +363,13 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
     violations = []
     checked = 0
     for ell in (5, 7, 11):
-        for h in _cyclic_subgroups(ell, (x.entries() for x in _gl2_elements(ell))):
+        cyclic = _cyclic_subgroups(ell, (x.entries() for x in _gl2_elements(ell)))
+        sampled = (_random_abelian(rng, ell) for _ in range(trials))
+        groups = chain(
+            ((h, f"generator {h.generators[0]}") for h in cyclic),
+            ((h, "random group") for h in sampled),
+        )
+        for h, where in groups:
             # det is a homomorphism, so its kernel h ∩ SL2 has |h| / |det(h)| elements
             det1 = h.order // len(h.det_image())
             if det1 % 2 == 0 or det1 % ell == 0:
@@ -394,21 +378,24 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
             try:
                 conjugate_into_normalizer(h)
             except LemmaViolationError as exc:
-                violations.append(f"ell = {ell}, generator {h.generators[0]}: {exc}")
-        for _ in range(trials):
-            h = _random_abelian(rng, ell)
-            det1 = h.order // len(h.det_image())
-            if det1 % 2 == 0 or det1 % ell == 0:
-                continue
-            checked += 1
-            try:
-                conjugate_into_normalizer(h)
-            except LemmaViolationError as exc:
-                violations.append(f"ell = {ell}, random group: {exc}")
+                violations.append(f"ell = {ell}, {where}: {exc}")
     return HarnessResult("ns-nns", checked, tuple(violations), {"groups": checked})
 
 
-def harness_easy_d(ell_max: int | None = None, trials: int = 100, seed: int = 0) -> HarnessResult:
+def harness_easy_d(
+    ell_max: int | None = None, trials: int | None = None, seed: int | None = None
+) -> HarnessResult:
+    """unipotent_class at every projective point of every two-generated
+    subgroup of GL2(F_ell) for ell = 5, 7 up to ell_max; with ell_max >= 11
+    also of trials (default 100) random ones of GL2(F_11) drawn with seed
+    (default 0). trials and seed act only then: below, either is a UsageError."""
+    sampled = ell_max is not None and ell_max >= 11
+    options = {"--trials": trials, "--seed": seed}
+    given = [name for name, value in options.items() if value is not None]
+    if given and not sampled:
+        raise UsageError(
+            f"harness easy-d does not take {', '.join(given)} unless --ell-max is at least 11"
+        )
     violations = []
     checked = 0
     details = {}
@@ -425,8 +412,9 @@ def harness_easy_d(ell_max: int | None = None, trials: int = 100, seed: int = 0)
                     unipotent_class(g, p)
                 except LemmaViolationError as exc:
                     violations.append(f"ell = {ell}, order {g.order}, {p}: {exc}")
-    if ell_max is not None and ell_max >= 11:
-        rng = random.Random(seed)
+    if sampled:
+        trials = 100 if trials is None else trials
+        rng = random.Random(0 if seed is None else seed)
         pool = _gl2_elements(11)
         for _ in range(trials):
             x = pool[rng.randrange(len(pool))]
@@ -520,7 +508,7 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
                                 )
                                 break
                     try:
-                        not_bl_check(g, BlHypotheses(inertia_exponent=e))
+                        not_bl_check(g, e)
                         details["verified"] += 1
                     except PreconditionError:
                         details["precondition_excluded"] += 1
@@ -530,26 +518,23 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
 
 
 def harness_bl() -> HarnessResult:
-    """Exhaustive scan of 2-generated upper-triangular subgroups mod 11."""
+    """Exhaustive scan of 2-generated upper-triangular subgroups mod 11: each
+    that meets the hypotheses of derive_delta is counted and checked."""
     ell = 11
     borel = named_group(NamedGroupId.BOREL, ell)
     table = _MulTable(ell, sorted(borel.entries))
     violations = []
     checked = 0
     details = {"verified": 0, "rejected_no_inertia": 0}
-    hyp = BlHypotheses(det_surjective=True)
     for ids in table.two_generated():
         g = table.to_subgroup(ids)
-        if len(g.det_image()) != ell - 1:
-            continue
-        if not cong_check(stripped_diagonal(g)):
-            continue
-        spectrum = exhaustive_spectrum(g)
-        if not any(math.gcd(idx, 6) == 1 for idx in spectrum.values()):
+        try:
+            spectrum = _bl_candidate_spectrum(g)
+        except PreconditionError:
             continue
         checked += 1
         try:
-            verdict = _derive_delta(g, hyp, spectrum)
+            verdict = _delta_verdict(g, spectrum)
             details["verified"] += 1
             if verdict.delta_kind not in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
                 violations.append(f"order {g.order}: unexpected kind {verdict.delta_kind}")
@@ -605,6 +590,7 @@ _HARNESSES = {
     "bl": harness_bl,
     "l-part": harness_l_part,
 }
+HARNESS_IDS = tuple(_HARNESSES)
 
 
 def run_harness(

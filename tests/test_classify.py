@@ -21,7 +21,6 @@ from gl2tors.stabilizers import ProjPoint
 from gl2tors.verify import run_harness
 from gl2tors.classify import (
     INERTIA_EXPONENTS,
-    BlHypotheses,
     _cartan_power,
     admissible_inertia_exponents,
     classify_image,
@@ -164,19 +163,18 @@ def test_cartan_power_matches_elementwise(ell):
 
 
 def test_derive_delta_examples():
-    hyp = BlHypotheses(det_surjective=True)
     g1 = named_group(NamedGroupId.DELTA_U1, 11)
-    v1 = derive_delta(g1, hyp)
+    v1 = derive_delta(g1)
     assert v1.delta_kind is NamedGroupId.DELTA1
     assert (v1.divisor, v1.congruence_ok, v1.mod36_class) == (5, True, 11)
 
     g2 = named_group(NamedGroupId.DELTA_U2, 11)
-    v2 = derive_delta(g2, hyp)
+    v2 = derive_delta(g2)
     assert v2.delta_kind is NamedGroupId.DELTA2
     assert (v2.divisor, v2.congruence_ok, v2.mod36_class) == (5, True, 11)
 
     g3 = closure(23, named_group(NamedGroupId.DELTA1, 23).generators + (unipotent(23),))
-    v3 = derive_delta(g3, hyp)
+    v3 = derive_delta(g3)
     assert v3.delta_kind is NamedGroupId.DELTA1
     assert (v3.divisor, v3.congruence_ok, v3.mod36_class) == (11, True, 23)
 
@@ -184,13 +182,13 @@ def test_derive_delta_examples():
 def test_derive_delta_rejects_small_prime():
     g = named_group(NamedGroupId.BOREL, 7)
     with pytest.raises(PreconditionError):
-        derive_delta(g, BlHypotheses())
+        derive_delta(g)
 
 
 def test_derive_delta_rejects_cong_failure():
     g = named_group(NamedGroupId.BOREL, 11)
     with pytest.raises(PreconditionError):
-        derive_delta(g, BlHypotheses())
+        derive_delta(g)
 
 
 def test_derive_delta_rejects_shearless_group_without_inertia_shape():
@@ -198,37 +196,59 @@ def test_derive_delta_rejects_shearless_group_without_inertia_shape():
     # carries no plausible ramification datum, so it is rejected up front
     g = named_group(NamedGroupId.DELTA1, 11)
     with pytest.raises(PreconditionError):
-        derive_delta(g, BlHypotheses())
+        derive_delta(g)
 
 
-def test_hypotheses_validate_witness():
-    g = named_group(NamedGroupId.DELTA_U1, 11)
-    BlHypotheses(odd_degree_witness=(1, 0)).validate_against(g)  # index 55
-    with pytest.raises(PreconditionError):
-        BlHypotheses(odd_degree_witness=(0, 1)).validate_against(g)  # index 10
+# one group per precondition of derive_delta, in the order they are checked,
+# each failing it and passing those before; the first five fail the next one
+# too, so the order is pinned. The last is checked when the verdict is
+# derived from the spectrum.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: closure(7, [Mat2(7, 0, 1, 6, 0)]), "not contained in the Borel subgroup"),
+        (lambda: closure(7, [unipotent(7)]), "derivation requires ell >= 11"),
+        (
+            lambda: closure(11, [Mat2(11, 2, 0, 0, 6)]),
+            "determinant image is not the full unit group",
+        ),
+        (lambda: named_group(NamedGroupId.BOREL, 11), "exponent congruence fails"),
+        (
+            lambda: closure(11, [Mat2(11, 1, 0, 0, 10), Mat2(11, 2, 0, 0, 2)]),
+            "no stabilizer index coprime to 6",
+        ),
+        (lambda: named_group(NamedGroupId.DELTA1, 11), "no admissible inertia image"),
+    ],
+    ids=["borel", "ell", "det", "congruence", "coprime", "inertia"],
+)
+def test_derive_delta_precondition_order(build, message):
+    with pytest.raises(PreconditionError, match=message):
+        derive_delta(build())
 
 
 def test_hypotheses_reject_bad_exponent():
-    with pytest.raises(PreconditionError):
-        BlHypotheses(inertia_exponent=5)
+    g = named_group(NamedGroupId.NORM_SPLIT, 11)
+    message = r"inertia exponent must be one of \(1, 2, 3, 4, 6\)"
+    with pytest.raises(PreconditionError, match=message):
+        not_bl_check(g, 5)
 
 
 def test_not_bl_nonsplit_cartan_13():
     g = named_group(NamedGroupId.NONSPLIT_CARTAN, 13)
-    report = not_bl_check(g, BlHypotheses(inertia_exponent=1))
+    report = not_bl_check(g, 1)
     assert report.ambient == "NormNonsplit"
     assert {idx for idx, _ in report.table.values()} == {168}
 
 
 def test_not_bl_norm_split_11():
     g = named_group(NamedGroupId.NORM_SPLIT, 11)
-    report = not_bl_check(g, BlHypotheses(inertia_exponent=1))
+    report = not_bl_check(g, 1)
     assert report.table[(1, 0)] == (20, 2)
 
 
 def test_not_bl_norm_nonsplit_5():
     g = named_group(NamedGroupId.NORM_NONSPLIT, 5)
-    report = not_bl_check(g, BlHypotheses(inertia_exponent=1))
+    report = not_bl_check(g, 1)
     assert len(report.table) == 24
     assert all(idx % 2 == 0 for idx, _ in report.table.values())
 
@@ -236,7 +256,15 @@ def test_not_bl_norm_nonsplit_5():
 def test_not_bl_rejects_group_outside_normalizers():
     g = named_group(NamedGroupId.BOREL, 11)
     with pytest.raises(PreconditionError):
-        not_bl_check(g, BlHypotheses())
+        not_bl_check(g, 1)
+
+
+def test_not_bl_rejects_partial_determinant():
+    # diag(2, 2^-1) and the flip of determinant 1 generate a subgroup of
+    # SL2 in NormSplit(11), outside the split Cartan
+    g = closure(11, [Mat2(11, 2, 0, 0, 6), Mat2(11, 0, 1, 10, 0)])
+    with pytest.raises(PreconditionError, match="determinant image is not the full unit group"):
+        not_bl_check(g, 1)
 
 
 def test_not_bl_rejects_unrealizable_inertia():
@@ -247,7 +275,7 @@ def test_not_bl_rejects_unrealizable_inertia():
     g = closure(11, tuple(squares) + (flip,))
     for e in (1, 2, 3, 4, 6):
         with pytest.raises(PreconditionError):
-            not_bl_check(g, BlHypotheses(inertia_exponent=e))
+            not_bl_check(g, e)
 
 
 def test_admissible_inertia_exponents_full_normalizer():

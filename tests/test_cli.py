@@ -370,6 +370,23 @@ def test_verify_ignored_option_exit_1(argv, ignored, capsys):
     assert captured.err == f"error: harness {argv[0]} does not take {ignored}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["--ell-max", "5", "--trials", "3"], "--trials"),
+        (["--ell-max", "7", "--seed", "9"], "--seed"),
+        (["--trials", "3", "--seed", "9"], "--trials, --seed"),
+    ],
+)
+def test_verify_easy_d_sampling_below_ell_11_exit_1(argv, given, capsys):
+    assert main(["verify", "easy-d", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: harness easy-d does not take {given} unless --ell-max is at least 11\n"
+    )
+
+
 @pytest.mark.parametrize("witness", ["a,b", "1", "1,2,3", ""])
 def test_classify_bad_witness_exit_1(witness, tmp_path, capsys):
     path = tmp_path / "g.json"

@@ -485,6 +485,13 @@ def test_easy_d_small(harness_run):
     assert r.details == {"ell_5_subgroups": 461}
 
 
+def test_easy_d_samples_at_ell_11(harness_run):
+    r = harness_run("easy-d", ell_max=11, trials=3, seed=1)
+    # 3 samples, each at the 12 points of P^1(F_11), past the 16398 of ell = 5, 7
+    assert r.ok and r.checked == 16434
+    assert r.details == {"ell_5_subgroups": 461, "ell_7_subgroups": 1704, "ell_11_samples": 3}
+
+
 def test_classify_small(harness_run):
     r = harness_run("classify", ell_max=5)
     assert r.ok and r.checked == 121
@@ -531,3 +538,8 @@ def test_harness_ids_all_registered():
     from gl2tors.verify import _HARNESSES
 
     assert set(HARNESS_IDS) == set(_HARNESSES)
+    # the order of the CLI's harness choices
+    assert HARNESS_IDS == (
+        "sl", "ab-subgp", "cyclic", "normalizers", "ns-nns",
+        "easy-d", "classify", "not-bl", "bl", "l-part",
+    )
