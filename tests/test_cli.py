@@ -186,8 +186,8 @@ def test_group_verb_stdout_pinned(group, verb, fmt, tmp_path, capsys):
 
 
 # sha256 of `verify --format json` stdout for the harnesses that enumerate
-# subgroups or cyclic subgroups: how they are enumerated may change, the
-# bytes may not
+# subgroups, cyclic subgroups or SL2 matrices: how they are enumerated may
+# change, the bytes may not
 _PINNED_VERIFY_STDOUT = {
     "easy-d --ell-max 5": "61225549014fab9b3dd23d0a35d1ff5c09ec2649a4cb98c942918be6ca10e410",
     "classify --ell-max 5": "2dfbc10f6a678b3985026b2d43bc869a710e6c39d790c8ec96f6529515ff1bb6",
@@ -199,6 +199,10 @@ _PINNED_VERIFY_STDOUT = {
     "normalizers": "026ea356fb5ffcef0bcdb0ba69e15b78e41157feb69cb59158fa2da696adb5c8",
     "ns-nns": "98fe2c4275d35797583ef9821cff8e0d290fec191acac5d4b5e816e6e4ecd670",
     "ab-subgp --trials 5": "0ce410f78ccec99205405fdfe5aa2bb26bd7b46174d3474870ccde807839e2ec",
+    "sl": "b33e4f48b64cee95541996fd203777e5c9a637b86dd74386aa2d9793a06f6fd1",
+    "easy-d --ell-max 11 --trials 3 --seed 1": (
+        "477fee170d76e94f54bde1f2735c16fed00cc973e9464235831763398ccc5930"
+    ),
 }
 
 
