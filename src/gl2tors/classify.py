@@ -153,7 +153,10 @@ class NotBlReport:
 
 def not_bl_check(g: Subgroup, e: int) -> NotBlReport:
     """Verify that every vector-stabilizer index is divisible by 2 or 3, for
-    an image with inertia exponent e."""
+    an image with inertia exponent e. A group in both Cartan normalizers is
+    read in NormNonsplit: mod 13, one of order 48 above the 6-th power of the
+    split Cartan is refused there, as the 6-th power of the non-split Cartan
+    is not in it; read in NormSplit, it would be refused on inertia."""
     if e not in INERTIA_EXPONENTS:
         raise PreconditionError(f"inertia exponent must be one of {INERTIA_EXPONENTS}")
     ell = g.n
@@ -181,6 +184,11 @@ def not_bl_check(g: Subgroup, e: int) -> NotBlReport:
         raise PreconditionError(
             f"no admissible inertia image with exponent {e} inside the group"
         )
+    return NotBlReport(ambient, e, _small_divisor_table(g))
+
+
+def _small_divisor_table(g: Subgroup) -> dict[tuple[int, int], tuple[int, int]]:
+    """not_bl_check's conclusion: (index, 2 or 3) per vector; an index coprime to 6 raises."""
     table = {}
     for vec, idx in exhaustive_spectrum(g).items():
         if idx % 2 == 0:
@@ -191,7 +199,7 @@ def not_bl_check(g: Subgroup, e: int) -> NotBlReport:
             raise LemmaViolationError(
                 f"stabilizer index {idx} at vector {vec} is coprime to 6"
             )
-    return NotBlReport(ambient, e, table)
+    return table
 
 
 @dataclass(frozen=True)

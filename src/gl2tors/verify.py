@@ -20,7 +20,7 @@ from .groups import (
     named_group,
     subgroup_from_entries,
 )
-from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum, unipotent_class
+from .stabilizers import ProjPoint, degree_spectrum, unipotent_class
 from .lemmas import (
     _gl2_elements,
     brute_force_cartan_conjugator,
@@ -31,9 +31,11 @@ from .lemmas import (
     normalizer_in_gl2,
 )
 from .classify import (
+    INERTIA_EXPONENTS,
     _bl_candidate_spectrum,
     _cartan_power,
     _delta_verdict,
+    _small_divisor_table,
     classify_image,
     not_bl_check,
 )
@@ -241,21 +243,20 @@ def _ells(ell_max: int | None, pool: tuple[int, ...]) -> list[int]:
 def harness_sl(ell_max: int | None = None) -> HarnessResult:
     violations = []
     details = {}
-    checked = 0
     for ell in _ells(ell_max, (5, 7, 11, 13)):
-        count = 0
+        details[f"ell_{ell}"] = 0
         for x in _gl2_elements(ell):
             if x.det() != 1:
                 continue
-            word = decompose_sl2(x)
-            checked += 1
-            count += 1
+            details[f"ell_{ell}"] += 1
+            try:
+                word = decompose_sl2(x)
+            except LemmaViolationError as exc:
+                violations.append(str(exc))
+                continue
             if len(word) > 12:
                 violations.append(f"word of length {len(word)} for {x}")
-            if word.evaluate() != x:
-                violations.append(f"round-trip failure for {x}")
-        details[f"ell_{ell}"] = count
-    return HarnessResult("sl", checked, tuple(violations), details)
+    return HarnessResult("sl", sum(details.values()), tuple(violations), details)
 
 
 def _ell_divides_order(x: Mat2) -> bool:
@@ -302,9 +303,10 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
     details = {"cyclic_subgroups": 0, "random_abelian": 0}
     for source, h, where in groups:
         details[source] += 1
-        emb = conjugate_into_cartan(h)
-        if not emb.verify(h):
-            violations.append(f"unverified embedding {where}")
+        try:
+            conjugate_into_cartan(h)
+        except LemmaViolationError as exc:
+            violations.append(f"unverified embedding {where}: {exc}")
         if brute_force_cartan_conjugator(h) is None:
             violations.append(f"oracle disagreement {where}")
     return HarnessResult("ab-subgp", sum(details.values()), tuple(violations), details)
@@ -312,18 +314,17 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
 
 def harness_cyclic() -> HarnessResult:
     """Every odd-order prime-to-11 subgroup of SL2(F_11) from ≤ 2 generators is cyclic."""
-    ell = 11
-    table = _MulTable(ell, sorted(named_group(NamedGroupId.SL2, ell).entries))
+    table = _MulTable(11, sorted(named_group(NamedGroupId.SL2, 11).entries))
     violations = []
     checked = 0
     for ids in table.two_generated():
-        if len(ids) % 2 == 0 or len(ids) % ell == 0:
-            continue
-        checked += 1
         try:
             cyclic_generator(table.to_subgroup(ids))
+        except PreconditionError:
+            continue
         except LemmaViolationError as exc:
             violations.append(str(exc))
+        checked += 1
     return HarnessResult("cyclic", checked, tuple(violations), {"subgroups": checked})
 
 
@@ -359,6 +360,10 @@ def harness_normalizers(ell_max: int | None = None) -> HarnessResult:
 
 
 def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
+    """conjugate_into_normalizer on the cyclic and sampled abelian subgroups
+    whose determinant-1 part has odd order prime to ell. The lemma also takes
+    one odd only up to the scalar -1, 2584 of these 3382 groups against the
+    filter's 1882: the filter stays, as the domain the harness counts."""
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -396,37 +401,30 @@ def harness_easy_d(
         raise UsageError(
             f"harness easy-d does not take {', '.join(given)} unless --ell-max is at least 11"
         )
-    violations = []
-    checked = 0
+    batches = []  # (label, projective points, groups); a sample is drawn as the loop reaches it
     details = {}
     for ell in _ells(ell_max, (5, 7)):
-        table = _gl2_table(ell)
         subgroups = _gl2_two_generated(ell)
         details[f"ell_{ell}_subgroups"] = len(subgroups)
-        points = ProjPoint.all_points(ell)
-        for ids in subgroups:
-            g = table.to_subgroup(ids)
+        groups = map(_gl2_table(ell).to_subgroup, subgroups)
+        batches.append((f"ell = {ell}", ProjPoint.all_points(ell), groups))
+    if sampled:
+        trials = 100 if trials is None else trials
+        rng = random.Random(0 if seed is None else seed)
+        pool = _gl2_elements(11)
+        draws = (closure(11, [rng.choice(pool), rng.choice(pool)]) for _ in range(trials))
+        batches.append(("ell = 11 sample", ProjPoint.all_points(11), draws))
+        details["ell_11_samples"] = trials
+    violations = []
+    checked = 0
+    for label, points, groups in batches:
+        for g in groups:
             for p in points:
                 checked += 1
                 try:
                     unipotent_class(g, p)
                 except LemmaViolationError as exc:
-                    violations.append(f"ell = {ell}, order {g.order}, {p}: {exc}")
-    if sampled:
-        trials = 100 if trials is None else trials
-        rng = random.Random(0 if seed is None else seed)
-        pool = _gl2_elements(11)
-        for _ in range(trials):
-            x = pool[rng.randrange(len(pool))]
-            y = pool[rng.randrange(len(pool))]
-            g = closure(11, [x, y])
-            for p in ProjPoint.all_points(11):
-                checked += 1
-                try:
-                    unipotent_class(g, p)
-                except LemmaViolationError as exc:
-                    violations.append(f"ell = 11 sample, order {g.order}, {p}: {exc}")
-        details["ell_11_samples"] = trials
+                    violations.append(f"{label}, order {g.order}, {p}: {exc}")
     return HarnessResult("easy-d", checked, tuple(violations), details)
 
 
@@ -490,30 +488,24 @@ def harness_not_bl(ell_max: int | None = None) -> HarnessResult:
             (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NORM_SPLIT),
         ):
             cartan = named_group(cartan_id, ell)
-            ambient = named_group(norm_id, ell)
-            table = _MulTable(ell, sorted(ambient.entries))
+            table = _MulTable(ell, sorted(named_group(norm_id, ell).entries))
             nonsplit = cartan_id is NamedGroupId.NONSPLIT_CARTAN
-            for e in (1, 2, 3, 4, 6):
+            for e in INERTIA_EXPONENTS:
                 for g in _subgroups_between(table, _cartan_power(cartan, e)):
                     if not nonsplit and g <= cs:
                         continue
                     checked += 1
-                    if nonsplit:
-                        # divisibility holds with no extra hypotheses here
-                        for vec, idx in exhaustive_spectrum(g).items():
-                            if idx % 2 and idx % 3:
-                                violations.append(
-                                    f"ell = {ell}, e = {e}, order {g.order}: "
-                                    f"index {idx} at {vec} coprime to 6"
-                                )
-                                break
                     try:
-                        not_bl_check(g, e)
-                        details["verified"] += 1
-                    except PreconditionError:
-                        details["precondition_excluded"] += 1
+                        try:
+                            not_bl_check(g, e)
+                            details["verified"] += 1
+                        except PreconditionError:
+                            details["precondition_excluded"] += 1
+                            if nonsplit:
+                                # divisibility holds here with no extra hypotheses
+                                _small_divisor_table(g)
                     except LemmaViolationError as exc:
-                        violations.append(f"ell = {ell}, e = {e}: {exc}")
+                        violations.append(f"ell = {ell}, e = {e}, order {g.order}: {exc}")
     return HarnessResult("not-bl", checked, tuple(violations), details)
 
 
@@ -534,10 +526,8 @@ def harness_bl() -> HarnessResult:
             continue
         checked += 1
         try:
-            verdict = _delta_verdict(g, spectrum)
+            _delta_verdict(g, spectrum)
             details["verified"] += 1
-            if verdict.delta_kind not in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
-                violations.append(f"order {g.order}: unexpected kind {verdict.delta_kind}")
         except PreconditionError:
             details["rejected_no_inertia"] += 1
         except LemmaViolationError as exc:

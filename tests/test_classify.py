@@ -18,7 +18,7 @@ from gl2tors.groups import (
 )
 from gl2tors.lemmas import _gl2_elements
 from gl2tors.stabilizers import ProjPoint
-from gl2tors.verify import run_harness
+from gl2tors.verify import _MulTable, _subgroups_between, run_harness
 from gl2tors.classify import (
     INERTIA_EXPONENTS,
     _cartan_power,
@@ -276,6 +276,25 @@ def test_not_bl_rejects_unrealizable_inertia():
     for e in (1, 2, 3, 4, 6):
         with pytest.raises(PreconditionError):
             not_bl_check(g, e)
+
+
+def test_not_bl_reads_group_in_both_normalizers_in_nonsplit():
+    """Mod 13 one group of full determinant above the 6-th power of the
+    split Cartan also lies in NormNonsplit: not_bl_check reads it there and
+    refuses it on the non-split Cartan's 6-th power, and read in NormSplit,
+    where it passes the determinant and Cartan-power hypotheses, inertia
+    would refuse it."""
+    ns, nns, cs = (
+        named_group(gid, 13)
+        for gid in (NamedGroupId.NORM_SPLIT, NamedGroupId.NORM_NONSPLIT, NamedGroupId.SPLIT_CARTAN)
+    )
+    above = _subgroups_between(_MulTable(13, sorted(ns.entries)), _cartan_power(cs, 6))
+    both = [g for g in above if g <= nns and not g <= cs and len(g.det_image()) == 12]
+    assert [g.order for g in both] == [48]
+    message = "^the 6-th power of the ambient Cartan is not contained in the group$"
+    with pytest.raises(PreconditionError, match=message):
+        not_bl_check(both[0], 6)
+    assert 6 not in admissible_inertia_exponents(both[0])
 
 
 def test_admissible_inertia_exponents_full_normalizer():

@@ -1,11 +1,14 @@
 import functools
+import json
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gl2tors.errors import PreconditionError, ResourceLimitError
+from gl2tors import classify, verify
+from gl2tors.cli import main
+from gl2tors.errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from gl2tors.classify import _cartan_power
 from gl2tors.groups import (
     NamedGroupId,
@@ -15,7 +18,7 @@ from gl2tors.groups import (
     named_group,
     subgroup_from_entries,
 )
-from gl2tors.lemmas import _gl2_elements
+from gl2tors.lemmas import Conjugation, SL2Word, _gl2_elements
 from gl2tors.modarith import Mat2, element_order, mat_mul
 from gl2tors.verify import (
     HARNESS_IDS,
@@ -508,6 +511,79 @@ def test_bl(harness_run):
     r = harness_run("bl")
     assert r.ok and r.checked == 24
     assert r.details == {"verified": 2, "rejected_no_inertia": 22}
+
+
+def _violating_once(real):
+    """The lemma real, except that the first instance it accepts raises
+    LemmaViolationError."""
+    planted = []
+
+    def lemma(*args):
+        result = real(*args)
+        if not planted:
+            planted.append(args)
+            raise LemmaViolationError("planted violation")
+        return result
+
+    return lemma
+
+
+@pytest.mark.parametrize(
+    "lemma, argv, checked",
+    [
+        ("decompose_sl2", ["sl", "--ell-max", "5"], 120),
+        ("conjugate_into_cartan", ["ab-subgp", "--trials", "0"], 2248),
+        ("cyclic_generator", ["cyclic"], 122),
+        ("_small_divisor_table", ["not-bl", "--ell-max", "11"], 56),
+        ("_delta_verdict", ["bl"], 24),
+    ],
+)
+def test_lemma_violation_is_reported_as_data(lemma, argv, checked, capsys, monkeypatch):
+    """A LemmaViolationError from the lemma a harness checks is one
+    violation of the result, the harness still counts that instance, and
+    verify exits 3 with the result on stdout."""
+    monkeypatch.setattr(verify, lemma, _violating_once(getattr(verify, lemma)))
+    # the Cartan oracle of ab-subgp is not under test, and its scan is slow
+    monkeypatch.setattr(verify, "brute_force_cartan_conjugator", lambda h: h)
+    assert main(["--format", "json", "verify", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out)
+    assert not result["ok"] and result["checked"] == checked
+    assert len(result["violations"]) == 1
+    assert result["violations"][0].endswith("planted violation")
+
+
+def test_sl_evaluates_each_word_once(monkeypatch):
+    evaluated = []
+    evaluate = SL2Word.evaluate
+    monkeypatch.setattr(SL2Word, "evaluate", lambda word: evaluated.append(word) or evaluate(word))
+    assert run_harness("sl", ell_max=5).checked == 120
+    assert len(evaluated) == 120
+
+
+def test_ab_subgp_verifies_each_witness_once(monkeypatch):
+    verified = []
+    check = Conjugation.verify
+    monkeypatch.setattr(Conjugation, "verify", lambda emb, h: verified.append(h) or check(emb, h))
+    monkeypatch.setattr(verify, "brute_force_cartan_conjugator", lambda h: h)
+    r = run_harness("ab-subgp", trials=0)
+    assert r.checked == 2248
+    assert len(verified) == 2248
+
+
+def test_not_bl_computes_each_spectrum_once_at_most(monkeypatch):
+    """The harness leaves the exhaustive spectrum to the lemma, which computes
+    it once per call, and calls it at most once per checked pair."""
+    assert not hasattr(verify, "exhaustive_spectrum")
+    computed = []
+    spectrum = classify.exhaustive_spectrum
+    monkeypatch.setattr(
+        classify, "exhaustive_spectrum", lambda g: computed.append(g) or spectrum(g)
+    )
+    r = run_harness("not-bl", ell_max=11)
+    assert r.checked == 56
+    assert len(computed) <= r.checked
 
 
 @pytest.mark.parametrize("ell", [5, 7])
