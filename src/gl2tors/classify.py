@@ -154,9 +154,10 @@ class NotBlReport:
 def not_bl_check(g: Subgroup, e: int) -> NotBlReport:
     """Verify that every vector-stabilizer index is divisible by 2 or 3, for
     an image with inertia exponent e. A group in both Cartan normalizers is
-    read in NormNonsplit: mod 13, one of order 48 above the 6-th power of the
+    read in NormNonsplit. Mod 13, one of order 48 above the 6-th power of the
     split Cartan is refused there, as the 6-th power of the non-split Cartan
-    is not in it; read in NormSplit, it would be refused on inertia."""
+    is not in it; read in NormSplit, it would be refused on inertia instead,
+    so either reading gives the same counts."""
     if e not in INERTIA_EXPONENTS:
         raise PreconditionError(f"inertia exponent must be one of {INERTIA_EXPONENTS}")
     ell = g.n
