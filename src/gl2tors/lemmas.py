@@ -233,12 +233,13 @@ def cyclic_generator(h: Subgroup) -> Mat2:
     """A single generator of an odd-order prime-to-ell subgroup of SL2(F_ell)."""
     ell = h.n
     _check_odd_prime(ell)
-    if h.det_image() != {1}:
-        raise PreconditionError("group is not contained in SL2")
+    # the order tests read h.order alone, so they come before the det pass
     if h.order % 2 == 0:
         raise PreconditionError("group order is even")
     if h.order % ell == 0:
         raise PreconditionError("group order is divisible by the characteristic")
+    if h.det_image() != {1}:
+        raise PreconditionError("group is not contained in SL2")
     for e in h.entries:
         x = Mat2(ell, *e)
         if element_order(x) == h.order:

@@ -61,10 +61,16 @@ def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
     return frozenset(index[e] for e in group.entries)
 
 
+def _row_sets(members: np.ndarray) -> list[frozenset[int]]:
+    """The id set of each row of a membership matrix."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in members]
+
+
 def _close_one(table: _MulTable, gen_ids, start=()) -> frozenset[int]:
     """The closure of one id set: a batch of one row of _table_closures."""
     gen_row = np.fromiter(gen_ids, dtype=np.intp)[None, :]
-    return next(_table_closures(table.table, table.identity, gen_row, [start]))
+    [members] = _row_sets(_table_closures(table.table, table.identity, gen_row, [start]))
+    return members
 
 
 def _cyclic_subgroups_reference(n: int, entries) -> list[Subgroup]:
@@ -123,12 +129,12 @@ def _borel_table(ell: int) -> _MulTable:
 def test_two_generated_gl2_5_matches_reference():
     subgroups = _gl2_two_generated(5)
     assert len(subgroups) == 461
-    assert set(subgroups) == _two_generated_reference(_gl2_table(5))
+    assert set(subgroups) == _two_generated_reference_of("GL2(5)")
 
 
 def test_two_generated_borel_7_matches_reference():
     table = _borel_table(7)
-    assert table.two_generated() == _two_generated_reference(table)
+    assert table.two_generated() == _two_generated_reference_of("Borel(7)")
 
 
 def _small_ambient(ell: int, rng: random.Random):
@@ -182,6 +188,91 @@ def _closure_table(name: str) -> _MulTable:
     return _MulTable(int(ell), sorted(named_group(NamedGroupId(family), int(ell)).entries))
 
 
+@functools.lru_cache(maxsize=None)
+def _two_generated_reference_of(name: str) -> set[frozenset[int]]:
+    """_two_generated_reference on a named table, computed once per session."""
+    return _two_generated_reference(_closure_table(name))
+
+
+def _two_generated_batches(table: _MulTable) -> tuple[set[frozenset[int]], list[np.ndarray]]:
+    """two_generated on the table, and the generator rows of each
+    _table_closures batch it closes."""
+    batches = []
+    closures = verify._table_closures
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            verify, "_table_closures", lambda *args: batches.append(args[2]) or closures(*args)
+        )
+        return table.two_generated(), batches
+
+
+@pytest.mark.parametrize("name, rows", [("GL2(5)", 227), ("Borel(7)", 355)])
+def test_two_generated_closes_class_ordered_pairs(name, rows):
+    """One batch closes only the class-ordered pairs, 227 rows on GL2(F_5)
+    where every normalizer orbit gave 414, and 355 on Borel(7) against 694,
+    and the subgroups found are still every two-generated one."""
+    subgroups, batches = _two_generated_batches(_closure_table(name))
+    assert subgroups == _two_generated_reference_of(name)
+    assert [len(gen_rows) for gen_rows in batches] == [rows]
+
+
+def _orbit_reps_reference(images: np.ndarray) -> list[int]:
+    """The first index of each orbit, by the greedy loop that two_generated
+    ran before its min-reduction: images[c, j] is the index of the image of
+    item j under conjugator c, for conjugators that form a group."""
+    seen = np.zeros(images.shape[1], dtype=bool)
+    reps = []
+    for j in range(images.shape[1]):
+        if not seen[j]:
+            seen[images[:, j]] = True
+            reps.append(j)
+    return reps
+
+
+def _class_ordered_pairs_reference(table: _MulTable) -> set[tuple[int, int]]:
+    """The generator ids of the pairs of cyclic subgroups (H_i, H_j) that
+    two_generated should close: H_i the first of its class, H_j the first of
+    its orbit under the normalizer of H_i, the class of H_j not before that
+    of H_i, and neither inside the other. Every first is found by the greedy
+    loop, and each normalizer by testing every element."""
+    t, k = table.table, len(table.entries)
+    cyclic = _cyclic_ids_reference(table)
+    keys = sorted(cyclic, key=len)
+    gens = np.array([cyclic[s] for s in keys])
+    position = {s: j for j, s in enumerate(keys)}
+    cyc_of = np.array([position[_closure_ids(table, [x])] for x in range(k)])
+    # conj[g, x] = g⁻¹·x·g
+    conj = t[t[table.inverse], np.arange(k)[:, None]]
+    images = cyc_of[conj[:, gens]]
+    firsts = _orbit_reps_reference(images)
+    class_of = np.empty(len(keys), dtype=int)
+    for i in firsts:
+        class_of[images[:, i]] = i
+    pairs = set()
+    for i in firsts:
+        ids = sorted(keys[i])
+        normalizer = [g for g in range(k) if set(conj[g, ids].tolist()) == keys[i]]
+        for j in _orbit_reps_reference(images[normalizer]):
+            if class_of[j] >= i and gens[j] not in keys[i] and gens[i] not in keys[j]:
+                pairs.add((int(gens[i]), int(gens[j])))
+    return pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_two_generated_group())
+@example(named_group(NamedGroupId.SL2, 5))
+def test_min_reduction_matches_greedy_orbit_reps(g):
+    """The least conjugate index picks the same orbit representatives as the
+    greedy loop, on all of the group and on each normalizer: the pairs
+    two_generated closes, each once, are the class-ordered pairs of the
+    greedy representatives."""
+    table = _MulTable(g.n, sorted(g.entries))
+    [gen_rows] = _two_generated_batches(table)[1]
+    closed = {(i, j) for i, j in gen_rows.tolist()}
+    assert len(closed) == len(gen_rows)
+    assert closed == _class_ordered_pairs_reference(table)
+
+
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -215,7 +306,7 @@ def test_batched_closure_matches_tuple_bfs(name, data):
         for group in expected
     ]
     gen_rows = np.array(rows, dtype=np.intp).reshape(len(rows), width)
-    assert list(_table_closures(table.table, e, gen_rows, starts)) == expected
+    assert _row_sets(_table_closures(table.table, e, gen_rows, starts)) == expected
 
 
 @pytest.mark.parametrize("name", _CLOSURE_TABLES)
@@ -230,7 +321,7 @@ def test_table_closure_edge_cases(name):
     assert _close_one(table, range(k)) == frozenset(range(k))
     for width in (0, 2):
         no_rows = np.empty((0, width), dtype=np.intp)
-        assert list(_table_closures(table.table, e, no_rows, [])) == []
+        assert _row_sets(_table_closures(table.table, e, no_rows, [])) == []
 
 
 @pytest.mark.parametrize(
@@ -321,6 +412,17 @@ def test_to_subgroup_matches_element_built_group(name, monkeypatch):
         assert g.generators == reference.generators
         assert "generators" in vars(g)
         assert [x.entries() for x in g.generators] == sorted(table.entries[i] for i in ids)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_gl2_table_builds_no_mat2(ell, monkeypatch):
+    """The GL2 table lists the entry tuples of _gl2_elements, in its order,
+    and building it constructs no Mat2."""
+    built = _counted_mat2_builds(monkeypatch)
+    table = _gl2_table.__wrapped__(ell)
+    assert built == []
+    monkeypatch.undo()
+    assert table.entries == [x.entries() for x in _gl2_elements(ell)]
 
 
 def _subgroups_between_reference(
@@ -476,6 +578,17 @@ def test_cyclic(harness_run):
     assert r.details == {"subgroups": 122}
 
 
+def test_cyclic_reads_det_image_of_accepted_groups_only(monkeypatch):
+    """cyclic_generator refuses on order before it reads the determinant
+    image, so the harness reads it for the 122 groups it accepts, not for
+    all 766 two-generated subgroups of SL2(F_11)."""
+    read = []
+    det_image = Subgroup.det_image
+    monkeypatch.setattr(Subgroup, "det_image", lambda g: read.append(g) or det_image(g))
+    assert run_harness("cyclic").checked == 122
+    assert len(read) == 122
+
+
 def test_normalizers_small():
     r = run_harness("normalizers", ell_max=7)
     assert r.ok and r.checked == 34
@@ -584,6 +697,21 @@ def test_not_bl_computes_each_spectrum_once_at_most(monkeypatch):
     r = run_harness("not-bl", ell_max=11)
     assert r.checked == 56
     assert len(computed) <= r.checked
+
+
+def test_not_bl_runs_each_fallback_conclusion_once(monkeypatch):
+    """A group above several Cartan powers comes back once per exponent; the
+    fallback skips one whose 2-or-3 conclusion already ran, so a default run
+    computes 74 spectra for its 39 distinct groups, where it computed 84."""
+    computed = []
+    spectrum = classify.exhaustive_spectrum
+    monkeypatch.setattr(
+        classify, "exhaustive_spectrum", lambda g: computed.append(g) or spectrum(g)
+    )
+    r = run_harness("not-bl")
+    assert (r.checked, r.details) == (158, {"precondition_excluded": 103, "verified": 55})
+    assert len(set(computed)) == 39
+    assert len(computed) == 74 < 84
 
 
 @pytest.mark.parametrize("ell", [5, 7])
