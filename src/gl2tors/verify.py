@@ -5,7 +5,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import Iterable
 
 import numpy as np
@@ -73,27 +73,25 @@ _BLOCK_ROWS = 64
 
 
 def _table_closures(
-    table: np.ndarray, identity: int, gen_rows: np.ndarray, starts: Iterable[Iterable[int]]
+    table: np.ndarray, identity: int, gen_rows: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Closures of a batch of id sets under an int32 Cayley table of a finite
     group: the B × k boolean membership matrix whose row r is the subgroup
     generated by row r of the B × m array gen_rows.
 
-    A breadth-first search from the identity, each row's generators and its
-    start ids multiplies each level on the right by that row's generators.
-    A start set must lie in the group its row generates; seeding with more
-    of it reaches the group in fewer levels. One flat boolean mask over the
-    codes row·k + id holds every row's members, so a level is the same few
-    numpy calls for the whole batch: its products not yet in the mask, each
-    once, are the next frontier.
+    A breadth-first search from the identity, each row's generators and the
+    ids of its row of the B × k boolean matrix starts multiplies each level
+    on the right by that row's generators. A start set must lie in the group
+    its row generates; seeding with more of it reaches the group in fewer
+    levels. One flat boolean mask over the codes row·k + id holds every
+    row's members, so a level is the same few numpy calls for the whole
+    batch: its products not yet in the mask, each once, are the next frontier.
     """
     k = len(table)
     offsets = np.arange(len(gen_rows)) * k
-    inside = np.zeros(len(gen_rows) * k, dtype=bool)
+    inside = np.array(starts, dtype=bool).reshape(len(gen_rows) * k)
     inside[(offsets[:, None] + gen_rows).ravel()] = True
     inside[offsets + identity] = True
-    for offset, start in zip(offsets, starts):
-        inside[offset + np.fromiter(start, dtype=np.intp)] = True
     frontier = np.flatnonzero(inside)
     while frontier.size:
         row, ids = np.divmod(frontier, k)
@@ -175,40 +173,36 @@ class _MulTable:
         # holding x: keys grow in size, so it is the first row holding x
         cyc_of = np.argmax(key_mask, axis=0)
 
-        def normalizer(h: np.ndarray) -> np.ndarray:
-            inside = np.zeros(k, dtype=bool)
-            inside[h] = True
-            return np.flatnonzero(inside[conj[:, h]].all(axis=1))
-
-        def least_conjugates(conjugators: np.ndarray) -> np.ndarray:
-            """The least index in keys of a conjugate of each key by the
-            conjugators: they form a group, so this is the least of its orbit."""
-            return cyc_of[conj[np.ix_(conjugators, gens)]].min(axis=0)
-
-        rep = least_conjugates(np.arange(k))
+        # images[g, j] is the index in keys of g⁻¹·H_j·g. Over a group of
+        # conjugators the least image of a key is the least index of its orbit.
+        images = cyc_of[conj[:, gens]]
+        rep = images.min(axis=0)
         pairs = []
         for i in np.flatnonzero(rep == key_ids):
-            local = least_conjugates(normalizer(np.flatnonzero(key_mask[i])))
+            # the normalizer of H_i: the g with g⁻¹·H_i·g = H_i
+            local = images[images[:, i] == i].min(axis=0)
             # a pair with one cyclic subgroup inside the other closes to a key
             js = np.flatnonzero(
                 (local == key_ids) & (rep >= i) & ~key_mask[i, gens] & ~key_mask[:, gens[i]]
             )
             pairs.append(np.column_stack((np.full(len(js), i), js)))
         pairs = np.concatenate(pairs)
+        gen_rows = gens[pairs]
         # started from both cyclic subgroups, each search needs fewer levels
-        members = _table_closures(
-            table, self.identity, gens[pairs], (chain(keys[i], keys[j]) for i, j in pairs.tolist())
-        )
+        starts = key_mask[pairs[:, 0]] | key_mask[pairs[:, 1]]
+        members = _table_closures(table, self.identity, gen_rows, starts)
         # a subgroup is known by the bytes of its packed membership row
         known = {row.tobytes() for row in np.packbits(key_mask, axis=1)}
         subgroups: set[frozenset[int]] = set(keys)
-        for row, packed in zip(members, np.packbits(members, axis=1)):
+        for row, packed, pair in zip(members, np.packbits(members, axis=1), gen_rows):
             if packed.tobytes() in known:
                 continue
             ids = np.flatnonzero(row)
+            # g normalizes H = ⟨pair⟩ when it maps both generators into H, and
             # g⁻¹·H·g depends only on the coset N(H)·g, labelled by its least element
+            normalizer = np.flatnonzero(row[conj[:, pair]].all(axis=1))
             labels = np.zeros(k, dtype=bool)
-            labels[table[normalizer(ids), :].min(axis=0)] = True
+            labels[table[normalizer, :].min(axis=0)] = True
             conjugates = conj[np.ix_(np.flatnonzero(labels), ids)]
             # the known subgroups are closed under conjugation and distinct
             # cosets give distinct conjugates, so every conjugate is new
@@ -478,7 +472,8 @@ def _subgroups_between(table: _MulTable, normal: Subgroup) -> list[Subgroup]:
         base = queue.pop()
         grow = [q for q in range(len(reps)) if q not in base]
         gen_rows = np.array([[*base, q] for q in grow], dtype=np.intp).reshape(-1, len(base) + 1)
-        for members in _table_closures(mul, ident, gen_rows, repeat(())):
+        no_starts = np.zeros((len(gen_rows), len(reps)), dtype=bool)
+        for members in _table_closures(mul, ident, gen_rows, no_starts):
             grown = frozenset(np.flatnonzero(members).tolist())
             if grown not in subs:
                 subs.add(grown)
