@@ -186,6 +186,9 @@ class _MulTable:
                 (local == key_ids) & (rep >= i) & ~key_mask[i, gens] & ~key_mask[:, gens[i]]
             )
             pairs.append(np.column_stack((np.full(len(js), i), js)))
+        # free the k × len(keys) int64 images before the batch, so that they
+        # do not add to its peak memory
+        del images
         pairs = np.concatenate(pairs)
         gen_rows = gens[pairs]
         # started from both cyclic subgroups, each search needs fewer levels
