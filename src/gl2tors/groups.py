@@ -36,8 +36,9 @@ class Subgroup:
     trusted: it checks nothing, so the caller guarantees that the entries are
     distinct, reduced into [0, n) and closed under multiplication, and that
     the generators generate them. With generators None, as
-    `subgroup_from_entries` wraps a filtered or enumerated subset, every
-    element in entry order is a generator, built as `Mat2` on first read.
+    `subgroup_from_entries` wraps a filtered subset and
+    `verify._MulTable.to_subgroup` an enumerated one, every element in entry
+    order is a generator, built as `Mat2` on first read.
     Order, the determinant image, the entry array, membership, containment
     (`<=`), equality and hashing read the tuples alone; the last three use
     only (n, the entry set), so one group with two generating sets compares
@@ -226,8 +227,8 @@ def _conjugation_target(
 
 def subgroup_from_entries(n: int, entries: Iterable[tuple[int, int, int, int]]) -> Subgroup:
     """Wrap the reduced entries of an already-closed subset, such as one cut
-    out of a group by a filter or found by enumeration, in ascending entry
-    order; its generators are every element, built on first read."""
+    out of a group by a filter, in ascending entry order; its generators are
+    every element, built on first read."""
     return Subgroup(n, None, sorted(set(entries)))
 
 

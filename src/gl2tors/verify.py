@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,9 +18,8 @@ from .groups import (
     _cyclic_subgroups,
     closure,
     named_group,
-    subgroup_from_entries,
 )
-from .stabilizers import ProjPoint, degree_spectrum, unipotent_class
+from .stabilizers import ProjPoint, unipotent_class
 from .lemmas import (
     _gl2_elements,
     brute_force_cartan_conjugator,
@@ -103,14 +102,16 @@ def _table_closures(
 
 
 class _MulTable:
-    """Multiplication table over a list of reduced (a, b, c, d) entry tuples
-    mod n, indexed by integers. A list that is not a group (a product outside
-    it, no identity, an element with no inverse in it) is a PreconditionError.
+    """Multiplication table over a list of distinct reduced (a, b, c, d) entry
+    tuples mod n, indexed by integers in ascending entry order. A list that is
+    not a group (a product outside it, no identity, an element with no inverse
+    in it) is a PreconditionError.
     """
 
     def __init__(self, n: int, entries: Iterable[tuple[int, int, int, int]]):
         self.n = n
-        self.entries = list(entries)
+        # ascending, so that sorted ids list a subgroup's entries in ascending order
+        self.entries = sorted(entries)
         self.index = {e: i for i, e in enumerate(self.entries)}
         k = len(self.entries)
         a, b, c, d = np.array(self.entries, dtype=np.int64).reshape(k, 4).T
@@ -216,8 +217,33 @@ class _MulTable:
         return subgroups
 
     def to_subgroup(self, ids: Iterable[int]) -> Subgroup:
-        """The subgroup on these ids, wrapped by subgroup_from_entries: no Mat2 is built."""
-        return subgroup_from_entries(self.n, (self.entries[i] for i in ids))
+        """The subgroup on these distinct ids, its entries in ascending order
+        as subgroup_from_entries holds them: no Mat2 is built."""
+        return Subgroup(self.n, None, [self.entries[i] for i in sorted(ids)])
+
+
+def _odd_index_witnesses(table: _MulTable, subgroups: Sequence[frozenset[int]]) -> np.ndarray:
+    """For each id set of a subgroup of GL2(F_ell) on the table, the position
+    in ProjPoint.all_points(ell) of its first point of odd stabilizer index,
+    or -1 where it has none: the point degree_spectrum(g).odd_index_point()
+    picks, for every subgroup in one pass.
+
+    fixes[x, p] says that element x fixes the representative vector v_p, so
+    a subgroup's rows of it sum to |Stab(v_p)| at each point, and the index
+    is |G| // |Stab(v_p)| by orbit-stabilizer. all_points lists the points in
+    sorted order, so the first odd column is the first odd point. Every
+    subgroup holds the identity, so no segment of the reduceat is empty.
+    """
+    ell = table.n
+    points = ProjPoint.all_points(ell)
+    pc, pd = np.array([(p.c, p.d) for p in points]).T
+    a, b, c, d = np.array(table.entries).T[..., None]
+    fixes = ((pc * a + pd * c) % ell == pc) & ((pc * b + pd * d) % ell == pd)
+    sizes = np.fromiter(map(len, subgroups), dtype=np.intp, count=len(subgroups))
+    flat = np.fromiter(chain.from_iterable(subgroups), dtype=np.intp, count=int(sizes.sum()))
+    stabilizers = np.add.reduceat(fixes[flat], np.cumsum(sizes) - sizes, axis=0)
+    odd = (sizes[:, None] // stabilizers) % 2 == 1
+    return np.where(odd.any(axis=1), odd.argmax(axis=1), -1)
 
 
 @lru_cache(maxsize=None)
@@ -435,19 +461,27 @@ def harness_easy_d(
 
 
 def harness_classify(ell_max: int | None = None) -> HarnessResult:
+    """classify_image on every two-generated subgroup of GL2(F_ell), for
+    ell = 5, 7 up to ell_max, that has a projective line whose representative
+    vector has odd stabilizer index: the lemma's domain. The witness is the
+    first such point in sorted order, read for all subgroups of one ell in a
+    single pass over the table (_odd_index_witnesses), and classify_image
+    re-checks its index with orbit_size before it places the group. The
+    details count the groups placed in each target family."""
     violations = []
     checked = 0
     targets: dict[str, int] = {}
     for ell in _ells(ell_max, (5, 7)):
         table = _gl2_table(ell)
-        for ids in _gl2_two_generated(ell):
-            g = table.to_subgroup(ids)
-            witness = degree_spectrum(g).odd_index_point()
-            if witness is None:
+        subgroups = _gl2_two_generated(ell)
+        points = ProjPoint.all_points(ell)
+        for ids, at in zip(subgroups, _odd_index_witnesses(table, subgroups).tolist()):
+            if at < 0:
                 continue
+            g = table.to_subgroup(ids)
             checked += 1
             try:
-                verdict = classify_image(g, witness)
+                verdict = classify_image(g, points[at])
                 targets[verdict.target.value] = targets.get(verdict.target.value, 0) + 1
             except LemmaViolationError as exc:
                 violations.append(f"ell = {ell}, order {g.order}: {exc}")

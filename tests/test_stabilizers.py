@@ -61,10 +61,13 @@ def _gl2(ell):
 
 
 def test_proj_points_count():
-    for ell in (5, 7, 11):
+    """all_points lists the ell + 1 points once each, in sorted order: the
+    order in which odd_index_point and the classify harness look for a witness."""
+    for ell in (5, 7, 11, 13):
         pts = ProjPoint.all_points(ell)
         assert len(pts) == ell + 1
         assert len(set(pts)) == ell + 1
+        assert pts == sorted(pts)
 
 
 def test_proj_point_normalization():

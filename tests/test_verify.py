@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gl2tors import classify, verify
+from gl2tors import classify, stabilizers, verify
 from gl2tors.cli import main
 from gl2tors.errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from gl2tors.classify import _cartan_power
@@ -20,6 +20,7 @@ from gl2tors.groups import (
 )
 from gl2tors.lemmas import Conjugation, SL2Word, _gl2_elements
 from gl2tors.modarith import Mat2, element_order, mat_mul
+from gl2tors.stabilizers import ProjPoint, degree_spectrum
 from gl2tors.verify import (
     HARNESS_IDS,
     HarnessResult,
@@ -27,6 +28,7 @@ from gl2tors.verify import (
     _gl2_table,
     _gl2_two_generated,
     _MulTable,
+    _odd_index_witnesses,
     _subgroups_between,
     _table_closures,
     run_harness,
@@ -408,15 +410,20 @@ def _counted_mat2_builds(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("name", ["GL2(5)", "Borel(7)"])
-def test_to_subgroup_matches_element_built_group(name, monkeypatch):
+@pytest.mark.parametrize(
+    "name, count",
+    [("GL2(5)", 461), ("GL2(7)", 1704), ("Borel(7)", 216)],
+    ids=["GL2(5)", "GL2(7)", "Borel(7)"],
+)
+def test_to_subgroup_matches_element_built_group(name, count, monkeypatch):
     """Every enumerated group equals the group subgroup_from_entries builds
-    from its members and comes back with no Mat2 built; its generators are
-    derived on first read, with the same values as the reference's."""
+    from its members, with the same entries tuple, and comes back with no
+    Mat2 built; its generators are derived on first read, with the same
+    values as the reference's."""
     table = _closure_table(name)
-    subgroups = list(_gl2_two_generated(5) if name == "GL2(5)" else table.two_generated())
-    if name == "GL2(5)":
-        assert len(subgroups) == 461
+    gl2 = name.startswith("GL2")
+    subgroups = list(_gl2_two_generated(table.n) if gl2 else table.two_generated())
+    assert len(subgroups) == count
     built = _counted_mat2_builds(monkeypatch)
     enumerated = [table.to_subgroup(ids) for ids in subgroups]
     assert built == []
@@ -431,6 +438,48 @@ def test_to_subgroup_matches_element_built_group(name, monkeypatch):
         assert g.generators == reference.generators
         assert "generators" in vars(g)
         assert [x.entries() for x in g.generators] == sorted(table.entries[i] for i in ids)
+
+
+def test_mul_table_sorts_its_entries():
+    """A table lists its entries in ascending order whatever order it is
+    given them in, so the same group gives the same ids and the same table."""
+    entries = sorted(named_group(NamedGroupId.SL2, 5).entries)
+    shuffled = _MulTable(5, random.Random(0).sample(entries, len(entries)))
+    assert shuffled.entries == entries
+    assert np.array_equal(shuffled.table, _MulTable(5, entries).table)
+
+
+def _odd_index_reference(table: _MulTable, subgroups) -> list[int]:
+    """The position in ProjPoint.all_points of the point that
+    degree_spectrum(g).odd_index_point() picks for each subgroup, or -1 where
+    it picks none: the per-group reference for _odd_index_witnesses."""
+    points = ProjPoint.all_points(table.n)
+    positions = []
+    for ids in subgroups:
+        g = subgroup_from_entries(table.n, [table.entries[i] for i in ids])
+        witness = degree_spectrum(g).odd_index_point()
+        positions.append(-1 if witness is None else points.index(witness))
+    return positions
+
+
+@pytest.mark.parametrize("ell, witnesses", [(5, 121), (7, 706)])
+def test_odd_index_witnesses_match_degree_spectrum(ell, witnesses):
+    """The one pass over the GL2 table picks, for every two-generated
+    subgroup, the same odd-index point as its degree spectrum: 121 of the
+    461 subgroups at ell = 5 have one, and 706 of the 1704 at ell = 7."""
+    table, subgroups = _gl2_table(ell), _gl2_two_generated(ell)
+    got = _odd_index_witnesses(table, subgroups).tolist()
+    assert got == _odd_index_reference(table, subgroups)
+    assert sum(at >= 0 for at in got) == witnesses
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_two_generated_group())
+@example(named_group(NamedGroupId.SL2, 5))
+def test_odd_index_witnesses_match_degree_spectrum_on_subgroups(g):
+    table = _MulTable(g.n, sorted(g.entries))
+    subgroups = list(table.two_generated())
+    assert _odd_index_witnesses(table, subgroups).tolist() == _odd_index_reference(table, subgroups)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -631,6 +680,21 @@ def test_classify_small(harness_run):
     r = harness_run("classify", ell_max=5)
     assert r.ok and r.checked == 121
     assert r.details == {"Borel": 30, "NormNonsplit": 30, "NormSplit": 61}
+
+
+def test_classify_reads_witnesses_off_the_table(monkeypatch):
+    """The classify harness reads its odd-index witnesses off the GL2 table:
+    at ell = 5 it computes no degree spectrum, where it computed one for each
+    of the 461 subgroups, and wraps only the 121 groups that have a witness."""
+    assert not hasattr(verify, "degree_spectrum")
+    spectra, wrapped = [], []
+    spectrum, to_subgroup = stabilizers.degree_spectrum, _MulTable.to_subgroup
+    monkeypatch.setattr(stabilizers, "degree_spectrum", lambda g: spectra.append(g) or spectrum(g))
+    monkeypatch.setattr(
+        _MulTable, "to_subgroup", lambda table, ids: wrapped.append(ids) or to_subgroup(table, ids)
+    )
+    assert run_harness("classify", ell_max=5).checked == 121
+    assert (len(spectra), len(wrapped)) == (0, 121)
 
 
 def test_not_bl_small():
