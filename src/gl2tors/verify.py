@@ -4,8 +4,8 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, product
+from functools import lru_cache, partial
+from itertools import chain, product, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,28 +222,24 @@ class _MulTable:
         return Subgroup(self.n, None, [self.entries[i] for i in sorted(ids)])
 
 
-def _odd_index_witnesses(table: _MulTable, subgroups: Sequence[frozenset[int]]) -> np.ndarray:
-    """For each id set of a subgroup of GL2(F_ell) on the table, the position
-    in ProjPoint.all_points(ell) of its first point of odd stabilizer index,
-    or -1 where it has none: the point degree_spectrum(g).odd_index_point()
-    picks, for every subgroup in one pass.
+def _stabilizer_orders(table: _MulTable, subgroups: Sequence[frozenset[int]]) -> np.ndarray:
+    """For each id set of a subgroup G of GL2(F_ell) on the table and each
+    point p of ProjPoint.all_points(ell), in one pass: at [g, p, 0] the
+    order of Stab_G(v_p), the elements of G that fix the representative
+    vector v_p, and at [g, p, 1] the order of Stab_G(v_p) ∩ SL2.
 
-    fixes[x, p] says that element x fixes the representative vector v_p, so
-    a subgroup's rows of it sum to |Stab(v_p)| at each point, and the index
-    is |G| // |Stab(v_p)| by orbit-stabilizer. all_points lists the points in
-    sorted order, so the first odd column is the first odd point. Every
-    subgroup holds the identity, so no segment of the reduceat is empty.
+    fixes[x, p] says that element x fixes v_p, so a subgroup's rows of it
+    and of fixes & det==1 sum to the two orders. Every subgroup holds the
+    identity, so no segment of the reduceat is empty.
     """
     ell = table.n
-    points = ProjPoint.all_points(ell)
-    pc, pd = np.array([(p.c, p.d) for p in points]).T
+    pc, pd = np.array([(p.c, p.d) for p in ProjPoint.all_points(ell)]).T
     a, b, c, d = np.array(table.entries).T[..., None]
     fixes = ((pc * a + pd * c) % ell == pc) & ((pc * b + pd * d) % ell == pd)
+    both = np.stack((fixes, fixes & ((a * d - b * c) % ell == 1)), axis=-1)
     sizes = np.fromiter(map(len, subgroups), dtype=np.intp, count=len(subgroups))
     flat = np.fromiter(chain.from_iterable(subgroups), dtype=np.intp, count=int(sizes.sum()))
-    stabilizers = np.add.reduceat(fixes[flat], np.cumsum(sizes) - sizes, axis=0)
-    odd = (sizes[:, None] // stabilizers) % 2 == 1
-    return np.where(odd.any(axis=1), odd.argmax(axis=1), -1)
+    return np.add.reduceat(both[flat], np.cumsum(sizes) - sizes, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +421,13 @@ def harness_easy_d(
     """unipotent_class at every projective point of every two-generated
     subgroup of GL2(F_ell) for ell = 5, 7 up to ell_max; with ell_max >= 11
     also of trials (default 100) random ones of GL2(F_11) drawn with seed
-    (default 0). trials and seed act only then: below, either is a UsageError."""
+    (default 0). trials and seed act only then: below, either is a UsageError.
+
+    The det-1 stabilizer orders of all subgroups of one ell are read off the
+    table in one pass (_stabilizer_orders). Where one is 1 the stabilizer is
+    trivial, the lemma's own answer, and the point is counted without a
+    call; elsewhere the group is wrapped once and unipotent_class checks the
+    point. A sampled group is on no table, so it is checked at every point."""
     sampled = ell_max is not None and ell_max >= 11
     options = {"--trials": trials, "--seed": seed}
     given = [name for name, value in options.items() if value is not None]
@@ -433,26 +435,37 @@ def harness_easy_d(
         raise UsageError(
             f"harness easy-d does not take {', '.join(given)} unless --ell-max is at least 11"
         )
-    batches = []  # (label, projective points, groups); a sample is drawn as the loop reaches it
+    # (label, projective points, (group maker, det-1 stabilizer order or None
+    # at each point) pairs); a sample is drawn as the loop reaches it
+    batches = []
     details = {}
     for ell in _ells(ell_max, (5, 7)):
-        subgroups = _gl2_two_generated(ell)
+        table, subgroups = _gl2_table(ell), _gl2_two_generated(ell)
         details[f"ell_{ell}_subgroups"] = len(subgroups)
-        groups = map(_gl2_table(ell).to_subgroup, subgroups)
+        orders = _stabilizer_orders(table, subgroups)[..., 1].tolist()
+        groups = [(partial(table.to_subgroup, ids), o) for ids, o in zip(subgroups, orders)]
         batches.append((f"ell = {ell}", ProjPoint.all_points(ell), groups))
     if sampled:
         trials = 100 if trials is None else trials
         rng = random.Random(0 if seed is None else seed)
         pool = _gl2_elements(11)
-        draws = (closure(11, [rng.choice(pool), rng.choice(pool)]) for _ in range(trials))
+        draws = (
+            (partial(closure, 11, [rng.choice(pool), rng.choice(pool)]), repeat(None))
+            for _ in range(trials)
+        )
         batches.append(("ell = 11 sample", ProjPoint.all_points(11), draws))
         details["ell_11_samples"] = trials
     violations = []
     checked = 0
     for label, points, groups in batches:
-        for g in groups:
-            for p in points:
+        for make, orders in groups:
+            g = None
+            for p, order in zip(points, orders):
                 checked += 1
+                if order == 1:
+                    continue
+                if g is None:
+                    g = make()
                 try:
                     unipotent_class(g, p)
                 except LemmaViolationError as exc:
@@ -464,10 +477,11 @@ def harness_classify(ell_max: int | None = None) -> HarnessResult:
     """classify_image on every two-generated subgroup of GL2(F_ell), for
     ell = 5, 7 up to ell_max, that has a projective line whose representative
     vector has odd stabilizer index: the lemma's domain. The witness is the
-    first such point in sorted order, read for all subgroups of one ell in a
-    single pass over the table (_odd_index_witnesses), and classify_image
-    re-checks its index with orbit_size before it places the group. The
-    details count the groups placed in each target family."""
+    first such point in sorted order, read for all subgroups of one ell from
+    the stabilizer orders of a single pass over the table
+    (_stabilizer_orders), and classify_image re-checks its index with
+    orbit_size before it places the group. The details count the groups
+    placed in each target family."""
     violations = []
     checked = 0
     targets: dict[str, int] = {}
@@ -475,7 +489,12 @@ def harness_classify(ell_max: int | None = None) -> HarnessResult:
         table = _gl2_table(ell)
         subgroups = _gl2_two_generated(ell)
         points = ProjPoint.all_points(ell)
-        for ids, at in zip(subgroups, _odd_index_witnesses(table, subgroups).tolist()):
+        # the index of Stab(v_p) is |G| // its order, by orbit-stabilizer;
+        # all_points lists the points in sorted order, so the first odd
+        # column is the first odd point
+        stabilizers = _stabilizer_orders(table, subgroups)[..., 0]
+        odd = np.array([len(ids) for ids in subgroups])[:, None] // stabilizers % 2 == 1
+        for ids, at in zip(subgroups, np.where(odd.any(axis=1), odd.argmax(axis=1), -1).tolist()):
             if at < 0:
                 continue
             g = table.to_subgroup(ids)

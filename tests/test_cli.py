@@ -479,12 +479,13 @@ print(json.dumps({"codes": codes, "sympy": loaded}))
 """
 
 
-def _run_script(script: str, *args: str) -> str:
-    """Stdout of the script, run in a fresh interpreter that imports gl2tors from src."""
+def _run_python(*argv: str) -> str:
+    """Stdout of a fresh interpreter run with these arguments, importing
+    gl2tors from src; a nonzero exit fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -494,11 +495,18 @@ def _run_script(script: str, *args: str) -> str:
     return proc.stdout
 
 
+def test_python_m_gl2tors_runs_the_cli(capsys):
+    """`python -m gl2tors` runs the CLI from a checkout with no install:
+    it exits 0 with the stdout that main prints."""
+    assert main(["order", "--modulus", "5"]) == 0
+    assert _run_python("-m", "gl2tors", "order", "--modulus", "5") == capsys.readouterr().out
+
+
 def test_cli_never_loads_sympy(tmp_path):
     group, field = tmp_path / "g.json", tmp_path / "f.json"
     group.write_text(DELTA_U1_11)
     field.write_text(FIELD)
-    stdout = _run_script(_NO_SYMPY_SCRIPT, str(group), str(field))
+    stdout = _run_python("-c", _NO_SYMPY_SCRIPT, str(group), str(field))
     assert json.loads(stdout) == {"codes": [0] * 7, "sympy": False}
 
 
@@ -515,5 +523,5 @@ print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
 
 @pytest.mark.parametrize("harness", ["easy-d", "classify"])
 def test_enumeration_never_loads_numpy_ma(harness):
-    stdout = _run_script(_NO_NUMPY_MA_SCRIPT, harness)
+    stdout = _run_python("-c", _NO_NUMPY_MA_SCRIPT, harness)
     assert json.loads(stdout) == {"code": 0, "numpy.ma": False}

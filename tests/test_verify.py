@@ -20,7 +20,7 @@ from gl2tors.groups import (
 )
 from gl2tors.lemmas import Conjugation, SL2Word, _gl2_elements
 from gl2tors.modarith import Mat2, element_order, mat_mul
-from gl2tors.stabilizers import ProjPoint, degree_spectrum
+from gl2tors.stabilizers import ProjPoint, degree_spectrum, sl_part, vector_stabilizer
 from gl2tors.verify import (
     HARNESS_IDS,
     HarnessResult,
@@ -28,7 +28,7 @@ from gl2tors.verify import (
     _gl2_table,
     _gl2_two_generated,
     _MulTable,
-    _odd_index_witnesses,
+    _stabilizer_orders,
     _subgroups_between,
     _table_closures,
     run_harness,
@@ -452,7 +452,8 @@ def test_mul_table_sorts_its_entries():
 def _odd_index_reference(table: _MulTable, subgroups) -> list[int]:
     """The position in ProjPoint.all_points of the point that
     degree_spectrum(g).odd_index_point() picks for each subgroup, or -1 where
-    it picks none: the per-group reference for _odd_index_witnesses."""
+    it picks none: the per-group reference for the classify harness's
+    witnesses."""
     points = ProjPoint.all_points(table.n)
     positions = []
     for ids in subgroups:
@@ -462,13 +463,23 @@ def _odd_index_reference(table: _MulTable, subgroups) -> list[int]:
     return positions
 
 
+def _odd_index_witnesses(table: _MulTable, subgroups) -> list[int]:
+    """The first position at which |G| // the stabilizer order in column 0
+    of _stabilizer_orders is odd, for each subgroup, or -1 where none is."""
+    orders = _stabilizer_orders(table, subgroups)[..., 0].tolist()
+    return [
+        next((at for at, order in enumerate(row) if len(ids) // order % 2), -1)
+        for ids, row in zip(subgroups, orders)
+    ]
+
+
 @pytest.mark.parametrize("ell, witnesses", [(5, 121), (7, 706)])
 def test_odd_index_witnesses_match_degree_spectrum(ell, witnesses):
     """The one pass over the GL2 table picks, for every two-generated
     subgroup, the same odd-index point as its degree spectrum: 121 of the
     461 subgroups at ell = 5 have one, and 706 of the 1704 at ell = 7."""
     table, subgroups = _gl2_table(ell), _gl2_two_generated(ell)
-    got = _odd_index_witnesses(table, subgroups).tolist()
+    got = _odd_index_witnesses(table, subgroups)
     assert got == _odd_index_reference(table, subgroups)
     assert sum(at >= 0 for at in got) == witnesses
 
@@ -479,7 +490,44 @@ def test_odd_index_witnesses_match_degree_spectrum(ell, witnesses):
 def test_odd_index_witnesses_match_degree_spectrum_on_subgroups(g):
     table = _MulTable(g.n, sorted(g.entries))
     subgroups = list(table.two_generated())
-    assert _odd_index_witnesses(table, subgroups).tolist() == _odd_index_reference(table, subgroups)
+    assert _odd_index_witnesses(table, subgroups) == _odd_index_reference(table, subgroups)
+
+
+def _stabilizer_orders_reference(table: _MulTable, subgroups) -> list[list[list[int]]]:
+    """For each subgroup, at each point of ProjPoint.all_points, the orders of
+    its vector stabilizer and of that stabilizer's det-1 part, each filtered
+    from the entries of a group that subgroup_from_entries wraps: the
+    per-group reference for _stabilizer_orders."""
+    points = ProjPoint.all_points(table.n)
+    orders = []
+    for ids in subgroups:
+        g = subgroup_from_entries(table.n, [table.entries[i] for i in ids])
+        stabs = [vector_stabilizer(g, p.c, p.d) for p in points]
+        orders.append([[s.order, sl_part(s).order] for s in stabs])
+    return orders
+
+
+@pytest.mark.parametrize("ell, nontrivial", [(5, 108), (7, 272)])
+def test_stabilizer_orders_match_vector_stabilizers(ell, nontrivial):
+    """The one pass over the GL2 table gives, for every two-generated
+    subgroup and every point, the order of the vector stabilizer and of its
+    det-1 part; the det-1 part is trivial at all but 108 of the 461 · 6
+    (group, point) pairs at ell = 5 and 272 of the 1704 · 8 at ell = 7."""
+    table, subgroups = _gl2_table(ell), _gl2_two_generated(ell)
+    got = _stabilizer_orders(table, subgroups)
+    assert got.shape == (len(subgroups), ell + 1, 2)
+    assert got.tolist() == _stabilizer_orders_reference(table, subgroups)
+    assert np.count_nonzero(got[..., 1] != 1) == nontrivial
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_two_generated_group())
+@example(named_group(NamedGroupId.SL2, 5))
+def test_stabilizer_orders_match_vector_stabilizers_on_subgroups(g):
+    table = _MulTable(g.n, sorted(g.entries))
+    subgroups = list(table.two_generated())
+    got = _stabilizer_orders(table, subgroups).tolist()
+    assert got == _stabilizer_orders_reference(table, subgroups)
 
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
@@ -697,6 +745,22 @@ def test_classify_reads_witnesses_off_the_table(monkeypatch):
     assert (len(spectra), len(wrapped)) == (0, 121)
 
 
+def test_easy_d_reads_det1_stabilizers_off_the_table(monkeypatch):
+    """The easy-d harness reads its det-1 stabilizer orders off the GL2
+    table: at ell = 5 it calls unipotent_class at the 108 points whose det-1
+    stabilizer is not trivial, where it called it at all 2766, and wraps
+    only the 93 groups that have such a point, where it wrapped all 461.
+    Every point still counts as one check."""
+    calls, wrapped = [], []
+    lemma, to_subgroup = verify.unipotent_class, _MulTable.to_subgroup
+    monkeypatch.setattr(verify, "unipotent_class", lambda g, p: calls.append(p) or lemma(g, p))
+    monkeypatch.setattr(
+        _MulTable, "to_subgroup", lambda table, ids: wrapped.append(ids) or to_subgroup(table, ids)
+    )
+    assert run_harness("easy-d", ell_max=5).checked == 2766
+    assert (len(calls), len(wrapped)) == (108, 93)
+
+
 def test_not_bl_small():
     r = run_harness("not-bl", ell_max=11)
     assert r.ok and r.checked == 56
@@ -732,6 +796,8 @@ def _violating_once(real):
         ("cyclic_generator", ["cyclic"], 122),
         ("_small_divisor_table", ["not-bl", "--ell-max", "11"], 56),
         ("_delta_verdict", ["bl"], 24),
+        ("unipotent_class", ["easy-d", "--ell-max", "5"], 2766),
+        ("classify_image", ["classify", "--ell-max", "5"], 121),
     ],
 )
 def test_lemma_violation_is_reported_as_data(lemma, argv, checked, capsys, monkeypatch):
