@@ -38,7 +38,10 @@ class Subgroup:
     the generators generate them. With generators None, as
     `subgroup_from_entries` wraps a filtered subset and
     `verify._MulTable.to_subgroup` an enumerated one, every element in entry
-    order is a generator, built as `Mat2` on first read.
+    order is a generator, built as `Mat2` on first read. The entries are in
+    the order `closure` lists them, or ascending for such a wrapped group;
+    the one order that library code reads is that of a one-generator
+    closure, x^0, x^1, ..., x^(m-1).
     Order, the determinant image, the entry array, membership, containment
     (`<=`), equality and hashing read the tuples alone; the last three use
     only (n, the entry set), so one group with two generating sets compares
@@ -67,12 +70,9 @@ class Subgroup:
 
     @cached_property
     def elements(self) -> frozenset[Mat2]:
+        # nothing reads the order in which the element set iterates
         trusted, n = Mat2._reduced, self.n
-        # grown one element at a time in the order of `entries` and then
-        # frozen, so the group iterates in the same order as the reference
-        # Mat2 search in the tests; a frozenset built straight from the list
-        # sizes its table differently and iterates in another order
-        return frozenset(set([trusted(n, a, b, c, d) for a, b, c, d in self.entries]))
+        return frozenset(trusted(n, a, b, c, d) for a, b, c, d in self.entries)
 
     @cached_property
     def _entry_set(self) -> frozenset[tuple[int, int, int, int]]:
@@ -135,9 +135,16 @@ def closure(
 ) -> Subgroup:
     """Smallest subgroup of GL2(Z/nZ) containing the generators.
 
-    The breadth-first search multiplies reduced (a, b, c, d) tuples mod n;
-    the group keeps them in discovery order and builds no Mat2 until its
-    element set is read.
+    Dimino's method on reduced (a, b, c, d) tuples mod n, which computes each
+    element once. A generator that is the identity or already in the group
+    built so far is skipped. The first one kept, x of order m, lists
+    x^0, x^1, ..., x^(m-1) in that order. Each later one, g, extends the
+    group H built so far by whole right cosets: first H g, then H (r s) for
+    each coset representative r in turn and each kept generator s whose
+    product r s is not yet in the group. So the entries are the identity,
+    the powers of x, then consecutive right cosets of the group before them.
+    No Mat2 is built until the element set is read, and no more than `cap`
+    entries are ever held.
     """
     gens = tuple(generators)
     for g in gens:
@@ -146,25 +153,51 @@ def closure(
         if not g.is_invertible():
             raise PreconditionError(f"generator {g} is not invertible")
     _check_modulus(n)
-    steps = [g.entries() for g in gens]
-    found = [(1, 0, 0, 1)]
-    seen = set(found)
-    # the loop also visits the elements it appends, which makes it the BFS queue
-    for a, b, c, d in found:
-        for p, q, r, s in steps:
-            y = (
-                (a * p + b * r) % n,
-                (a * q + b * s) % n,
-                (c * p + d * r) % n,
-                (c * q + d * s) % n,
-            )
-            if y not in seen:
-                seen.add(y)
+
+    identity = (1, 0, 0, 1)
+    found = [identity]
+    kept: list[tuple[int, int, int, int]] = []
+    members: set[tuple[int, int, int, int]] = set()  # filled once a second generator comes
+    for g in gens:
+        x = g.entries()
+        if not kept:
+            if x == identity:
+                continue
+            kept.append(x)
+            p, q, r, s = y = x
+            while y != identity:
+                if len(found) >= cap:
+                    raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
                 found.append(y)
-                if len(found) > cap:
-                    raise ResourceLimitError(
-                        f"closure exceeded cap of {cap} elements"
-                    )
+                a, b, c, d = y
+                y = ((a * p + b * r) % n, (a * q + b * s) % n, (c * p + d * r) % n, (c * q + d * s) % n)
+            continue
+        if not members:
+            members.update(found)
+        if x in members:
+            continue
+        kept.append(x)
+        # found is the subgroup H generated so far; from here on it grows by
+        # whole right cosets H y, each disjoint from those listed, so only a
+        # product r s is looked up and a new coset's elements need no lookup
+        subgroup = found[:]
+        reps = [identity]
+        for t in reps:  # grows while read: the queue of coset representatives
+            a, b, c, d = t
+            for p, q, r, s in kept:
+                y = ((a * p + b * r) % n, (a * q + b * s) % n, (c * p + d * r) % n, (c * q + d * s) % n)
+                if y in members:
+                    continue
+                if len(found) + len(subgroup) > cap:
+                    raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
+                u, v, w, z = y
+                coset = [
+                    ((e * u + f * w) % n, (e * v + f * z) % n, (h * u + k * w) % n, (h * v + k * z) % n)
+                    for e, f, h, k in subgroup
+                ]
+                found += coset
+                members.update(coset)
+                reps.append(y)
     # finite subsets closed under multiplication are closed under inverse
     return Subgroup(n, gens, found)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.modarith import Mat2, mat_mul, primitive_root, unipotent, unipotent_lower
+from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent, unipotent_lower
 from gl2tors.groups import (
     NamedGroupId,
     closure,
@@ -99,14 +99,54 @@ def _two_generators(draw):
     return n, gens
 
 
+def _powers(x: Mat2) -> list[tuple[int, int, int, int]]:
+    """x^0, x^1, ..., x^(m-1) for x of order m, by validated products."""
+    ident = Mat2.identity(x.n)
+    out, y = [ident.entries()], x
+    while y != ident:
+        out.append(y.entries())
+        y = mat_mul(y, x)
+    return out
+
+
+def _right_coset(n, h, y) -> set[tuple[int, int, int, int]]:
+    """The right coset H y of the entries h, by validated products."""
+    t = Mat2(n, *y)
+    return {mat_mul(Mat2(n, *e), t).entries() for e in h}
+
+
+def _check_entry_order(n, gens, entries):
+    """The order closure lists its entries in: the identity first, all
+    distinct, the powers of the first non-identity generator in order, then
+    for each later generator that enlarges the group H generated by the ones
+    before it, consecutive blocks of |H| entries, each the right coset of H
+    by its first entry, which together fill up the next group."""
+    assert entries[0] == (1, 0, 0, 1)
+    assert len(set(entries)) == len(entries)
+    done = 1
+    for k in range(1, len(gens) + 1):
+        stage = {x.entries() for x in _closure_reference(n, gens[:k])}
+        if len(stage) == done:
+            continue
+        if done == 1:
+            assert list(entries[: len(stage)]) == _powers(gens[k - 1])
+        else:
+            h = entries[:done]
+            for start in range(done, len(stage), done):
+                block = entries[start : start + done]
+                assert set(block) == _right_coset(n, h, block[0])
+        assert set(entries[: len(stage)]) == stage
+        done = len(stage)
+    assert done == len(entries)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_two_generators())
 def test_closure_matches_reference(args):
     n, gens = args
     g, ref = closure(n, gens), _closure_reference(n, gens)
     assert g.elements == ref
-    # same iteration order, so every choice made by iterating a group stays put
-    assert list(g.elements) == list(ref)
+    _check_entry_order(n, gens, g.entries)
     assert g.generators == tuple(gens)
     if g.order > 1:
         with pytest.raises(ResourceLimitError):
@@ -116,6 +156,60 @@ def test_closure_matches_reference(args):
         assert all(0 <= v < n for v in x.entries())
         validated = Mat2(n, *x.entries())
         assert x == validated and hash(x) == hash(validated)
+
+
+@pytest.mark.parametrize("n", sorted(_GL2_ENTRIES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_generator_closure_lists_powers(n, data):
+    """closure(n, [x]) lists x^0, x^1, ..., x^(m-1) in that order, the
+    contract that _cyclic_subgroups and admissible_inertia_exponents read."""
+    entries = data.draw(st.sampled_from(_GL2_ENTRIES[n]))
+    shifts = data.draw(st.tuples(*[st.integers(-2, 2)] * 4))
+    x = Mat2(n, *(v + k * n for v, k in zip(entries, shifts)))
+    assert list(closure(n, [x]).entries) == _powers(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_generators())
+def test_closure_skips_redundant_generators(args):
+    """The identity, a repeated generator, a power of a kept one and a
+    product of kept ones add nothing: the entries are those of [x, y]."""
+    n, (x, y) = args
+    ident = Mat2.identity(n)
+    want = closure(n, [x, y]).entries
+    for gens in ([ident, x, ident, y], [x, x, y, y], [x, mat_mul(x, x), y, mat_mul(x, y)]):
+        g = closure(n, gens)
+        assert g.entries == want and g.generators == tuple(gens)
+
+
+@pytest.mark.parametrize("n", sorted(_GL2_ENTRIES))
+def test_closure_of_identities_is_trivial(n):
+    ident = Mat2.identity(n)
+    for gens in ([], [ident], [ident, ident, ident]):
+        g = closure(n, gens)
+        assert g.entries == ((1, 0, 0, 1),) and g.generators == tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "n, gens, order",
+    [
+        (11, [unipotent(11)], 11),
+        (7, [Mat2.diag(7, 3, 5)], 6),
+        (12, [Mat2(12, 1, 1, 1, 2)], 12),
+        (5, [unipotent(5), unipotent_lower(5)], 120),
+        (7, [Mat2.diag(7, 3, 1), unipotent(7)], 42),
+        (5, [Mat2.diag(5, 2, 1), Mat2.diag(5, 1, 2), unipotent(5)], 80),
+        (6, [Mat2(6, 1, 1, 0, 1), Mat2(6, 0, 1, 5, 0), Mat2.diag(6, 5, 1)], 288),
+    ],
+)
+def test_closure_cap_is_the_order(n, gens, order):
+    """A cap of the group order closes the group; one less raises, for one
+    generator and for several."""
+    g = closure(n, gens, cap=order)
+    assert g.order == order and g == closure(n, gens)
+    with pytest.raises(ResourceLimitError, match=f"closure exceeded cap of {order - 1} elements"):
+        closure(n, gens, cap=order - 1)
 
 
 def _check_entry_views(g, ref):
@@ -296,9 +390,16 @@ def test_named_group_builds_few_mat2(gid, monkeypatch):
 
 
 def test_one_generator_closure_builds_no_mat2(monkeypatch):
+    """Neither a one-generator closure nor a two-generator one builds a Mat2
+    per element: NormNonsplit(47) from a generator of the non-split Cartan
+    and (a, -b alpha; b, -a), both conjugated by t as in the verb benchmark."""
     (gamma,) = named_group(NamedGroupId.NONSPLIT_CARTAN, 47).generators
+    flip = Mat2(47, 3, -5 * primitive_root(47), 5, -3)
+    t = Mat2(47, 2, 7, 1, 9)
+    x, y = (mat_mul(mat_mul(mat_inv(t), g), t) for g in (gamma, flip))
     built = _counted_mat2_builds(monkeypatch)
     assert closure(47, [gamma]).order == 47 * 47 - 1
+    assert closure(47, [x, y]).order == 2 * (47 * 47 - 1)
     assert built == []
 
 

@@ -55,9 +55,9 @@ def _table_closure(table: np.ndarray, identity: int, gen_ids, start=()) -> froze
 
 
 def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
-    """The ids of the closure of the given elements, found by the tuple BFS
-    of groups.closure and read back through the elements' entries: a closure
-    that shares no code with the table search."""
+    """The ids of the closure of the given elements, found by the tuple
+    closure of groups.closure and read back through the elements' entries: a
+    closure that shares no code with the table search."""
     index = {e: i for i, e in enumerate(table.entries)}
     group = closure(table.n, [Mat2(table.n, *table.entries[i]) for i in gen_ids])
     return frozenset(index[e] for e in group.entries)
@@ -297,7 +297,7 @@ def test_min_reduction_matches_greedy_orbit_reps(g):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_table_closure_matches_tuple_bfs(name, data):
-    """The mask closure equals the tuple BFS of groups.closure, and a start
+    """The mask closure equals the tuple closure of groups.closure, and a start
     set inside the group leaves it unchanged."""
     table = _closure_table(name)
     k = len(table.entries)
@@ -312,7 +312,7 @@ def test_table_closure_matches_tuple_bfs(name, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batched_closure_matches_tuple_bfs(name, data):
-    """Every row of a batch closes to the tuple BFS of its own generators:
+    """Every row of a batch closes to groups.closure of its own generators:
     rows of one common width, identity-only rows among them, each started
     from ids drawn inside its own group."""
     table = _closure_table(name)
