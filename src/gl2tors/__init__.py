@@ -31,6 +31,7 @@ from .stabilizers import (
     DegreeSpectrum,
     ProjPoint,
     degree_spectrum,
+    exhaustive_indices,
     exhaustive_spectrum,
     orbit_size,
     sl_part,

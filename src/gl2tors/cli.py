@@ -10,7 +10,7 @@ from typing import Iterable
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
 from .groups import NamedGroupId, subgroup_from_json
-from .stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
+from .stabilizers import ProjPoint, degree_spectrum, exhaustive_indices
 from .lemmas import decompose_sl2
 from .classify import classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
@@ -66,6 +66,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="entries a,b,c,d")
 
     return parser
+
+
+@functools.cache
+def _vector_keys(ell: int) -> tuple[str, ...]:
+    """The reply keys "c,d" of the nonzero vectors mod ell, in exhaustive_indices' order."""
+    return tuple(f"{c},{d}" for c in range(ell) for d in range(ell))[1:]
 
 
 def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...]) -> None:
@@ -131,12 +137,10 @@ def _cmd_classify(args) -> int:
 def _cmd_spectrum(args) -> int:
     g = subgroup_from_json(_read_file(args.input))
     if args.exhaustive:
-        entries = exhaustive_spectrum(g)
-        rows = ((f"({c},{d})", g.order // idx, idx) for (c, d), idx in entries.items())
-        payload = {
-            "group_order": g.order,
-            "entries": {f"{c},{d}": idx for (c, d), idx in entries.items()},
-        }
+        # the indices come first: they check the cap before any key is built
+        indices, keys = exhaustive_indices(g), _vector_keys(g.n)
+        rows = ((f"({key})", g.order // idx, idx) for key, idx in zip(keys, indices))
+        payload = {"group_order": g.order, "entries": dict(zip(keys, indices))}
     else:
         spec = degree_spectrum(g)
         rows = list(spec.as_rows()) + [("sl_index", "-", spec.sl_index)]
@@ -177,12 +181,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_order(args) -> int:
     order = gl2_order(args.modulus)
-    _emit(
-        args.format,
-        {"modulus": args.modulus, "order": order},
-        [(args.modulus, order)],
-        ("modulus", "order"),
-    )
+    payload = {"modulus": args.modulus, "order": order}
+    _emit(args.format, payload, [(args.modulus, order)], ("modulus", "order"))
     return EXIT_OK
 
 
@@ -198,11 +198,10 @@ def _cmd_decompose(args) -> int:
         "word": [[letter, exp] for letter, exp in word.letters],
         "length": len(word),
     }
-    rows = [(letter, exp) for letter, exp in word.letters]
     if args.format == "text":
         print(str(word))
-        return EXIT_OK
-    _emit(args.format, payload, rows, ("letter", "exponent"))
+    else:
+        _emit(args.format, payload, word.letters, ("letter", "exponent"))
     return EXIT_OK
 
 

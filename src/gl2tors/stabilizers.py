@@ -1,8 +1,10 @@
 """Right action on row vectors: stabilizers and degree spectra."""
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, product
 from typing import Iterable
 
 import numpy as np
@@ -147,11 +149,7 @@ class DegreeSpectrum:
         return next((p for p in sorted(self.entries) if self.entries[p] % 2 == 1), None)
 
     def as_rows(self) -> list[tuple[str, int, int]]:
-        rows = []
-        for p in sorted(self.entries):
-            idx = self.entries[p]
-            rows.append((repr(p), self.group_order // idx, idx))
-        return rows
+        return [(repr(p), self.group_order // i, i) for p, i in sorted(self.entries.items())]
 
 
 def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: int) -> list[int]:
@@ -159,24 +157,23 @@ def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: in
 
     By orbit-stabilizer the index is the size of v's orbit, and it is the
     same for every vector in that orbit. One numpy pass over the elements
-    gives v's images; every image coded below `size` is labelled with the
-    index, so a later seed in a labelled orbit costs no pass. Over all of
-    F_ell^2 the passes cost sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and
-    no generating set is used, since a filtered group from
-    subgroup_from_entries carries every element as a generator.
+    gives v's images; numpy labels every image coded below `size` with the
+    index in a plain int array, so a later seed in a labelled orbit costs
+    one Python index and no pass. Over all of F_ell^2 the passes cost
+    sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and no generating set is
+    used: a filtered group carries every element as a generator.
     """
     a, b, c_, d_ = entries
     order = entries.shape[1]
-    labels = np.zeros(size, dtype=np.int64)
+    labels = array("q", [0]) * size
+    marks = np.frombuffer(labels, dtype=np.int64)
     out = []
     for v in seeds:
-        if v < size and labels[v]:
-            out.append(int(labels[v]))
-            continue
-        c, d = divmod(v, ell)
-        images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
-        index = order // int(np.count_nonzero(images == v))
-        labels[images[images < size]] = index
+        if v >= size or not (index := labels[v]):
+            c, d = divmod(v, ell)
+            images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
+            index = order // int(np.count_nonzero(images == v))
+            marks[images[images < size]] = index
         out.append(index)
     return out
 
@@ -202,9 +199,8 @@ def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     return DegreeSpectrum(g.order, dict(zip(points, indices)), len(g.det_image()))
 
 
-def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
-    """Stabilizer index for every nonzero row vector, not just line
-    representatives, keyed in ascending (c, d) order."""
+def exhaustive_indices(g: Subgroup) -> list[int]:
+    """[g : Stab(v)] for every nonzero row vector v = (c d), in ascending (c, d) order."""
     _check_odd_prime(g.n)
     ell = g.n
     if ell * ell - 1 > EXHAUSTIVE_SPECTRUM_CAP:
@@ -212,6 +208,10 @@ def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
             f"exhaustive spectrum mod {ell} has {ell * ell - 1} vectors,"
             f" over the cap of {EXHAUSTIVE_SPECTRUM_CAP}"
         )
-    vectors = [(c, d) for c in range(ell) for d in range(ell)][1:]
-    indices = _orbit_indices(ell, g.entry_array, range(1, ell * ell), ell * ell)
-    return dict(zip(vectors, indices))
+    return _orbit_indices(ell, g.entry_array, range(1, ell * ell), ell * ell)
+
+
+def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:
+    """Stabilizer index for every nonzero row vector, not just line
+    representatives, keyed in ascending (c, d) order."""
+    return dict(zip(islice(product(range(g.n), repeat=2), 1, None), exhaustive_indices(g)))

@@ -164,6 +164,11 @@ _PINNED_STDOUT = {
     ("BOREL_CONG_11", "classify", "text"): "1a1e85b5916b1acf5c9ae62c7ba887627f4db177ad41f570a32b92579e3da6f9",
     ("BOREL_CONG_11", "classify", "csv"): "bd902dcfbb0c97e3ac49a15aa329f50afd4af587d4dbf6fc33ac5677e8a7270e",
     ("BOREL_CONG_11", "classify", "json"): "dda257b97fb8331f3f9079cea4ecb609958872808f7769dbfa6723bfc19d1789",
+    # two-digit coordinates: text and csv rows run in (c, d) order, so (1,2)
+    # precedes (1,10), while the JSON keys sort as strings, "1,10" before "1,2"
+    ("DELTA_U1_11", "spectrum --exhaustive", "text"): "7c6ac12ac48b224ad221f8fe1f42b4a01e84f377b2ca1dcd64421bc5052bc467",
+    ("DELTA_U1_11", "spectrum --exhaustive", "csv"): "5eb6a9779471ac03d6ef76d0f605a92d9d0d39414ffa2702e0f1c3771b0a7027",
+    ("DELTA_U1_11", "spectrum --exhaustive", "json"): "594930b55318f35098a9f3f9b6b7c14cde0d8b9a234bc4bd7ec8a03ca34970b9",
 }
 
 
@@ -297,9 +302,12 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
 def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(text)
+    misses = cli._vector_keys.cache_info().misses
     assert main(["spectrum", "--input", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err)
+    # past the cap no reply key is built, not even the 10^6 of ell = 1009
+    assert cli._vector_keys.cache_info().misses == misses
 
 
 def test_input_past_closure_cap_exit_2(tmp_path, capsys, monkeypatch):

@@ -66,3 +66,23 @@ def test_readme_class_attributes_exist():
         if not any(_has(c, attr) for c in classes.get(cls, []))
     ]
     assert missing == []
+
+
+def _cache_rows() -> set[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Caches", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(gl2tors\.[\w.]+)` \|", section, re.MULTILINE))
+
+
+def test_readme_lists_every_cache():
+    """README's "Caches" table names every module-level function of the
+    package that carries `cache_info` (a `functools.cache` or `lru_cache`),
+    and nothing else, so a cache cannot be added or removed unlisted."""
+    caches = set()
+    for info in pkgutil.iter_modules(gl2tors.__path__):
+        module = importlib.import_module(f"gl2tors.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches.add(f"{module.__name__}.{name}")
+    assert {"gl2tors.cli._vector_keys", "gl2tors.groups.named_group"} <= caches
+    assert _cache_rows() == caches

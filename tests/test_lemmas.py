@@ -155,17 +155,18 @@ def test_brute_force_agrees_on_sample():
         assert oracle is not None and oracle.verify(h)
 
 
-def _cartan_placement_oracle(ell: int) -> list[bool]:
+def _placement_oracle(ell: int, families: tuple[NamedGroupId, NamedGroupId]) -> list[bool]:
     """Whether each two-generated subgroup of GL2(F_ell), in the order of
-    _gl2_two_generated, lies in a Cartan subgroup. Every conjugate g⁻¹·C·g of
-    the standard split and non-split Cartans C is a membership row on the
-    GL2 table, ell(ell+1)/2 split and ell(ell-1)/2 non-split ones, and a group
-    lies in a Cartan when one row holds all its ids. The oracle reads the
-    table and the two named Cartans alone, none of the lemma's conjugators."""
+    _gl2_two_generated, lies in a conjugate of one of the two named groups:
+    the split and non-split Cartans, or their normalizers. Every conjugate
+    g⁻¹·C·g is a membership row on the GL2 table, ell(ell+1)/2 of the split
+    family and ell(ell-1)/2 of the non-split one, and a group lies in a
+    conjugate when one row holds all its ids. The oracle reads the table and
+    the two named groups alone, none of the lemmas' conjugators."""
     table = verify._gl2_table(ell)
     t, k = table.table, len(table.entries)
     rows = []
-    for family in (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN):
+    for family in families:
         ids = [table.index[e] for e in named_group(family, ell).entries]
         # conjugates[g] holds the ids of g⁻¹·C·g
         conjugates = t[t[table.inverse[:, None], ids], np.arange(k)[:, None]]
@@ -182,6 +183,22 @@ def _cartan_placement_oracle(ell: int) -> list[bool]:
     return ((members @ outside.T.astype(np.float32)) == 0).any(axis=1).tolist()
 
 
+def _refusals(ell: int, lemma) -> list[str | None]:
+    """For each two-generated subgroup of GL2(F_ell), in the order of
+    _gl2_two_generated, None where the lemma returns a witness and the
+    message of its PreconditionError where it refuses the group."""
+    table = verify._gl2_table(ell)
+    refusals = []
+    for ids in verify._gl2_two_generated(ell):
+        try:
+            lemma(table.to_subgroup(ids))
+        except PreconditionError as exc:
+            refusals.append(str(exc))
+        else:
+            refusals.append(None)
+    return refusals
+
+
 @pytest.mark.parametrize("ell, placed", [(5, 233), (7, 858)])
 def test_cartan_lemma_accepts_exactly_the_groups_a_cartan_holds(ell, placed):
     """On every two-generated subgroup of GL2(F_ell), conjugate_into_cartan
@@ -189,17 +206,37 @@ def test_cartan_lemma_accepts_exactly_the_groups_a_cartan_holds(ell, placed):
     Cartan holds, and refuses every other on a hypothesis: 233 of the 461
     groups at ell = 5 and 858 of the 1704 at ell = 7, the abelian groups of
     order prime to ell."""
-    table = verify._gl2_table(ell)
-    accepted = []
-    for ids in verify._gl2_two_generated(ell):
-        try:
-            conjugate_into_cartan(table.to_subgroup(ids))
-        except PreconditionError:
-            accepted.append(False)
-        else:
-            accepted.append(True)
-    assert accepted == _cartan_placement_oracle(ell)
+    accepted = [r is None for r in _refusals(ell, conjugate_into_cartan)]
+    cartans = (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN)
+    assert accepted == _placement_oracle(ell, cartans)
     assert sum(accepted) == placed
+
+
+@pytest.mark.parametrize(
+    "ell, accepted_count, placed_count, refused_count", [(5, 228, 353, 125), (7, 900, 1376, 476)]
+)
+def test_normalizer_lemma_places_every_group_it_accepts(
+    ell, accepted_count, placed_count, refused_count
+):
+    """conjugate_into_normalizer's hypothesis (a determinant-1 part of odd
+    order prime to ell, up to -I) is sufficient, not necessary. On every
+    two-generated subgroup of GL2(F_ell), each group it accepts lies in a
+    conjugate of a standard Cartan normalizer, and the counts are pinned so
+    that a change which widens or narrows the lemma shows: it accepts 228 of
+    the 461 groups at ell = 5 and 900 of the 1704 at ell = 7, a normalizer
+    holds 353 and 1376, and it refuses 125 and 476 of those. Every refusal
+    names the lemma's own hypothesis, checked before any Cartan lemma runs."""
+    refusals = _refusals(ell, conjugate_into_normalizer)
+    assert set(refusals) == {
+        None,
+        "the determinant-1 part must have odd order prime to ell, up to the scalar -1",
+    }
+    accepted = [r is None for r in refusals]
+    normalizers = (NamedGroupId.NORM_SPLIT, NamedGroupId.NORM_NONSPLIT)
+    placed = _placement_oracle(ell, normalizers)
+    assert [a for a, p in zip(accepted, placed) if a and not p] == []
+    refused = sum(p and not a for a, p in zip(accepted, placed))
+    assert (sum(accepted), sum(placed), refused) == (accepted_count, placed_count, refused_count)
 
 
 def test_cyclic_generator_trivial():

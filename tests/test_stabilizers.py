@@ -210,6 +210,39 @@ def test_spectra_match_reference(g):
         assert type(spec.sl_index) is int and spec.sl_index == g.order // sl_part(g).order
 
 
+@st.composite
+def _many_orbit_group(draw):
+    """A cyclic or scalar subgroup of GL2(F_ell) for ell in {5, 7, 11, 13}:
+    small groups with many orbits of different sizes on the nonzero vectors."""
+    ell = draw(st.sampled_from([5, 7, 11, 13]))
+    if draw(st.booleans()):
+        return closure(ell, [draw(_matrix(ell))])
+    lam = draw(st.integers(1, ell - 1))
+    return closure(ell, [Mat2.diag(ell, lam, lam)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_many_orbit_group())
+def test_spectra_of_many_orbit_groups_match_reference(g):
+    """Each orbit is labelled once and read back at its other vectors, so a
+    vector must get the index of its own orbit, not of the orbit labelled
+    before it."""
+    reference = _exhaustive_spectrum_reference(g)
+    spectrum = exhaustive_spectrum(g)
+    assert spectrum == reference and list(spectrum) == sorted(reference)
+    spec = degree_spectrum(g)
+    assert spec.entries == {p: reference[(p.c, p.d)] for p in ProjPoint.all_points(g.n)}
+    for (c, d), idx in reference.items():
+        assert orbit_size(g, c, d) == idx
+
+
+def test_exhaustive_spectrum_of_the_trivial_group_at_the_cap():
+    """The trivial group at ell = 313 has 97,968 orbits of one vector each,
+    the most passes an exhaustive spectrum can take: one per orbit."""
+    spec = exhaustive_spectrum(closure(313, []))
+    assert len(spec) == 313 * 313 - 1 and set(spec.values()) == {1}
+
+
 @settings(max_examples=30, deadline=None)
 @given(_two_generated_group())
 def test_unipotent_class_matches_stabilizer_reference(g):
