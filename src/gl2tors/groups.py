@@ -24,6 +24,9 @@ from .modarith import (
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
+# the block size from which closure multiplies in numpy: about 1.5 times the
+# measured crossover with tuple arithmetic (about 80 entries at ell = 47)
+_ARRAY_BLOCK = 128
 # nonzero row vectors an exhaustive spectrum may list (ell^2 - 1); ell <= 313
 EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
@@ -42,7 +45,8 @@ class Subgroup:
     the order `closure` lists them, or ascending for such a wrapped group;
     the one order that library code reads is that of a one-generator
     closure, x^0, x^1, ..., x^(m-1).
-    Order, the determinant image, the entry array, membership, containment
+    Order, the determinant image, the entry array (built from the tuples on
+    first read, unless `closure` computed it), membership, containment
     (`<=`), equality and hashing read the tuples alone; the last three use
     only (n, the entry set), so one group with two generating sets compares
     equal. The `Mat2` element set (`elements`), built on first read, is a
@@ -84,8 +88,7 @@ class Subgroup:
         # row actions sum two products below n^2, which int64 holds for n < 2^31
         if self.n >= 2**31:
             raise ResourceLimitError(f"modulus {self.n} is too large for int64 entries")
-        flat = itertools.chain.from_iterable(self.entries)
-        array = np.fromiter(flat, np.int64, 4 * self.order).reshape(-1, 4).T
+        array = _as_array(self.entries)
         array.flags.writeable = False
         return array
 
@@ -130,6 +133,12 @@ class Subgroup:
         return frozenset(np.flatnonzero(np.bincount((a * d - b * c) % self.n)).tolist())
 
 
+def _as_array(entries: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
+    """The 4 x k int64 array with rows a, b, c, d of k entry tuples."""
+    flat = itertools.chain.from_iterable(entries)
+    return np.fromiter(flat, np.int64, 4 * len(entries)).reshape(-1, 4).T
+
+
 def closure(
     n: int, generators: Iterable[Mat2], cap: int = DEFAULT_CLOSURE_CAP
 ) -> Subgroup:
@@ -145,6 +154,17 @@ def closure(
     the powers of x, then consecutive right cosets of the group before them.
     No Mat2 is built until the element set is read, and no more than `cap`
     entries are ever held.
+
+    The block size picks the arithmetic, never the order. For n < 2^31,
+    where int64 products of entries stay exact, a block of at least
+    `_ARRAY_BLOCK` entries is one numpy product read back as tuples: once L
+    powers of x are listed, the next L are (x^0 .. x^(L-1)) x^L, cut at the
+    first identity, and a right coset H y with |H| >= `_ARRAY_BLOCK` is one
+    4 x |H| product. At ell = 47 that wins from about 80 entries up (tuple
+    arithmetic about 0.18 us an entry; one product about 9 us plus 0.06 us
+    an entry). Smaller blocks and larger moduli stay on tuples. When every
+    entry came from such blocks, the group gets their concatenation as its
+    `entry_array`, with no rebuild from the tuples.
     """
     gens = tuple(generators)
     for g in gens:
@@ -154,8 +174,11 @@ def closure(
             raise PreconditionError(f"generator {g} is not invertible")
     _check_modulus(n)
 
+    # int64 products of entries below n sum below 2^63 only for n < 2^31
+    array_from = _ARRAY_BLOCK if n < 2**31 else math.inf
     identity = (1, 0, 0, 1)
     found = [identity]
+    blocks: list[np.ndarray] = []  # once started, 4 x k int64 blocks that concatenate to found
     kept: list[tuple[int, int, int, int]] = []
     members: set[tuple[int, int, int, int]] = set()  # filled once a second generator comes
     for g in gens:
@@ -165,12 +188,32 @@ def closure(
                 continue
             kept.append(x)
             p, q, r, s = y = x
-            while y != identity:
+            while y != identity and len(found) < array_from:
                 if len(found) >= cap:
                     raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
                 found.append(y)
                 a, b, c, d = y
                 y = ((a * p + b * r) % n, (a * q + b * s) % n, (c * p + d * r) % n, (c * q + d * s) % n)
+            if y != identity:
+                # y = x^L for the L powers listed: the next L powers are
+                # (x^0 .. x^(L-1)) y, up to the first identity among them
+                powers = _as_array(found)
+                while True:
+                    # one product past the cap shows whether the group fits in it
+                    block = _right_product(powers[:, : cap + 1 - len(found)], y, n)
+                    a, b, c, d = block
+                    ends = np.flatnonzero((a == 1) & (b == 0) & (c == 0) & (d == 1))
+                    if ends.size:
+                        block = block[:, : ends[0]]
+                    if len(found) + block.shape[1] > cap:
+                        raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
+                    found += zip(*block.tolist())
+                    powers = np.concatenate((powers, block), axis=1)
+                    if ends.size:
+                        break
+                    a, b, c, d = y
+                    y = ((a * a + b * c) % n, (a * b + b * d) % n, (c * a + d * c) % n, (c * b + d * d) % n)
+                blocks.append(powers)
             continue
         if not members:
             members.update(found)
@@ -180,7 +223,13 @@ def closure(
         # found is the subgroup H generated so far; from here on it grows by
         # whole right cosets H y, each disjoint from those listed, so only a
         # product r s is looked up and a new coset's elements need no lookup
-        subgroup = found[:]
+        size = len(found)
+        if size >= array_from:
+            if not blocks:
+                blocks.append(_as_array(found))
+            subgroup = np.concatenate(blocks, axis=1)
+        else:
+            subgroup = found[:]
         reps = [identity]
         for t in reps:  # grows while read: the queue of coset representatives
             a, b, c, d = t
@@ -188,18 +237,37 @@ def closure(
                 y = ((a * p + b * r) % n, (a * q + b * s) % n, (c * p + d * r) % n, (c * q + d * s) % n)
                 if y in members:
                     continue
-                if len(found) + len(subgroup) > cap:
+                if len(found) + size > cap:
                     raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
-                u, v, w, z = y
-                coset = [
-                    ((e * u + f * w) % n, (e * v + f * z) % n, (h * u + k * w) % n, (h * v + k * z) % n)
-                    for e, f, h, k in subgroup
-                ]
+                if blocks:
+                    block = _right_product(subgroup, y, n)
+                    blocks.append(block)
+                    coset = list(zip(*block.tolist()))
+                else:
+                    u, v, w, z = y
+                    coset = [
+                        ((e * u + f * w) % n, (e * v + f * z) % n, (h * u + k * w) % n, (h * v + k * z) % n)
+                        for e, f, h, k in subgroup
+                    ]
                 found += coset
                 members.update(coset)
                 reps.append(y)
     # finite subsets closed under multiplication are closed under inverse
-    return Subgroup(n, gens, found)
+    group = Subgroup(n, gens, found)
+    if blocks:
+        array = np.concatenate(blocks, axis=1)
+        array.flags.writeable = False
+        vars(group)["entry_array"] = array
+    return group
+
+
+def _right_product(h: np.ndarray, y: tuple[int, int, int, int], n: int) -> np.ndarray:
+    """The 4 x k int64 entries of x y mod n for each column x of h, entries below n < 2^31."""
+    a, b, c, d = h
+    p, q, r, s = y
+    block = np.stack((a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s))
+    block %= n
+    return block
 
 
 def _cyclic_subgroups(n: int, entries: Iterable[tuple[int, int, int, int]]) -> list[Subgroup]:

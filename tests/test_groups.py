@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent, unipotent_lower
 from gl2tors.groups import (
+    _ARRAY_BLOCK,
     NamedGroupId,
     closure,
     diagexp_pair,
@@ -158,16 +160,109 @@ def test_closure_matches_reference(args):
         assert x == validated and hash(x) == hash(validated)
 
 
-@pytest.mark.parametrize("n", sorted(_GL2_ENTRIES))
+def _invertible_entries(n):
+    """Random invertible entries mod n, drawn without listing GL2(Z/nZ)."""
+    return st.tuples(*[st.integers(0, n - 1)] * 4).filter(
+        lambda e: math.gcd(e[0] * e[3] - e[1] * e[2], n) == 1
+    )
+
+
+@pytest.mark.parametrize("n", sorted(_GL2_ENTRIES) + [13, 47])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_one_generator_closure_lists_powers(n, data):
     """closure(n, [x]) lists x^0, x^1, ..., x^(m-1) in that order, the
-    contract that _cyclic_subgroups and admissible_inertia_exponents read."""
-    entries = data.draw(st.sampled_from(_GL2_ENTRIES[n]))
+    contract that _cyclic_subgroups and admissible_inertia_exponents read.
+    Element orders reach _ARRAY_BLOCK only mod 13 (up to 168) and mod 47
+    (up to 2208), where the powers past it are listed by doubling."""
+    if n in _GL2_ENTRIES:
+        entries = data.draw(st.sampled_from(_GL2_ENTRIES[n]))
+    else:
+        entries = data.draw(_invertible_entries(n))
     shifts = data.draw(st.tuples(*[st.integers(-2, 2)] * 4))
     x = Mat2(n, *(v + k * n for v, k in zip(entries, shifts)))
-    assert list(closure(n, [x]).entries) == _powers(x)
+    g = closure(n, [x])
+    assert list(g.entries) == _powers(x)
+    _check_entry_array(g)
+
+
+def _nonsplit_generator(ell):
+    """1 + b sqrt(alpha), as (1, b alpha; b, 1), a generator of F_ell^2^*
+    of order ell^2 - 1 (120, 168 and 2208)."""
+    b = {11: 5, 13: 2, 47: 4}[ell]
+    return Mat2(ell, 1, b * primitive_root(ell), b, 1)
+
+
+def _norm_nonsplit_47():
+    """Generators of NormNonsplit(47): a generator of the non-split Cartan
+    and (a, -b alpha; b, -a), both conjugated by t as in the verb benchmark."""
+    flip = Mat2(47, 3, -5 * primitive_root(47), 5, -3)
+    t = Mat2(47, 2, 7, 1, 9)
+    return [mat_mul(mat_mul(mat_inv(t), g), t) for g in (_nonsplit_generator(47), flip)]
+
+
+def _check_entry_array(g):
+    """g.entry_array is read-only and equal, byte for byte, to the array
+    built from the entry tuples, whether closure handed it over or not."""
+    flat = itertools.chain.from_iterable(g.entries)
+    want = np.fromiter(flat, np.int64, 4 * g.order).reshape(-1, 4).T
+    array = g.entry_array
+    assert array.dtype == want.dtype and array.shape == want.shape
+    assert array.tobytes() == want.tobytes()
+    assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "n, x, order",
+    [
+        (127, Mat2(127, 1, 1, 0, 1), 127),
+        (128, Mat2(128, 1, 1, 0, 1), 128),
+        (129, Mat2(129, 1, 1, 0, 1), 129),
+        (11, _nonsplit_generator(11), 120),
+        (13, _nonsplit_generator(13), 168),
+        (47, _nonsplit_generator(47), 2208),
+    ],
+    ids=["shear127", "shear128", "shear129", "cartan11", "cartan13", "cartan47"],
+)
+def test_one_generator_closure_across_the_array_block(n, x, order):
+    """Orders below, at and above _ARRAY_BLOCK: the powers are listed in
+    order either way, and past it closure hands over its entry array."""
+    g = closure(n, [x])
+    assert g.order == order and list(g.entries) == _powers(x)
+    assert ("entry_array" in vars(g)) == (order > _ARRAY_BLOCK)
+    _check_entry_array(g)
+
+
+@pytest.mark.parametrize(
+    "ell, gens",
+    [
+        (13, [Mat2.diag(13, 2, 1), Mat2.diag(13, 1, 2), unipotent(13)]),
+        (13, [_nonsplit_generator(13), Mat2.diag(13, 1, -1)]),
+        (47, _norm_nonsplit_47()),
+    ],
+    ids=["Borel13", "NormNonsplit13", "NormNonsplit47"],
+)
+def test_cosets_of_a_large_subgroup_match_reference(ell, gens):
+    """Right cosets of a subgroup H with |H| >= _ARRAY_BLOCK, whether H came
+    from tuple cosets (Borel(13): |H| = 144) or from doubled powers, are
+    listed in closure's entry order and close the group."""
+    g = closure(ell, gens)
+    assert g.elements == _closure_reference(ell, gens)
+    _check_entry_order(ell, gens, g.entries)
+    assert "entry_array" in vars(g)
+    _check_entry_array(g)
+
+
+def test_closure_past_the_int64_bound_lists_tuples():
+    """Mod 2^32 the shear (1 2^24; 0 1) has order 256 >= _ARRAY_BLOCK, but
+    int64 entry products are not safe there: closure lists the powers as
+    tuples and hands over no entry array, which still refuses the modulus."""
+    n = 2**32
+    x = Mat2(n, 1, 2**24, 0, 1)
+    g = closure(n, [x])
+    assert g.order == 256 and list(g.entries) == _powers(x)
+    with pytest.raises(ResourceLimitError, match=f"modulus {n} is too large for int64 entries"):
+        g.entry_array
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,15 +296,25 @@ def test_closure_of_identities_is_trivial(n):
         (7, [Mat2.diag(7, 3, 1), unipotent(7)], 42),
         (5, [Mat2.diag(5, 2, 1), Mat2.diag(5, 1, 2), unipotent(5)], 80),
         (6, [Mat2(6, 1, 1, 0, 1), Mat2(6, 0, 1, 5, 0), Mat2.diag(6, 5, 1)], 288),
+        (13, [_nonsplit_generator(13)], 168),
+        (47, [_nonsplit_generator(47)], 2208),
+        (47, _norm_nonsplit_47(), 4416),
     ],
 )
 def test_closure_cap_is_the_order(n, gens, order):
     """A cap of the group order closes the group; one less raises, for one
-    generator and for several."""
+    generator and for several, with blocks below and above _ARRAY_BLOCK."""
     g = closure(n, gens, cap=order)
     assert g.order == order and g == closure(n, gens)
     with pytest.raises(ResourceLimitError, match=f"closure exceeded cap of {order - 1} elements"):
         closure(n, gens, cap=order - 1)
+
+
+@pytest.mark.parametrize("ell, cap", [(13, 128), (13, 129), (47, 129), (47, 200), (47, 256)])
+def test_closure_cap_inside_a_doubled_block(ell, cap):
+    """A cap that falls inside a block of doubled powers raises too."""
+    with pytest.raises(ResourceLimitError, match=f"closure exceeded cap of {cap} elements"):
+        closure(ell, [_nonsplit_generator(ell)], cap=cap)
 
 
 def _check_entry_views(g, ref):
@@ -393,10 +498,8 @@ def test_one_generator_closure_builds_no_mat2(monkeypatch):
     """Neither a one-generator closure nor a two-generator one builds a Mat2
     per element: NormNonsplit(47) from a generator of the non-split Cartan
     and (a, -b alpha; b, -a), both conjugated by t as in the verb benchmark."""
-    (gamma,) = named_group(NamedGroupId.NONSPLIT_CARTAN, 47).generators
-    flip = Mat2(47, 3, -5 * primitive_root(47), 5, -3)
-    t = Mat2(47, 2, 7, 1, 9)
-    x, y = (mat_mul(mat_mul(mat_inv(t), g), t) for g in (gamma, flip))
+    gamma = _nonsplit_generator(47)
+    x, y = _norm_nonsplit_47()
     built = _counted_mat2_builds(monkeypatch)
     assert closure(47, [gamma]).order == 47 * 47 - 1
     assert closure(47, [x, y]).order == 2 * (47 * 47 - 1)
