@@ -44,13 +44,13 @@ class FieldInput:
                 raise PreconditionError(f"pdi2 entry {ell} is not 3 mod 4")
 
     @staticmethod
-    def from_json(text: str) -> "FieldInput":
+    def from_json(payload: object) -> "FieldInput":
+        """The field input a decoded JSON value describes; `cli._read_input` decodes the file."""
         try:
-            payload = json.loads(text)
             merel, lv14 = payload["merel_constant"], payload["lv14_bound"]
             pdi2 = tuple(payload.get("pdi2_primes", []))
             label = str(payload["label"])
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed field input: {exc}") from exc
         # type(...) is int also turns away JSON true/false, which Python reads as ints
         if not all(type(v) is int for v in (merel, lv14, *pdi2)):

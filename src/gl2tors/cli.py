@@ -88,13 +88,19 @@ def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...
             print("\t".join(str(x) for x in row))
 
 
-def _read_file(path: str) -> str:
+def _read_input(path: str, what: str) -> object:
+    """The decoded JSON value of an --input file of the given kind. A file
+    that cannot be read exits 1; one that is not UTF-8 JSON that Python can
+    hold (an integer literal past its digit limit, or nesting past its
+    recursion limit) raises PreconditionError, which exits 2."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return json.loads(handle.read())
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
+        raise PreconditionError(f"malformed {what} input: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -109,7 +115,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    g = subgroup_from_json(_read_file(args.input))
+    g = subgroup_from_json(_read_input(args.input, "subgroup"))
     if args.witness is not None:
         try:
             c, d = (int(x) for x in args.witness.split(","))
@@ -135,7 +141,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = subgroup_from_json(_read_file(args.input))
+    g = subgroup_from_json(_read_input(args.input, "subgroup"))
     if args.exhaustive:
         # the indices come first: they check the cap before any key is built
         indices, keys = exhaustive_indices(g), _vector_keys(g.n)
@@ -160,7 +166,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    inp = FieldInput.from_json(_read_file(args.input))
+    inp = FieldInput.from_json(_read_input(args.input, "field"))
     report = bound_report(inp)
     payload = report.to_dict()
     rows = [

@@ -24,8 +24,14 @@ from .modarith import (
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
-# the block size from which closure multiplies in numpy: about 1.5 times the
-# measured crossover with tuple arithmetic (about 80 entries at ell = 47)
+# the block size from which closure multiplies in numpy. At ell = 47 a right
+# product of k entries costs about 0.18k us on tuples (0.20k with the member
+# set) and 2 + 0.018k us as one numpy product whose entries stay in the array,
+# and a lookup on row codes costs 3-4 us against 0.05 us in a set, so a coset
+# with its lookups pays in numpy from about 55 entries. A block of 64 made the
+# closures faster (the seed-1 verb pool's order-168 NonsplitCartan(13) groups
+# 55 -> 46 us) but the ell = 11 and 13 verbs 1-2% slower, since classify reads
+# those groups' tuples back, so 128 stays.
 _ARRAY_BLOCK = 128
 # nonzero row vectors an exhaustive spectrum may list (ell^2 - 1); ell <= 313
 EXHAUSTIVE_SPECTRUM_CAP = 10**5
@@ -33,7 +39,10 @@ EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
 class Subgroup:
     """A subgroup of GL2(Z/nZ) held as generators plus its elements' reduced
-    (a, b, c, d) tuples (`entries`).
+    (a, b, c, d) entries: as tuples (`entries`), or as the read-only 4 x |G|
+    int64 array with rows a, b, c, d (`entry_array`) that `closure` hands
+    over once it has moved to numpy blocks. The other form is built on first
+    read, the tuples in the array's column order.
 
     `Subgroup(n, generators, entries)` is the one constructor, and it is
     trusted: it checks nothing, so the caller guarantees that the entries are
@@ -45,21 +54,29 @@ class Subgroup:
     the order `closure` lists them, or ascending for such a wrapped group;
     the one order that library code reads is that of a one-generator
     closure, x^0, x^1, ..., x^(m-1).
-    Order, the determinant image, the entry array (built from the tuples on
-    first read, unless `closure` computed it), membership, containment
-    (`<=`), equality and hashing read the tuples alone; the last three use
-    only (n, the entry set), so one group with two generating sets compares
-    equal. The `Mat2` element set (`elements`), built on first read, is a
-    view that the library never reads.
+    The order is counted when the group is made; the determinant image and
+    the spectra read the entry array. Membership, containment (`<=`),
+    equality and hashing read the tuples; the last three use only (n, the
+    entry set), so one group with two generating sets compares equal. The
+    `Mat2` element set (`elements`), built on first read, is a view that
+    the library never reads.
     """
 
     n: int
-    entries: tuple[tuple[int, int, int, int], ...]
+    order: int
 
     def __init__(
-        self, n: int, generators: Iterable[Mat2] | None, entries: Iterable[tuple[int, int, int, int]]
+        self,
+        n: int,
+        generators: Iterable[Mat2] | None,
+        entries: Iterable[tuple[int, int, int, int]] | np.ndarray,
     ):
-        vars(self).update(n=n, entries=tuple(entries))
+        if isinstance(entries, np.ndarray):
+            entries.flags.writeable = False
+            vars(self).update(n=n, order=entries.shape[1], entry_array=entries)
+        else:
+            entries = tuple(entries)
+            vars(self).update(n=n, order=len(entries), entries=entries)
         if generators is not None:
             vars(self)["generators"] = tuple(generators)
 
@@ -79,6 +96,11 @@ class Subgroup:
         return frozenset(trusted(n, a, b, c, d) for a, b, c, d in self.entries)
 
     @cached_property
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The entry tuples, read back from the entry array that closure handed over."""
+        return tuple(zip(*self.entry_array.tolist()))
+
+    @cached_property
     def _entry_set(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(self.entries)
 
@@ -91,10 +113,6 @@ class Subgroup:
         array = _as_array(self.entries)
         array.flags.writeable = False
         return array
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
 
     def __contains__(self, x: Mat2) -> bool:
         return isinstance(x, Mat2) and x.n == self.n and x.entries() in self._entry_set
@@ -144,7 +162,7 @@ def closure(
 ) -> Subgroup:
     """Smallest subgroup of GL2(Z/nZ) containing the generators.
 
-    Dimino's method on reduced (a, b, c, d) tuples mod n, which computes each
+    Dimino's method on reduced (a, b, c, d) entries mod n, which computes each
     element once. A generator that is the identity or already in the group
     built so far is skipped. The first one kept, x of order m, lists
     x^0, x^1, ..., x^(m-1) in that order. Each later one, g, extends the
@@ -155,16 +173,17 @@ def closure(
     No Mat2 is built until the element set is read, and no more than `cap`
     entries are ever held.
 
-    The block size picks the arithmetic, never the order. For n < 2^31,
-    where int64 products of entries stay exact, a block of at least
-    `_ARRAY_BLOCK` entries is one numpy product read back as tuples: once L
-    powers of x are listed, the next L are (x^0 .. x^(L-1)) x^L, cut at the
-    first identity, and a right coset H y with |H| >= `_ARRAY_BLOCK` is one
-    4 x |H| product. At ell = 47 that wins from about 80 entries up (tuple
-    arithmetic about 0.18 us an entry; one product about 9 us plus 0.06 us
-    an entry). Smaller blocks and larger moduli stay on tuples. When every
-    entry came from such blocks, the group gets their concatenation as its
-    `entry_array`, with no rebuild from the tuples.
+    The block size picks the arithmetic, never the order. The group is held
+    as tuples, with a set of them for the lookups of r s, until n < 2^31
+    (where int64 products of entries stay exact) and a block of at least
+    `_ARRAY_BLOCK` entries is due: once L powers of x are listed, the next
+    ones are (x^0 .. x^(j-1)) x^L, where j is the place of x^-L among the
+    listed powers, or L if it is not there, and a right coset H y with
+    |H| >= `_ARRAY_BLOCK` is one 4 x |H| product. From then on the group is
+    held as int64 blocks alone (`_Blocks`), with no tuple and no member set,
+    and the group gets their concatenation as its entry array; its tuples
+    are built only if something reads them. Smaller blocks and larger moduli
+    stay on tuples, the reference that tests compare the blocks against.
     """
     gens = tuple(generators)
     for g in gens:
@@ -177,10 +196,11 @@ def closure(
     # int64 products of entries below n sum below 2^63 only for n < 2^31
     array_from = _ARRAY_BLOCK if n < 2**31 else math.inf
     identity = (1, 0, 0, 1)
-    found = [identity]
-    blocks: list[np.ndarray] = []  # once started, 4 x k int64 blocks that concatenate to found
+    # the group built so far: a list of tuples with a set of them for lookups
+    # (filled once a second generator comes), or int64 blocks for both
+    found: list[tuple[int, int, int, int]] | _Blocks = [identity]
+    members: set[tuple[int, int, int, int]] | _Blocks = set()
     kept: list[tuple[int, int, int, int]] = []
-    members: set[tuple[int, int, int, int]] = set()  # filled once a second generator comes
     for g in gens:
         x = g.entries()
         if not kept:
@@ -195,28 +215,29 @@ def closure(
                 a, b, c, d = y
                 y = ((a * p + b * r) % n, (a * q + b * s) % n, (c * p + d * r) % n, (c * q + d * s) % n)
             if y != identity:
-                # y = x^L for the L powers listed: the next L powers are
-                # (x^0 .. x^(L-1)) y, up to the first identity among them
                 powers = _as_array(found)
                 while True:
-                    # one product past the cap shows whether the group fits in it
-                    block = _right_product(powers[:, : cap + 1 - len(found)], y, n)
-                    a, b, c, d = block
-                    ends = np.flatnonzero((a == 1) & (b == 0) & (c == 0) & (d == 1))
-                    if ends.size:
-                        block = block[:, : ends[0]]
-                    if len(found) + block.shape[1] > cap:
+                    # y = x^L for the L powers listed. x^(L+j) is the identity
+                    # exactly when x^j = y^-1, so the next powers are
+                    # (x^0 .. x^(j-1)) y if y^-1 is listed at j, else all L
+                    a, b, c, d = y
+                    e = pow(a * d - b * c, -1, n)
+                    inverse = np.array((d * e % n, -b * e % n, -c * e % n, a * e % n))
+                    ends = np.flatnonzero((powers == inverse[:, None]).all(axis=0))
+                    k = ends[0] if ends.size else powers.shape[1]
+                    if powers.shape[1] + k > cap:
                         raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
-                    found += zip(*block.tolist())
-                    powers = np.concatenate((powers, block), axis=1)
+                    powers = np.concatenate((powers, _right_product(powers[:, :k], y, n)), axis=1)
                     if ends.size:
                         break
-                    a, b, c, d = y
                     y = ((a * a + b * c) % n, (a * b + b * d) % n, (c * a + d * c) % n, (c * b + d * d) % n)
-                blocks.append(powers)
+                found = members = _Blocks(n, powers)
             continue
-        if not members:
-            members.update(found)
+        if not isinstance(found, _Blocks):
+            if len(found) >= array_from:
+                found = members = _Blocks(n, _as_array(found))
+            elif not members:
+                members.update(found)
         if x in members:
             continue
         kept.append(x)
@@ -224,12 +245,7 @@ def closure(
         # whole right cosets H y, each disjoint from those listed, so only a
         # product r s is looked up and a new coset's elements need no lookup
         size = len(found)
-        if size >= array_from:
-            if not blocks:
-                blocks.append(_as_array(found))
-            subgroup = np.concatenate(blocks, axis=1)
-        else:
-            subgroup = found[:]
+        subgroup = found.array() if isinstance(found, _Blocks) else found[:]
         reps = [identity]
         for t in reps:  # grows while read: the queue of coset representatives
             a, b, c, d = t
@@ -239,33 +255,71 @@ def closure(
                     continue
                 if len(found) + size > cap:
                     raise ResourceLimitError(f"closure exceeded cap of {cap} elements")
-                if blocks:
-                    block = _right_product(subgroup, y, n)
-                    blocks.append(block)
-                    coset = list(zip(*block.tolist()))
+                if isinstance(found, _Blocks):
+                    found.append(_right_product(subgroup, y, n))
                 else:
                     u, v, w, z = y
                     coset = [
                         ((e * u + f * w) % n, (e * v + f * z) % n, (h * u + k * w) % n, (h * v + k * z) % n)
                         for e, f, h, k in subgroup
                     ]
-                found += coset
-                members.update(coset)
+                    found += coset
+                    members.update(coset)
                 reps.append(y)
     # finite subsets closed under multiplication are closed under inverse
-    group = Subgroup(n, gens, found)
-    if blocks:
-        array = np.concatenate(blocks, axis=1)
-        array.flags.writeable = False
-        vars(group)["entry_array"] = array
-    return group
+    return Subgroup(n, gens, found.array() if isinstance(found, _Blocks) else found)
+
+
+class _Blocks:
+    """A group under construction mod n < 2^31, held as 4 x k int64 entry
+    blocks that concatenate to its entries in order. Membership is one
+    vectorized comparison against row codes kept beside the blocks: each
+    entry packs as a n + b and c n + d, both below n^2 < 2^62, so the codes
+    are exact. They are packed at the first lookup, which a one-generator
+    closure never makes, into a buffer that doubles as it fills."""
+
+    def __init__(self, n: int, block: np.ndarray):
+        self.n = n
+        self.blocks = [block]
+        self.size = block.shape[1]
+        self.codes = np.empty((2, 0), np.int64)
+        self.coded = 0  # the blocks, and the entries, whose codes are packed
+        self.used = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def append(self, block: np.ndarray) -> None:
+        self.blocks.append(block)
+        self.size += block.shape[1]
+
+    def array(self) -> np.ndarray:
+        """The entries so far as one 4 x size array."""
+        return np.concatenate(self.blocks, axis=1) if len(self.blocks) > 1 else self.blocks[0]
+
+    def __contains__(self, y: tuple[int, int, int, int]) -> bool:
+        n, codes, used = self.n, self.codes, self.used
+        if used < self.size:
+            if self.size > codes.shape[1]:
+                codes = np.empty((2, 2 * self.size), np.int64)
+                codes[:, :used] = self.codes[:, :used]
+                self.codes = codes
+            for block in self.blocks[self.coded :]:
+                part = codes[:, used : used + block.shape[1]]
+                np.multiply(block[::2], n, out=part)
+                part += block[1::2]
+                used += block.shape[1]
+            self.coded, self.used = len(self.blocks), used
+        a, b, c, d = y
+        top, bottom = codes[:, :used]
+        return bool(((top == a * n + b) & (bottom == c * n + d)).any())
 
 
 def _right_product(h: np.ndarray, y: tuple[int, int, int, int], n: int) -> np.ndarray:
     """The 4 x k int64 entries of x y mod n for each column x of h, entries below n < 2^31."""
-    a, b, c, d = h
     p, q, r, s = y
-    block = np.stack((a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s))
+    # the rows (a, b) and (c, d) of every x times y, as one stacked 2 x 2 product
+    block = np.matmul(np.array(((p, r), (q, s))), h.reshape(2, 2, -1)).reshape(4, -1)
     block %= n
     return block
 
@@ -458,13 +512,13 @@ def _is_2x2(m) -> bool:
     )
 
 
-def subgroup_from_json(text: str) -> Subgroup:
-    """Parse {"modulus": N, "generators": [[[a,b],[c,d]], ...]} and close it."""
+def subgroup_from_json(payload: object) -> Subgroup:
+    """Close the subgroup a decoded JSON value {"modulus": N, "generators":
+    [[[a,b],[c,d]], ...]} describes; `cli._read_input` decodes the file."""
     try:
-        payload = json.loads(text)
         n = payload["modulus"]
         raw = payload["generators"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed subgroup input: {exc}") from exc
     if not isinstance(raw, list) or not all(_is_2x2(m) for m in raw):
         raise PreconditionError(

@@ -74,9 +74,9 @@ def test_field_input_validation():
 
 def test_field_input_json_round_trip():
     inp = FieldInput("example", 210, 13, (7, 11, 23))
-    assert FieldInput.from_json(inp.to_json()) == inp
+    assert FieldInput.from_json(json.loads(inp.to_json())) == inp
     with pytest.raises(PreconditionError):
-        FieldInput.from_json("{}")
+        FieldInput.from_json({})
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_field_input_json_rejects_non_integers(field, value):
     payload = {"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7]}
     payload[field] = value
     with pytest.raises(PreconditionError, match="malformed field input"):
-        FieldInput.from_json(json.dumps(payload))
+        FieldInput.from_json(payload)
 
 
 def test_p_bound_examples():

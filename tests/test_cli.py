@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gl2tors import cli, groups, verify
 from gl2tors.bounds import SIEVE_CAP
@@ -138,6 +139,7 @@ _GROUPS = {
     "DELTA_U1_11": DELTA_U1_11,
     "DELTA_U2_11": DELTA_U2_11,
     "BOREL_CONG_11": BOREL_CONG_11,
+    "NORM_NONSPLIT_47": NORM_NONSPLIT_47,
 }
 _PINNED_STDOUT = {
     ("BOREL_7", "spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
@@ -169,6 +171,13 @@ _PINNED_STDOUT = {
     ("DELTA_U1_11", "spectrum --exhaustive", "text"): "7c6ac12ac48b224ad221f8fe1f42b4a01e84f377b2ca1dcd64421bc5052bc467",
     ("DELTA_U1_11", "spectrum --exhaustive", "csv"): "5eb6a9779471ac03d6ef76d0f605a92d9d0d39414ffa2702e0f1c3771b0a7027",
     ("DELTA_U1_11", "spectrum --exhaustive", "json"): "594930b55318f35098a9f3f9b6b7c14cde0d8b9a234bc4bd7ec8a03ca34970b9",
+    # a group whose entries closure computes in numpy blocks (order 4416)
+    ("NORM_NONSPLIT_47", "spectrum", "text"): "17288d7dbb6b4d34c5c84a4e4a0bb69fed6d75b4a80d6faceac65167356d4564",
+    ("NORM_NONSPLIT_47", "spectrum", "csv"): "f52f0b78acc86987cfbfd05cee07b505f985d827d55971a12deebdca53ece39a",
+    ("NORM_NONSPLIT_47", "spectrum", "json"): "cd60f32b61f7ef60d4e04a506e5d25de32f25604efdf41b8b9244fd3c6974bac",
+    ("NORM_NONSPLIT_47", "spectrum --exhaustive", "text"): "2399fe446776065a2e7a558045d00f7c04b2a29ae16eebb4a14c59c4b0a2d0bd",
+    ("NORM_NONSPLIT_47", "spectrum --exhaustive", "csv"): "c35cab73c51f74b3ca55c7e620b80dc07bcfeffe57e01b80a9fcad736a58721e",
+    ("NORM_NONSPLIT_47", "spectrum --exhaustive", "json"): "e230d169a5e5a3ed7c8b7e7008df07e6b536db854dc77eab63bffb6f73e12ee3",
 }
 
 
@@ -253,6 +262,25 @@ def test_classify_paths_read_no_element_set(tmp_path, capsys, monkeypatch):
     assert verify.run_harness("not-bl", ell_max=11).checked == 56
 
 
+def test_array_group_verbs_build_no_entry_tuples(tmp_path, capsys, monkeypatch):
+    """On NormNonsplit(47), whose closure holds its entries in numpy blocks,
+    spectrum, spectrum --exhaustive and classify read the entry array alone:
+    reading the entry tuples, or anything built from them, raises."""
+
+    def forbidden(self):
+        raise AssertionError("Subgroup.entries was read")
+
+    monkeypatch.setattr(Subgroup, "entries", property(forbidden))
+    path = tmp_path / "g.json"
+    path.write_text(NORM_NONSPLIT_47)
+    for flags in ([], ["--exhaustive"]):
+        assert main(["--format", "json", "spectrum", "--input", str(path), *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 4416
+    # the full NormNonsplit(47) has no point of odd index
+    assert main(["--format", "json", "classify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: no projective point with odd stabilizer index\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--exhaustive"]])
 def test_spectrum_builds_no_group_elements(flags, tmp_path, capsys, monkeypatch):
     """Spectra read the group's entry array and never its Mat2 element set:
@@ -316,7 +344,7 @@ def test_input_past_closure_cap_exit_2(tmp_path, capsys, monkeypatch):
     input, since a group past DEFAULT_CLOSURE_CAP = 10^7 would take minutes
     and gigabytes to reach it."""
     assert groups.closure.__defaults__ == (groups.DEFAULT_CLOSURE_CAP,)
-    assert groups.subgroup_from_json(BOREL_7).order == 42
+    assert groups.subgroup_from_json(json.loads(BOREL_7)).order == 42
     monkeypatch.setattr(groups.closure, "__defaults__", (41,))
     path = tmp_path / "g.json"
     path.write_text(BOREL_7)
@@ -427,6 +455,89 @@ def test_classify_explicit_witness(tmp_path, capsys):
 
 def test_missing_input_file():
     assert main(["classify", "--input", "/nonexistent/g.json"]) == 1
+
+
+# input files that json.loads cannot turn into a value: bytes that are not
+# UTF-8 (a UTF-16 byte order mark), nesting past the recursion limit, and an
+# integer literal past Python's 4300-digit limit on int conversion
+_UTF16_BOM = b"\xff\xfe"
+_DEEP_NESTING = b"[" * 100_000
+_LONG_MODULUS = b'{"modulus": ' + b"1" * 5001 + b', "generators": []}'
+_UNPARSABLE = {
+    "utf16-bom": (_UTF16_BOM, "'utf-8' codec can't decode byte 0xff in position 0"),
+    "deep-nesting": (_DEEP_NESTING, "maximum recursion depth exceeded"),
+    "long-modulus": (_LONG_MODULUS, "Exceeds the limit (4300 digits) for integer string conversion"),
+}
+_INPUT_VERBS = {"spectrum": "subgroup", "classify": "subgroup", "bound": "field"}
+
+
+@pytest.mark.parametrize("verb", sorted(_INPUT_VERBS))
+@pytest.mark.parametrize("name", sorted(_UNPARSABLE))
+def test_unparsable_input_exit_2(name, verb, tmp_path, capsys):
+    data, reason = _UNPARSABLE[name]
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    assert main([verb, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed {_INPUT_VERBS[verb]} input: {reason}")
+
+
+def test_unreadable_input_exit_1(tmp_path, capsys):
+    """A directory opens with an OSError, as a missing file does."""
+    for verb in sorted(_INPUT_VERBS):
+        assert main([verb, "--input", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+
+# small moduli and entries, so that every drawn group closes in milliseconds
+_SMALL_INT = st.integers(-3, 13)
+_KEYS = ("modulus", "generators", "label", "merel_constant", "lv14_bound", "pdi2_primes")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_MATRIX = st.lists(st.lists(_SMALL_INT, min_size=2, max_size=2), min_size=2, max_size=2)
+_GROUP_VALUES = st.fixed_dictionaries(
+    {"modulus": _SMALL_INT, "generators": st.lists(_MATRIX, max_size=3) | _JSON_VALUES}
+)
+_FIELD_VALUES = st.fixed_dictionaries(
+    {
+        "label": st.text(max_size=4) | _JSON_VALUES,
+        "merel_constant": st.integers(-2, 400),
+        "lv14_bound": st.integers(-2, 400),
+        "pdi2_primes": st.lists(st.integers(-2, 60), max_size=3) | _JSON_VALUES,
+    }
+)
+_INPUT_BYTES = st.binary(max_size=40) | (_JSON_VALUES | _GROUP_VALUES | _FIELD_VALUES).map(
+    lambda value: json.dumps(value).encode()
+)
+_INPUT_ARGV = (["spectrum"], ["spectrum", "--exhaustive"], ["classify"], ["bound"], ["bound", "--degree", "3"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(_INPUT_ARGV), data=_INPUT_BYTES)
+@example(argv=["spectrum"], data=_UTF16_BOM)
+@example(argv=["classify"], data=_UTF16_BOM)
+@example(argv=["bound"], data=_UTF16_BOM)
+@example(argv=["spectrum"], data=_DEEP_NESTING)
+@example(argv=["classify"], data=_DEEP_NESTING)
+@example(argv=["bound"], data=_DEEP_NESTING)
+@example(argv=["spectrum"], data=_LONG_MODULUS)
+@example(argv=["classify"], data=_LONG_MODULUS)
+@example(argv=["bound"], data=_LONG_MODULUS)
+def test_input_verbs_exit_cleanly_on_any_file(argv, data, tmp_path, capsys):
+    """Whatever bytes an --input file holds, the verbs that read one exit
+    with a code of the CLI (0 to 3) and print no traceback; main() lets any
+    other exception through, which fails the test."""
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    code = main([argv[0], "--input", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
 
 
 def test_unknown_verb():

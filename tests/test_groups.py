@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gl2tors import groups
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent, unipotent_lower
 from gl2tors.groups import (
@@ -218,15 +220,17 @@ def _check_entry_array(g):
         (127, Mat2(127, 1, 1, 0, 1), 127),
         (128, Mat2(128, 1, 1, 0, 1), 128),
         (129, Mat2(129, 1, 1, 0, 1), 129),
+        (256, Mat2(256, 1, 1, 0, 1), 256),
         (11, _nonsplit_generator(11), 120),
         (13, _nonsplit_generator(13), 168),
         (47, _nonsplit_generator(47), 2208),
     ],
-    ids=["shear127", "shear128", "shear129", "cartan11", "cartan13", "cartan47"],
+    ids=["shear127", "shear128", "shear129", "shear256", "cartan11", "cartan13", "cartan47"],
 )
 def test_one_generator_closure_across_the_array_block(n, x, order):
     """Orders below, at and above _ARRAY_BLOCK: the powers are listed in
-    order either way, and past it closure hands over its entry array."""
+    order either way, and past it closure hands over its entry array. At
+    order 256 one doubling ends exactly on the identity."""
     g = closure(n, [x])
     assert g.order == order and list(g.entries) == _powers(x)
     assert ("entry_array" in vars(g)) == (order > _ARRAY_BLOCK)
@@ -251,6 +255,86 @@ def test_cosets_of_a_large_subgroup_match_reference(ell, gens):
     _check_entry_order(ell, gens, g.entries)
     assert "entry_array" in vars(g)
     _check_entry_array(g)
+
+
+def _tuple_closure(n, gens):
+    """closure with no block moved to numpy: the tuple path, the reference
+    for the entry order and the entry views of a closure held as blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_ARRAY_BLOCK", math.inf)
+        return closure(n, gens)
+
+
+def _check_array_closure(n, gens, non_members=()):
+    """The closure of gens, held as numpy blocks, against the tuple path
+    (entries in the same order, order, the entry array) and against a group
+    built from _closure_reference (==, hash, <= both ways, in, elements)."""
+    g, tuples = closure(n, gens), _tuple_closure(n, gens)
+    assert "entry_array" in vars(g) and "entries" not in vars(g)
+    assert "entry_array" not in vars(tuples)
+    ref_elements = _closure_reference(n, gens)
+    ref = subgroup_from_entries(n, [x.entries() for x in ref_elements])
+    assert g.order == tuples.order == ref.order == len(ref_elements)
+    assert g.entries == tuples.entries
+    assert sorted(g.entries) == list(ref.entries)
+    _check_entry_array(g)
+    assert g.entry_array.tobytes() == tuples.entry_array.tobytes()
+    assert g == ref and g == tuples and hash(g) == hash(ref) == hash(tuples)
+    assert g <= ref and ref <= g
+    h = closure(n, gens[:1])
+    assert h <= g and (g <= h) == (h.order == g.order)
+    assert all(x in g for x in gens)
+    for x in non_members:
+        assert (x in g) == (x in ref_elements)
+    assert g.elements == ref_elements == tuples.elements
+
+
+def test_array_closures_match_tuple_closures():
+    """NormNonsplit(47) (doubled powers, then one coset in numpy) and
+    Borel(47) (tuple cosets up to |H| = 2116, then numpy cosets)."""
+    ell = 47
+    shears = [Mat2(ell, 1, b, 0, 1) for b in (1, 5)] + [Mat2(ell, 1, 0, 3, 1), Mat2.diag(ell, 5, 7)]
+    _check_array_closure(ell, _norm_nonsplit_47(), shears)
+    borel = named_group(NamedGroupId.BOREL, ell)
+    _check_array_closure(ell, list(borel.generators), shears + [Mat2(ell, 2, 7, 1, 9)])
+
+
+@st.composite
+def _normalizer_generators_47(draw):
+    """Two elements of one Cartan normalizer mod 47 (of order 4232 or 4416),
+    conjugated by a drawn t: most of the groups they generate pass
+    _ARRAY_BLOCK, and some pass it only in a later coset."""
+    gid = draw(st.sampled_from([NamedGroupId.NORM_SPLIT, NamedGroupId.NORM_NONSPLIT]))
+    entries = named_group(gid, 47).entries
+    t = Mat2(47, *draw(_invertible_entries(47)))
+    t_inv = mat_inv(t)
+    picks = [Mat2(47, *draw(st.sampled_from(entries))) for _ in range(2)]
+    others = [Mat2(47, *draw(_invertible_entries(47))) for _ in range(3)]
+    return [mat_mul(mat_mul(t_inv, x), t) for x in picks], others
+
+
+@settings(max_examples=25, deadline=None)
+@given(_normalizer_generators_47())
+def test_drawn_array_closures_match_tuple_closures(args):
+    gens, others = args
+    # a group past _ARRAY_BLOCK whose cosets all have |H| < _ARRAY_BLOCK stays on tuples
+    assume("entry_array" in vars(closure(47, gens)))
+    _check_array_closure(47, gens, others)
+
+
+@pytest.mark.parametrize("n", [65537, 2**31 - 1])
+def test_array_closure_membership_past_packed_entry_codes(n):
+    """Mod a prime past 55109 a code packing all four entries of a matrix
+    would overflow int64; the row codes a n + b and c n + d stay below 2^62
+    for every n < 2^31. diag(a, 1) of order m >= _ARRAY_BLOCK and the swap
+    (0 1; 1 0) generate the m^2 diagonals diag(a^i, a^j) and their swaps, so
+    many lookups meet an entry that shares its top row with a group element."""
+    m = {65537: 128, 2**31 - 1: 151}[n]
+    a = pow(primitive_root(n), (n - 1) // m, n)
+    gens = [Mat2.diag(n, a, 1), Mat2(n, 0, 1, 1, 0)]
+    non_members = [Mat2.diag(n, primitive_root(n), 1), Mat2(n, 0, a, 1, 0), Mat2(n, 1, 1, 0, 1)]
+    _check_array_closure(n, gens, non_members)
+    assert closure(n, gens).order == 2 * m * m
 
 
 def test_closure_past_the_int64_bound_lists_tuples():
@@ -585,15 +669,17 @@ def test_delta_u1_order():
 
 def test_json_round_trip():
     g = closure(7, [unipotent(7), Mat2.diag(7, 3, 1)])
-    back = subgroup_from_json(subgroup_to_json(g))
+    back = subgroup_from_json(json.loads(subgroup_to_json(g)))
     assert back.elements == g.elements
 
 
 def test_json_malformed():
+    """A decoded value without generators, or not an object, is refused; text
+    that is not JSON is the CLI reader's to refuse (tests/test_cli.py)."""
     with pytest.raises(PreconditionError):
-        subgroup_from_json('{"modulus": 5}')
+        subgroup_from_json({"modulus": 5})
     with pytest.raises(PreconditionError):
-        subgroup_from_json("not json")
+        subgroup_from_json("not an object")
 
 
 @pytest.mark.parametrize(
@@ -607,7 +693,7 @@ def test_json_malformed():
 )
 def test_json_rejects_non_integers(text):
     with pytest.raises(PreconditionError, match="malformed subgroup input"):
-        subgroup_from_json(text)
+        subgroup_from_json(json.loads(text))
 
 
 @pytest.mark.parametrize(
@@ -623,7 +709,7 @@ def test_json_rejects_non_integers(text):
 )
 def test_json_rejects_malformed_matrices(generators):
     with pytest.raises(PreconditionError, match="malformed subgroup input"):
-        subgroup_from_json(f'{{"modulus": 5, "generators": {generators}}}')
+        subgroup_from_json(json.loads(f'{{"modulus": 5, "generators": {generators}}}'))
 
 
 def test_det_image():
