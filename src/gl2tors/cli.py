@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from typing import Iterable
 
@@ -69,16 +70,25 @@ def _build_parser() -> _Parser:
 
 
 @functools.cache
-def _vector_keys(ell: int) -> tuple[str, ...]:
-    """The reply keys "c,d" of the nonzero vectors mod ell, in exhaustive_indices' order."""
-    return tuple(f"{c},{d}" for c in range(ell) for d in range(ell))[1:]
+def _exhaustive_reply(ell: int) -> tuple[tuple[str, ...], str, operator.itemgetter]:
+    """The parts of a `spectrum --exhaustive` reply mod ell that no group
+    changes: the text and csv points "(c,d)" of the nonzero vectors in
+    exhaustive_indices' order; the JSON reply as a template, its keys "c,d"
+    in the string order of json.dumps(sort_keys=True) with one %d each and a
+    last %d for the group order; and the itemgetter that puts the indices
+    in the template's order."""
+    keys = [f"{c},{d}" for c in range(ell) for d in range(ell)][1:]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    entries = ", ".join(f'"{keys[i]}": %d' for i in order)
+    template = f'{{"entries": {{{entries}}}, "group_order": %d}}'
+    return tuple(f"({key})" for key in keys), template, operator.itemgetter(*order)
 
 
 def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...]) -> None:
     """Print the payload as JSON, or the rows as csv or text; rows may be a
     generator, which JSON output never runs."""
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, default=str))
+        print(json.dumps(payload, sort_keys=True))
     elif fmt == "csv":
         print(",".join(header))
         for row in rows:
@@ -142,12 +152,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = subgroup_from_json(_read_input(args.input, "subgroup"))
-    if args.exhaustive:
-        # the indices come first: they check the cap before any key is built
-        indices, keys = exhaustive_indices(g), _vector_keys(g.n)
-        rows = ((f"({key})", g.order // idx, idx) for key, idx in zip(keys, indices))
-        payload = {"group_order": g.order, "entries": dict(zip(keys, indices))}
-    else:
+    header = ("point", "stab_order", "index")
+    if not args.exhaustive:
         spec = degree_spectrum(g)
         rows = list(spec.as_rows()) + [("sl_index", "-", spec.sl_index)]
         payload = {
@@ -155,7 +161,17 @@ def _cmd_spectrum(args) -> int:
             "entries": {repr(p): idx for p, idx in spec.entries.items()},
             "sl_index": spec.sl_index,
         }
-    _emit(args.format, payload, rows, ("point", "stab_order", "index"))
+        _emit(args.format, payload, rows, header)
+        return EXIT_OK
+    # the indices come first: they check the cap before any part of the reply is built
+    indices = exhaustive_indices(g)
+    points, template, in_key_order = _exhaustive_reply(g.n)
+    if args.format == "json":
+        # json.dumps({"entries": {"c,d": index}, "group_order": order}, sort_keys=True)
+        print(template % (*in_key_order(indices), g.order))
+    else:
+        rows = ((point, g.order // idx, idx) for point, idx in zip(points, indices))
+        _emit(args.format, {}, rows, header)
     return EXIT_OK
 
 

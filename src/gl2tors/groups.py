@@ -50,7 +50,10 @@ class Subgroup:
     the generators generate them. With generators None, as
     `subgroup_from_entries` wraps a filtered subset and
     `verify._MulTable.to_subgroup` an enumerated one, every element in entry
-    order is a generator, built as `Mat2` on first read. The entries are in
+    order is a generator, built as `Mat2` on first read. `generator_entries`
+    holds the generators' entry tuples, which for such a group are its
+    entries themselves, so the checks that read generators (`is_abelian`,
+    the conjugation check) build no `Mat2` for it. The entries are in
     the order `closure` lists them, or ascending for such a wrapped group;
     the one order that library code reads is that of a one-generator
     closure, x^0, x^1, ..., x^(m-1).
@@ -78,16 +81,25 @@ class Subgroup:
             entries = tuple(entries)
             vars(self).update(n=n, order=len(entries), entries=entries)
         if generators is not None:
-            vars(self)["generators"] = tuple(generators)
+            generators = tuple(generators)
+            vars(self).update(
+                generators=generators, generator_entries=tuple(x.entries() for x in generators)
+            )
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subgroup is immutable; cannot set {name}")
 
     @cached_property
+    def generator_entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The generators' reduced entries; for a group made with generators
+        None, its entry tuples, with no Mat2 built."""
+        return self.entries
+
+    @cached_property
     def generators(self) -> tuple[Mat2, ...]:
         """Every element, in entry order, for a group made with generators None."""
         trusted, n = Mat2._reduced, self.n
-        return tuple(trusted(n, a, b, c, d) for a, b, c, d in self.entries)
+        return tuple(trusted(n, a, b, c, d) for a, b, c, d in self.generator_entries)
 
     @cached_property
     def elements(self) -> frozenset[Mat2]:
@@ -136,8 +148,7 @@ class Subgroup:
 
     def is_abelian(self) -> bool:
         """Whether the generators commute pairwise, which makes the group abelian."""
-        n = self.n
-        gens = [x.entries() for x in self.generators]
+        n, gens = self.n, self.generator_entries
         for i, (a, b, c, d) in enumerate(gens):
             for p, q, r, s in gens[i + 1 :]:
                 # x y - y x = (br - qc, q(a-d) - b(p-s); r(a-d) - c(p-s), qc - br)

@@ -41,8 +41,12 @@ class Conjugation:
     target: NamedGroupId
 
     def verify(self, h: Subgroup) -> bool:
-        target = named_group(self.target, h.n)
-        return _conjugation_target(h.n, self.conjugator.entries(), h.entries, [target]) == 0
+        """Whether t^-1 h t lies in the target. Conjugation is a homomorphism
+        and the target a group, so the generators that h was made with are
+        enough; a group wrapped with generators None is checked on every
+        entry tuple."""
+        t, target = self.conjugator.entries(), named_group(self.target, h.n)
+        return _conjugation_target(h.n, t, h.generator_entries, [target]) == 0
 
     def to_dict(self) -> dict:
         return {
@@ -135,9 +139,8 @@ def brute_force_cartan_conjugator(h: Subgroup) -> Conjugation | None:
     """
     gids = (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN)
     targets = [named_group(gid, h.n) for gid in gids]
-    gens = [x.entries() for x in h.generators] or h.entries
     for t in _gl2_elements(h.n):
-        k = _conjugation_target(h.n, t.entries(), gens, targets)
+        k = _conjugation_target(h.n, t.entries(), h.generator_entries, targets)
         if k is not None:
             return Conjugation(t, gids[k])
     return None
@@ -257,7 +260,7 @@ def normalizer_in_gl2(h: Subgroup) -> Subgroup:
         raise ResourceLimitError(
             f"normalizer scan is capped at ell <= {NORMALIZER_SCAN_CAP}"
         )
-    gens = [x.entries() for x in h.generators] or h.entries
+    gens = h.generator_entries
     # h is finite, so t^-1 h t lies in h exactly when t normalizes h
     ts = (t.entries() for t in _gl2_elements(ell))
     out = [t for t in ts if _conjugation_target(ell, t, gens, [h]) == 0]

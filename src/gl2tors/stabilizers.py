@@ -5,7 +5,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
-from typing import Iterable
 
 import numpy as np
 
@@ -152,30 +151,32 @@ class DegreeSpectrum:
         return [(repr(p), self.group_order // i, i) for p, i in sorted(self.entries.items())]
 
 
-def _orbit_indices(ell: int, entries: np.ndarray, seeds: Iterable[int], size: int) -> list[int]:
-    """[G : Stab(v)] for each seed row vector v, coded as c*ell + d.
+def _orbit_indices(ell: int, entries: np.ndarray, labels: array) -> array:
+    """Fill in each 0 of labels, indexed by the row vector code c*ell + d,
+    with [G : Stab(v)] for that vector v, and return labels.
 
     By orbit-stabilizer the index is the size of v's orbit, and it is the
     same for every vector in that orbit. One numpy pass over the elements
-    gives v's images; numpy labels every image coded below `size` with the
-    index in a plain int array, so a later seed in a labelled orbit costs
-    one Python index and no pass. Over all of F_ell^2 the passes cost
+    gives the images of the next seed, the first 0 label, which
+    `labels.index` finds in one C scan; numpy labels every image coded below
+    len(labels) with the index, so each orbit costs one pass and no Python
+    step per vector. A caller marks the codes it does not ask about with -1,
+    which a pass may overwrite. Over all of F_ell^2 the passes cost
     sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and no generating set is
     used: a filtered group carries every element as a generator.
     """
     a, b, c_, d_ = entries
-    order = entries.shape[1]
-    labels = array("q", [0]) * size
+    order, size = entries.shape[1], len(labels)
     marks = np.frombuffer(labels, dtype=np.int64)
-    out = []
-    for v in seeds:
-        if v >= size or not (index := labels[v]):
-            c, d = divmod(v, ell)
-            images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
-            index = order // int(np.count_nonzero(images == v))
-            marks[images[images < size]] = index
-        out.append(index)
-    return out
+    v = 0
+    while True:
+        try:
+            v = labels.index(0, v)
+        except ValueError:  # every label is filled in
+            return labels
+        c, d = divmod(v, ell)
+        images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
+        marks[images[images < size]] = order // int(np.count_nonzero(images == v))
 
 
 def orbit_size(g: Subgroup, c: int, d: int) -> int:
@@ -184,22 +185,27 @@ def orbit_size(g: Subgroup, c: int, d: int) -> int:
     c, d = c % g.n, d % g.n
     if (c, d) == (0, 0):
         raise PreconditionError("the zero vector has no degree")
-    return _orbit_indices(g.n, g.entry_array, [c * g.n + d], 0)[0]
+    a, b, c_, d_ = g.entry_array
+    fixed = ((c * a + d * c_) % g.n == c) & ((c * b + d * d_) % g.n == d)
+    return g.order // int(np.count_nonzero(fixed))
 
 
 def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
     """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
     _check_odd_prime(g.n)
     ell = g.n
-    points = ProjPoint.all_points(ell)
     # the representatives (0, 1) and (1, s) have codes 1 and ell..2ell-1, so
-    # labels below 2ell cover them in O(ell) memory
-    indices = _orbit_indices(ell, g.entry_array, [p.c * ell + p.d for p in points], 2 * ell)
+    # labels below 2ell, -1 at the codes 0 and 2..ell-1, cover them in O(ell)
+    # memory
+    labels = array("q", [-1, 0]) + array("q", [-1]) * (ell - 2) + array("q", [0]) * ell
+    labels = _orbit_indices(ell, g.entry_array, labels)
+    indices = [labels[1], *labels[ell:]]
+    entries = dict(zip(ProjPoint.all_points(ell), indices))
     # g / (g ∩ SL2) is the determinant image
-    return DegreeSpectrum(g.order, dict(zip(points, indices)), len(g.det_image()))
+    return DegreeSpectrum(g.order, entries, len(g.det_image()))
 
 
-def exhaustive_indices(g: Subgroup) -> list[int]:
+def exhaustive_indices(g: Subgroup) -> array:
     """[g : Stab(v)] for every nonzero row vector v = (c d), in ascending (c, d) order."""
     _check_odd_prime(g.n)
     ell = g.n
@@ -208,7 +214,8 @@ def exhaustive_indices(g: Subgroup) -> list[int]:
             f"exhaustive spectrum mod {ell} has {ell * ell - 1} vectors,"
             f" over the cap of {EXHAUSTIVE_SPECTRUM_CAP}"
         )
-    return _orbit_indices(ell, g.entry_array, range(1, ell * ell), ell * ell)
+    labels = array("q", [-1]) + array("q", [0]) * (ell * ell - 1)
+    return _orbit_indices(ell, g.entry_array, labels)[1:]
 
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:

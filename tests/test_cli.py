@@ -5,15 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gl2tors import cli, groups, verify
 from gl2tors.bounds import SIEVE_CAP
 from gl2tors.cli import _build_parser, main
-from gl2tors.groups import Subgroup
+from gl2tors.groups import NamedGroupId, Subgroup, named_group, subgroup_from_json
 from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
+from gl2tors.stabilizers import exhaustive_spectrum
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
 DELTA_U2_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[10,0],[0,1]],[[1,1],[0,1]]]}'
@@ -126,6 +128,59 @@ def test_spectrum_exhaustive_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["entries"]["0,1"] == 10
     assert len(payload["entries"]) == 120
+
+
+def _group_text(ell: int, gens) -> str:
+    return json.dumps({"modulus": ell, "generators": [[[a, b], [c, d]] for a, b, c, d in gens]})
+
+
+def _nonsplit_cartan_text(ell: int) -> str:
+    cartan = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
+    return _group_text(ell, [x.entries() for x in cartan.generators])
+
+
+@st.composite
+def _exhaustive_input(draw):
+    """A group file at ell in {3, 5, 7, 11, 13}: the trivial group (one
+    orbit per nonzero vector), the non-split Cartan (one orbit of all of
+    them), or the closure of one to three drawn invertible matrices."""
+    ell = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    kind = draw(st.sampled_from(["trivial", "nonsplit", "drawn"]))
+    if kind == "trivial":
+        return _group_text(ell, [])
+    if kind == "nonsplit":
+        return _nonsplit_cartan_text(ell)
+    entry = st.integers(0, ell - 1)
+    matrix = st.tuples(entry, entry, entry, entry).filter(lambda m: (m[0] * m[3] - m[1] * m[2]) % ell)
+    return _group_text(ell, draw(st.lists(matrix, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_exhaustive_input())
+@example(text=_group_text(13, []))
+@example(text=_nonsplit_cartan_text(13))
+def test_exhaustive_reply_matches_json_dumps(text, tmp_path, capsys):
+    """spectrum --exhaustive fills a cached template instead of calling
+    json.dumps, and its JSON reply is json.dumps(payload, sort_keys=True)
+    byte for byte; its text rows list the points in (c, d) order."""
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    g = subgroup_from_json(json.loads(text))
+    spectrum = exhaustive_spectrum(g)
+    payload = {"group_order": g.order, "entries": {f"{c},{d}": i for (c, d), i in spectrum.items()}}
+    assert main(["--format", "json", "spectrum", "--input", str(path), "--exhaustive"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+    assert main(["spectrum", "--input", str(path), "--exhaustive"]) == 0
+    rows = [f"({c},{d})\t{g.order // i}\t{i}\n" for (c, d), i in spectrum.items()]
+    assert capsys.readouterr().out == "".join(rows)
+
+
+def test_emit_refuses_a_numpy_integer(capsys):
+    """A value that JSON cannot hold, such as a numpy integer leaked from the
+    array arithmetic, raises TypeError instead of printing as a string."""
+    with pytest.raises(TypeError, match="int64"):
+        cli._emit("json", {"order": np.int64(4416)}, [], ("order",))
+    assert capsys.readouterr().out == ""
 
 
 # sha256 of the stdout of each group verb and format: how the rows are built
@@ -330,12 +385,12 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
 def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(text)
-    misses = cli._vector_keys.cache_info().misses
+    misses = cli._exhaustive_reply.cache_info().misses
     assert main(["spectrum", "--input", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err)
-    # past the cap no reply key is built, not even the 10^6 of ell = 1009
-    assert cli._vector_keys.cache_info().misses == misses
+    # past the cap no part of the reply is built, not even the 10^6 keys of ell = 1009
+    assert cli._exhaustive_reply.cache_info().misses == misses
 
 
 def test_input_past_closure_cap_exit_2(tmp_path, capsys, monkeypatch):

@@ -84,5 +84,5 @@ def test_readme_lists_every_cache():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 caches.add(f"{module.__name__}.{name}")
-    assert {"gl2tors.cli._vector_keys", "gl2tors.groups.named_group"} <= caches
+    assert {"gl2tors.cli._exhaustive_reply", "gl2tors.groups.named_group"} <= caches
     assert _cache_rows() == caches

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gl2tors import lemmas, verify
+from gl2tors.classify import classify_image
 from gl2tors.errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from gl2tors.modarith import (
     Mat2,
@@ -36,6 +37,7 @@ from gl2tors.lemmas import (
     decompose_sl2,
     normalizer_in_gl2,
 )
+from gl2tors.stabilizers import degree_spectrum
 from gl2tors.verify import _ell_divides_order, _random_abelian
 
 # the named groups a conjugation witness may target
@@ -416,6 +418,77 @@ def test_cartan_witness_reads_generators_only(ell, seed, cyclic, shuffler):
     emb = conjugate_into_cartan(h)
     assert conjugate_into_cartan(reordered) == emb
     assert emb.verify(h)
+
+
+def _verify_on_entries(emb: Conjugation, h: Subgroup) -> bool:
+    """Conjugation.verify as it was before it read generators alone: t^-1 x t
+    checked for every entry tuple x of h. The reference for the check on
+    generators."""
+    target = named_group(emb.target, h.n)
+    return _conjugation_target(h.n, emb.conjugator.entries(), h.entries, [target]) == 0
+
+
+def _regenerated(h: Subgroup) -> Subgroup:
+    """h closed again from a few of its elements, each the first entry
+    outside the group closed so far, so that its generators are not all of
+    its elements."""
+    ell, gens = h.n, []
+    g = closure(ell, gens)
+    for e in h.entries:
+        if Mat2(ell, *e) not in g:
+            gens.append(Mat2(ell, *e))
+            g = closure(ell, gens)
+    return g
+
+
+def _witnesses(g: Subgroup) -> list[Conjugation]:
+    """Every witness the lemmas return for g: a Cartan, a normalizer and,
+    at an odd-index point, the classify verdict."""
+    constructions = [conjugate_into_cartan, conjugate_into_normalizer]
+    point = degree_spectrum(g).odd_index_point() if g.n >= 5 else None
+    if point is not None:
+        constructions.append(lambda h: classify_image(h, point))
+    out = []
+    for construct in constructions:
+        try:
+            out.append(construct(g))
+        except PreconditionError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("ell, count", [(5, 461), (7, 1704)])
+def test_verify_on_generators_matches_the_entry_scan(ell, count):
+    """On every two-generated subgroup of GL2(F_ell), closed again from a few
+    generators, Conjugation.verify on those generators agrees with the check
+    on every entry tuple: for each witness the lemmas return, for its
+    conjugator against every named target, and for seeded random
+    conjugators, most of them wrong. The enumerated group itself, made with
+    generators None, is checked on its entries and gets no Mat2 generators."""
+    table, rng = verify._gl2_table(ell), random.Random(ell)
+    pool = _gl2_elements(ell)
+    subgroups = verify._gl2_two_generated(ell)
+    assert len(subgroups) == count
+    outcomes = {True: 0, False: 0}
+    witness_count = 0
+    for ids in subgroups:
+        h = table.to_subgroup(ids)
+        g = _regenerated(h)
+        assert g == h and len(g.generators) < max(h.order, 2)
+        witnesses = _witnesses(g)
+        witness_count += len(witnesses)
+        for emb in witnesses:
+            assert emb.verify(g) and _verify_on_entries(emb, g)
+        conjugators = [emb.conjugator for emb in witnesses]
+        conjugators += [pool[rng.randrange(len(pool))] for _ in range(2)]
+        for t in conjugators:
+            for gid in _TARGET_IDS:
+                emb = Conjugation(t, gid)
+                want = _verify_on_entries(emb, g)
+                assert emb.verify(g) is want and emb.verify(h) is want
+                outcomes[want] += 1
+        assert "generators" not in vars(h)
+    assert witness_count > count // 2 and min(outcomes.values()) > count
 
 
 def test_cartan_witness_failing_verify_raises(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gl2tors.errors import PreconditionError, ResourceLimitError
 from gl2tors.modarith import Mat2, mat_inv, mat_mul, unipotent
@@ -16,6 +16,7 @@ from gl2tors.stabilizers import (
     UnipotentClass,
     act_row,
     degree_spectrum,
+    exhaustive_indices,
     exhaustive_spectrum,
     orbit_size,
     sl_part,
@@ -234,6 +235,41 @@ def test_spectra_of_many_orbit_groups_match_reference(g):
     assert spec.entries == {p: reference[(p.c, p.d)] for p in ProjPoint.all_points(g.n)}
     for (c, d), idx in reference.items():
         assert orbit_size(g, c, d) == idx
+
+
+@st.composite
+def _exhaustive_group(draw):
+    """A subgroup of GL2(F_ell) for ell in {3, 5, 7, 11, 13}: the trivial
+    group (one orbit per nonzero vector), the non-split Cartan (one orbit
+    of all of them), a split Cartan power, or the closure of one to three
+    drawn matrices."""
+    ell = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    kind = draw(st.sampled_from(["trivial", "nonsplit", "split power", "drawn"]))
+    if kind == "trivial":
+        return closure(ell, [])
+    if kind == "nonsplit":
+        return named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
+    if kind == "split power":
+        k = draw(st.integers(1, ell - 1))
+        return closure(ell, [x**k for x in named_group(NamedGroupId.SPLIT_CARTAN, ell).generators])
+    return closure(ell, draw(st.lists(_matrix(ell), min_size=1, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exhaustive_group())
+@example(closure(13, []))
+@example(named_group(NamedGroupId.NONSPLIT_CARTAN, 13))
+def test_exhaustive_indices_match_reference(g):
+    """exhaustive_indices, which finds each orbit's seed by a C scan of its
+    labels, lists the reference index of every nonzero vector in ascending
+    (c, d) order, as plain ints, on the group and on its wrapped entries.
+    The examples are the two ends: one pass per vector, and one pass for
+    all of them."""
+    reference = _exhaustive_spectrum_reference(g)
+    for h in (g, subgroup_from_entries(g.n, g.entries)):
+        indices = exhaustive_indices(h)
+        assert list(indices) == [reference[v] for v in sorted(reference)]
+        assert {type(i) for i in indices} == {int}
 
 
 def test_exhaustive_spectrum_of_the_trivial_group_at_the_cap():
