@@ -1,12 +1,13 @@
 """Batch command line surface with deterministic, machine-readable reports."""
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import operator
+import re
 import sys
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
@@ -23,50 +24,251 @@ EXIT_PRECONDITION = 2
 EXIT_FALSIFIED = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+class _Option(NamedTuple):
+    """A --name option that takes an int or a str value, or a flag (bool)
+    that takes none."""
+
+    name: str
+    kind: type
+    help: str
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+    @property
+    def usage(self) -> str:
+        if self.kind is bool:
+            return self.name
+        metavar = "{%s}" % ",".join(self.choices) if self.choices else self.dest.upper()
+        return f"{self.name} {metavar}"
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and reused by every main() call."""
-    parser = _Parser(prog="gl2tors")
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+_HELP = _Option("-h, --help", bool, "show this help and exit")
 
-    p = sub.add_parser("verify", help="run a falsification harness")
-    p.add_argument("harness", choices=HARNESS_IDS)
-    p.add_argument("--ell-max", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+# The command line, one row per verb: its help line, its options, and its
+# positional as (dest, choices) or None. The parser, the usage lines and the
+# help text all read this table.
+_VERBS: dict[str, tuple[str, tuple[_Option, ...], tuple[str, tuple[str, ...]] | None]] = {
+    "verify": (
+        "run a falsification harness",
+        (
+            _Option("--ell-max", int, "largest prime ell to check"),
+            _Option("--trials", int, "random groups to draw"),
+            _Option("--seed", int, "seed of the random draws"),
+        ),
+        ("harness", HARNESS_IDS),
+    ),
+    "classify": (
+        "classify a subgroup's ambient shape",
+        (
+            _Option("--input", str, "subgroup JSON file", required=True),
+            _Option("--witness", str, "row vector c,d with odd index"),
+        ),
+        None,
+    ),
+    "spectrum": (
+        "degree spectrum of a subgroup",
+        (
+            _Option("--input", str, "subgroup JSON file", required=True),
+            _Option("--exhaustive", bool, "index of every nonzero vector", default=False),
+        ),
+        None,
+    ),
+    "sieve": (
+        "primes passing the mod-36 filter",
+        (_Option("--max", int, "largest number to test", required=True),),
+        None,
+    ),
+    "bound": (
+        "prime bound report for a field input",
+        (
+            _Option("--input", str, "field input JSON file", required=True),
+            _Option("--degree", int, "extension degree to test"),
+        ),
+        None,
+    ),
+    "order": (
+        "order of the invertible 2x2 matrix group",
+        (_Option("--modulus", int, "the modulus N of GL2(Z/NZ)", required=True),),
+        None,
+    ),
+    "decompose": (
+        "shear word for a determinant-1 matrix",
+        (
+            _Option("--ell", int, "prime modulus", required=True),
+            _Option("--matrix", str, "entries a,b,c,d", required=True),
+        ),
+        None,
+    ),
+}
 
-    p = sub.add_parser("classify", help="classify a subgroup's ambient shape")
-    p.add_argument("--input", required=True, help="subgroup JSON file")
-    p.add_argument("--witness", default=None, help="row vector c,d with odd index")
+# argparse's test for a token that starts with "-" but reads as a positional
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("spectrum", help="degree spectrum of a subgroup")
-    p.add_argument("--input", required=True, help="subgroup JSON file")
-    p.add_argument("--exhaustive", action="store_true")
 
-    p = sub.add_parser("sieve", help="primes passing the mod-36 filter")
-    p.add_argument("--max", type=int, required=True)
+class _Grammar:
+    """The grammar of the top level or of one verb: its options by each of
+    their names, its positional, its defaults and its usage line."""
 
-    p = sub.add_parser("bound", help="prime bound report for a field input")
-    p.add_argument("--input", required=True, help="field input JSON file")
-    p.add_argument("--degree", type=int, default=None, help="extension degree to test")
+    def __init__(self, prog, help, options, positional, metavar, rest=False):
+        self.help, self.options, self.positional, self.rest = help, options, positional, rest
+        self.names = {"-h": _HELP, "--help": _HELP} | {o.name: o for o in options}
+        self.defaults = {o.dest: o.default for o in options}
+        if positional is not None:
+            self.defaults[positional[0]] = None
+        self.required = [(o.dest, o.name) for o in options if o.required]
+        if positional is not None:
+            self.required.append((positional[0], metavar))
+        self.metavar = metavar
+        parts = ["[-h]"] + [o.usage if o.required else f"[{o.usage}]" for o in options]
+        self.usage = " ".join(["usage:", prog, *parts, metavar + (" ..." if rest else "")]).rstrip()
 
-    p = sub.add_parser("order", help="order of the invertible 2x2 matrix group")
-    p.add_argument("--modulus", type=int, required=True)
+    def resolve(self, token: str) -> tuple[_Option | None, str | None] | None:
+        """How argparse reads one token here: None for a positional, else the
+        option it names (None for no option of this grammar) and the value
+        written after its "=" (None without one). An option may be named by
+        a unique prefix of its name."""
+        if token[:1] != "-":
+            return None
+        option = self.names.get(token)
+        if option is not None:
+            return option, None
+        if len(token) == 1:
+            return None
+        name, eq, value = token.partition("=")
+        if eq and name in self.names:
+            return self.names[name], value
+        if token[1] == "-":
+            hits = [key for key in self.names if key.startswith(name)]
+            if len(hits) > 1:
+                _fail(self, f"ambiguous option: {token} could match {', '.join(hits)}")
+            if hits:
+                return self.names[hits[0]], value if eq else None
+        elif token[:2] in self.names:
+            return self.names[token[:2]], token[2:]
+        if _NEGATIVE_NUMBER.match(token) or " " in token:
+            return None
+        return None, None
 
-    p = sub.add_parser("decompose", help="shear word for a determinant-1 matrix")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--matrix", required=True, help="entries a,b,c,d")
+    def help_text(self) -> str:
+        sections = []
+        if self.rest:
+            rows = [(verb, row[0]) for verb, row in _VERBS.items()]
+            sections.append(("verbs", rows))
+        elif self.positional is not None:
+            rows = [(self.metavar, "one of " + ", ".join(self.positional[1]))]
+            sections.append(("positional arguments", rows))
+        rows = [(o.usage, o.help) for o in (_HELP, *self.options)]
+        sections.append(("options", rows))
+        lines = [self.usage, ""] + ([self.help, ""] if self.help else [])
+        for title, rows in sections:
+            width = max(len(left) for left, _ in rows) + 2
+            lines += [f"{title}:", *(f"  {left:<{width}}{right}" for left, right in rows), ""]
+        return "\n".join(lines[:-1])
 
-    return parser
+
+_TOP = _Grammar(
+    "gl2tors",
+    "",
+    (_Option("--format", str, "output format", choices=("text", "json", "csv"), default="text"),),
+    ("verb", tuple(_VERBS)),
+    "VERB",
+    rest=True,
+)
+_GRAMMARS = {
+    verb: _Grammar(f"gl2tors {verb}", help, options, positional, "HARNESS" if positional else "")
+    for verb, (help, options, positional) in _VERBS.items()
+}
+
+
+def _fail(grammar: _Grammar, reason: str) -> NoReturn:
+    """Print the grammar's usage line to stderr and raise the UsageError that
+    main prints as the next line."""
+    print(grammar.usage, file=sys.stderr)
+    raise UsageError(reason)
+
+
+def _scan(grammar: _Grammar, tokens: list[str], i: int, values: dict, extras: list) -> int | None:
+    """Read tokens[i:] left to right into values, as argparse does: an
+    option takes the next token as its value unless that token reads as an
+    option, the first free positional fills the grammar's positional, and
+    tokens that are no option here go to extras. Returns the index after the
+    last token read: the end, or just past the verb at the top level; or
+    None once help is printed."""
+    n = len(tokens)
+    while i < n:
+        token = tokens[i]
+        i += 1
+        hit = grammar.resolve(token)
+        if hit is None:
+            if grammar.positional is None or values[grammar.positional[0]] is not None:
+                extras.append(token)
+                continue
+            dest, choices = grammar.positional
+            if token not in choices:
+                _fail(grammar, f"argument {grammar.metavar}: invalid choice: {token!r} (choose from {', '.join(choices)})")
+            values[dest] = token
+            if grammar.rest:
+                return i
+            continue
+        option, value = hit
+        if option is None:
+            extras.append(token)
+        elif option.kind is bool:
+            if value is not None:
+                _fail(grammar, f"argument {option.name}: ignored explicit argument {value!r}")
+            if option is _HELP:
+                print(grammar.help_text())
+                return None
+            values[option.dest] = True
+        else:
+            if value is None:
+                if i == n or grammar.resolve(tokens[i]) is not None:
+                    _fail(grammar, f"argument {option.name}: expected one argument")
+                value = tokens[i]
+                i += 1
+            if option.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(grammar, f"argument {option.name}: invalid int value: {value!r}")
+            elif option.choices and value not in option.choices:
+                _fail(grammar, f"argument {option.name}: invalid choice: {value!r} (choose from {', '.join(option.choices)})")
+            values[option.dest] = value
+    return i
+
+
+def _require(grammar: _Grammar, values: dict) -> None:
+    missing = [name for dest, name in grammar.required if values[dest] is None]
+    if missing:
+        _fail(grammar, f"the following arguments are required: {', '.join(missing)}")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The options of a command line, as argparse read them: a namespace
+    with format, verb and every dest of the verb, its default where not
+    given; or None once -h has printed help. A bad command line, and any
+    bare "--", raises UsageError after printing a usage line."""
+    if "--" in argv:
+        _fail(_TOP, "a bare -- is not accepted; write a value that starts with - as --name=value")
+    values = dict(_TOP.defaults)
+    extras: list[str] = []
+    i = _scan(_TOP, argv, 0, values, extras)
+    if i is None:
+        return None
+    _require(_TOP, values)
+    grammar = _GRAMMARS[values["verb"]]
+    values.update(grammar.defaults)
+    if _scan(grammar, argv, i, values, extras) is None:
+        return None
+    _require(grammar, values)
+    if extras:
+        _fail(grammar, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 @functools.cache
@@ -100,15 +302,15 @@ def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...
 
 def _read_input(path: str, what: str) -> object:
     """The decoded JSON value of an --input file of the given kind. A file
-    that cannot be read exits 1; one that is not UTF-8 JSON that Python can
-    hold (an integer literal past its digit limit, or nesting past its
-    recursion limit) raises PreconditionError, which exits 2."""
+    that cannot be read raises UsageError, which exits 1; one that is not
+    UTF-8 JSON that Python can hold (an integer literal past its digit
+    limit, or nesting past its recursion limit) raises PreconditionError,
+    which exits 2."""
     try:
         with open(path, encoding="utf-8") as handle:
             return json.loads(handle.read())
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise PreconditionError(f"malformed {what} input: {exc}") from exc
 
@@ -130,8 +332,7 @@ def _cmd_classify(args) -> int:
         try:
             c, d = (int(x) for x in args.witness.split(","))
         except ValueError as exc:
-            print("error: witness must be two integers c,d", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE) from exc
+            raise UsageError("witness must be two integers c,d") from exc
         witness = ProjPoint.from_vector(g.n, c, d)
     else:
         witness = degree_spectrum(g).odd_index_point()
@@ -212,8 +413,7 @@ def _cmd_decompose(args) -> int:
     try:
         a, b, c, d = (int(x) for x in args.matrix.split(","))
     except ValueError as exc:
-        print("error: matrix must be four integers a,b,c,d", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        raise UsageError("matrix must be four integers a,b,c,d") from exc
     word = decompose_sl2(Mat2(args.ell, a, b, c, d))
     payload = {
         "matrix": [a % args.ell, b % args.ell, c % args.ell, d % args.ell],
@@ -239,12 +439,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:  # help was printed
+            return EXIT_OK
         return _COMMANDS[args.verb](args)
     except LemmaViolationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
@@ -255,8 +453,6 @@ def main(argv: list[str] | None = None) -> int:
     except Gl2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":  # pragma: no cover

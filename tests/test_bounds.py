@@ -169,6 +169,15 @@ def test_l_part_examples():
     assert l_part_check(a3, b3, emb3, 2, 2, 3) is LPartVerdict.HYPOTHESIS_FAILS
 
 
+def test_l_part_rejects_non_injective_embedding():
+    # an order-4 source mapped onto 2·Z/4: the generator's double goes to 0
+    a, b = AbelianGroupSpec((4,)), AbelianGroupSpec((4,))
+    emb = Embedding(a, b, ((2,),))
+    assert not emb.is_injective()
+    with pytest.raises(PreconditionError, match="^embedding is not injective$"):
+        l_part_check(a, b, emb, 2, 1, 2)
+
+
 def test_l_part_rejects_bad_levels():
     a = AbelianGroupSpec((5,))
     emb = Embedding(a, a, ((1,),))

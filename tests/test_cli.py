@@ -1,4 +1,8 @@
+import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,11 +15,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gl2tors import cli, groups, verify
 from gl2tors.bounds import SIEVE_CAP
-from gl2tors.cli import _build_parser, main
+from gl2tors.cli import EXIT_USAGE, main
+from gl2tors.errors import UsageError
 from gl2tors.groups import NamedGroupId, Subgroup, named_group, subgroup_from_json
 from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
 from gl2tors.stabilizers import exhaustive_spectrum
+from gl2tors.verify import HARNESS_IDS
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
 DELTA_U2_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[10,0],[0,1]],[[1,1],[0,1]]]}'
@@ -85,8 +91,9 @@ def test_decompose_json(capsys):
     assert payload["word"] == [["U", 1]]
 
 
-def test_decompose_bad_matrix():
+def test_decompose_bad_matrix(capsys):
     assert main(["decompose", "--ell", "5", "--matrix", "1,2,3"]) == 1
+    assert capsys.readouterr() == ("", "error: matrix must be four integers a,b,c,d\n")
 
 
 def test_decompose_wrong_det():
@@ -616,8 +623,7 @@ def test_precondition_exit(tmp_path):
 
 
 def test_calls_in_one_process_share_no_state(capsys):
-    """The parser is built once per process; no call's options or errors
-    carry into the next."""
+    """No call's options or errors carry into the next."""
     assert main(["order"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "usage: gl2tors order" in captured.err
@@ -627,11 +633,10 @@ def test_calls_in_one_process_share_no_state(capsys):
     assert json.loads(capsys.readouterr().out) == {"limit": 12, "primes": [7, 11]}
     assert main(["order", "--modulus", "5"]) == 0
     assert capsys.readouterr() == ("5\t480\n", "")
-    assert _build_parser() is _build_parser()
 
 
 # imports gl2tors, runs one call of each verb, and prints the exit codes and
-# whether any sympy module was loaded
+# whether any sympy module, or argparse, was loaded
 _NO_SYMPY_SCRIPT = """
 import contextlib, io, json, sys
 import gl2tors
@@ -649,7 +654,7 @@ calls = [
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in calls]
 loaded = any(name == "sympy" or name.startswith("sympy.") for name in sys.modules)
-print(json.dumps({"codes": codes, "sympy": loaded}))
+print(json.dumps({"codes": codes, "sympy": loaded, "argparse": "argparse" in sys.modules}))
 """
 
 
@@ -681,7 +686,7 @@ def test_cli_never_loads_sympy(tmp_path):
     group.write_text(DELTA_U1_11)
     field.write_text(FIELD)
     stdout = _run_python("-c", _NO_SYMPY_SCRIPT, str(group), str(field))
-    assert json.loads(stdout) == {"codes": [0] * 7, "sympy": False}
+    assert json.loads(stdout) == {"codes": [0] * 7, "sympy": False, "argparse": False}
 
 
 # runs one verify call and prints its exit code and whether numpy.ma, which
@@ -699,3 +704,222 @@ print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
 def test_enumeration_never_loads_numpy_ma(harness):
     stdout = _run_python("-c", _NO_NUMPY_MA_SCRIPT, harness)
     assert json.loads(stdout) == {"code": 0, "numpy.ma": False}
+
+
+@pytest.mark.parametrize(
+    "argv, usage, reason",
+    [
+        (
+            ["order", "--modulus", "x"],
+            "usage: gl2tors order [-h] --modulus MODULUS",
+            "argument --modulus: invalid int value: 'x'",
+        ),
+        (
+            ["order"],
+            "usage: gl2tors order [-h] --modulus MODULUS",
+            "the following arguments are required: --modulus",
+        ),
+        (
+            ["frobnicate"],
+            "usage: gl2tors [-h] [--format {text,json,csv}] VERB ...",
+            "argument VERB: invalid choice: 'frobnicate' "
+            "(choose from verify, classify, spectrum, sieve, bound, order, decompose)",
+        ),
+    ],
+)
+def test_usage_error_says_why(argv, usage, reason, capsys):
+    """A bad command line exits 1 and prints the usage line, then the reason."""
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"{usage}\nerror: {reason}\n")
+
+
+_VERB_OPTIONS = {
+    "verify": ["--ell-max", "--trials", "--seed"],
+    "classify": ["--input", "--witness"],
+    "spectrum": ["--input", "--exhaustive"],
+    "sieve": ["--max"],
+    "bound": ["--input", "--degree"],
+    "order": ["--modulus"],
+    "decompose": ["--ell", "--matrix"],
+}
+
+
+def test_help_names_every_verb_and_option(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gl2tors ")
+    assert all(verb in out for verb in _VERB_OPTIONS)
+    for verb, options in _VERB_OPTIONS.items():
+        assert main([verb, "-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: gl2tors {verb}") and captured.err == ""
+        assert all(option in captured.out for option in options)
+
+
+# The argparse parser that the table-driven parser in gl2tors.cli replaced,
+# kept as the reference of test_parser_matches_argparse.
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage problems exit 1, not argparse's default 2
+        self.print_usage(sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused by every main() call."""
+    parser = _Parser(prog="gl2tors")
+    parser.add_argument(
+        "--format", choices=("text", "json", "csv"), default="text", help="output format"
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("verify", help="run a falsification harness")
+    p.add_argument("harness", choices=HARNESS_IDS)
+    p.add_argument("--ell-max", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("classify", help="classify a subgroup's ambient shape")
+    p.add_argument("--input", required=True, help="subgroup JSON file")
+    p.add_argument("--witness", default=None, help="row vector c,d with odd index")
+
+    p = sub.add_parser("spectrum", help="degree spectrum of a subgroup")
+    p.add_argument("--input", required=True, help="subgroup JSON file")
+    p.add_argument("--exhaustive", action="store_true")
+
+    p = sub.add_parser("sieve", help="primes passing the mod-36 filter")
+    p.add_argument("--max", type=int, required=True)
+
+    p = sub.add_parser("bound", help="prime bound report for a field input")
+    p.add_argument("--input", required=True, help="field input JSON file")
+    p.add_argument("--degree", type=int, default=None, help="extension degree to test")
+
+    p = sub.add_parser("order", help="order of the invertible 2x2 matrix group")
+    p.add_argument("--modulus", type=int, required=True)
+
+    p = sub.add_parser("decompose", help="shear word for a determinant-1 matrix")
+    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--matrix", required=True, help="entries a,b,c,d")
+
+    return parser
+
+
+def _reference_outcome(argv: list[str]):
+    """("help",), ("error",) or ("ok", vars) of the argparse reference."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return ("ok", vars(_build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            assert exc.code in (0, EXIT_USAGE)
+            assert (exc.code == 0) == out.getvalue().startswith("usage: gl2tors")
+            return ("help",) if exc.code == 0 else ("error",)
+
+
+def _outcome(argv: list[str]):
+    """("help",), ("error",) or ("ok", vars) of the parser in gl2tors.cli."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli._parse(argv)
+        except UsageError:
+            assert err.getvalue().startswith("usage: gl2tors") and out.getvalue() == ""
+            return ("error",)
+    if args is None:
+        assert out.getvalue().startswith("usage: gl2tors")
+        return ("help",)
+    assert out.getvalue() == err.getvalue() == ""
+    return ("ok", vars(args))
+
+
+_VALUES = ["5", "0", "-1", " 6 ", "6_0", "1.5", "x", "-x", "-1,0,0,-1"]
+_FORMATS = ["json", "csv", "text", "xml"]
+_NAMES = sorted({name for names in _VERB_OPTIONS.values() for name in names} | {"--format"})
+_PREFIXES = ["--mod", "--ex", "--f"]
+_SPECIALS = ["-h", "--help", "--bogus", "--"]
+_ARGUMENTS = _VALUES + _FORMATS + list(HARNESS_IDS) + ["nope"]
+_WORDS = (
+    list(_VERB_OPTIONS)
+    + ["frobnicate"]
+    + _NAMES
+    + _PREFIXES
+    + [f"{name}={value}" for name in _NAMES + _PREFIXES for value in _VALUES + _FORMATS]
+    + _ARGUMENTS
+    + _SPECIALS
+)
+
+
+def _spellings(name: str) -> list[str]:
+    """The words that name an option: itself and its prefixes from the list."""
+    return [name] + [p for p in _PREFIXES if name.startswith(p)]
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv from the words above: any list of them; or a verb with
+    --format pieces before it and option, value and stray pieces after it;
+    or, half the time, a verb with some of its own options, each given a
+    value from the list and spelled in full, by a prefix or with "=", in
+    any order, and at most one stray piece."""
+    words = st.sampled_from(_WORDS)
+    mode = draw(st.integers(0, 3))
+    if mode == 0:
+        return draw(st.lists(words, max_size=8))
+    fmt = st.sampled_from(_FORMATS)
+    head = st.one_of(
+        st.tuples(st.sampled_from(["--format", "--f"]), fmt).map(list),
+        fmt.map(lambda f: [f"--format={f}"]),
+        words.map(lambda w: [w]),
+    )
+    verb = draw(st.sampled_from([*_VERB_OPTIONS, "frobnicate"]))
+    names = st.sampled_from(_VERB_OPTIONS.get(verb, []) or _NAMES) | st.sampled_from(_NAMES + _PREFIXES)
+    value = st.sampled_from(_ARGUMENTS)
+    stray = st.one_of(
+        st.tuples(names, value).map(list),
+        st.tuples(names, value).map(lambda p: [f"{p[0]}={p[1]}"]),
+        names.map(lambda n: [n]),
+        st.sampled_from([*HARNESS_IDS, "nope"]).map(lambda h: [h]),
+        words.map(lambda w: [w]),
+    )
+    if mode == 1:
+        pieces = draw(st.lists(head, max_size=2)) + [[verb]] + draw(st.lists(stray, max_size=5))
+        return [word for p in pieces for word in p]
+    body = []
+    for name in _VERB_OPTIONS.get(verb, []):
+        if draw(st.integers(0, 4)) == 0:
+            continue
+        spelled = draw(st.sampled_from(_spellings(name)))
+        if name == "--exhaustive":
+            body.append([spelled])
+        elif draw(st.booleans()):
+            body.append([spelled, draw(st.sampled_from(_VALUES))])
+        else:
+            body.append([f"{spelled}={draw(st.sampled_from(_VALUES))}"])
+    if verb == "verify" and draw(st.integers(0, 4)):
+        body.append([draw(st.sampled_from([*HARNESS_IDS, "nope"]))])
+    body += draw(st.lists(stray, max_size=1))
+    pieces = draw(st.lists(head, max_size=1)) + [[verb]] + draw(st.permutations(body))
+    return [word for p in pieces for word in p]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["--f", "json", "order", "--mod=6_0"])
+@example(argv=["verify", "--ell", " 6 ", "easy-d", "--seed", "-1"])
+@example(argv=["spectrum", "--ex", "--input", "-1"])
+@example(argv=["decompose", "--ell", "5", "--matrix=-1,0,0,-1"])
+@example(argv=["decompose", "--ell", "5", "--matrix", "-1,0,0,-1"])
+@example(argv=["order", "--modulus", "5", "--format", "json"])
+@example(argv=["--bogus", "-h"])
+@example(argv=["verify", "-h", "nope"])
+@example(argv=["verify", "nope", "-h"])
+@example(argv=["verify", "--", "easy-d"])
+def test_parser_matches_argparse(argv):
+    """On any command line over this vocabulary the table-driven parser
+    exits 1, prints help, or yields the same options as the argparse
+    reference; a bare "--", which argparse accepts in places, exits 1."""
+    if "--" in argv:
+        assert _outcome(argv) == ("error",)
+    else:
+        assert _outcome(argv) == _reference_outcome(argv)
+
