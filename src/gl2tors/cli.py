@@ -106,32 +106,36 @@ _VERBS: dict[str, tuple[str, tuple[_Option, ...], tuple[str, tuple[str, ...]] | 
     ),
 }
 
-# argparse's test for a token that starts with "-" but reads as a positional
+# a token that starts with "-" and still reads as a positional, when no option matches it
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 class _Grammar:
     """The grammar of the top level or of one verb: its options by each of
-    their names, its positional, its defaults and its usage line."""
+    their names, its positional as (dest, choices) or None, its defaults
+    and its usage line. At the top level (rest) the positional is the verb,
+    and the words after it are the verb's."""
 
-    def __init__(self, prog, help, options, positional, metavar, rest=False):
+    def __init__(self, prog, help, options, positional, rest=False):
         self.help, self.options, self.positional, self.rest = help, options, positional, rest
         self.names = {"-h": _HELP, "--help": _HELP} | {o.name: o for o in options}
         self.defaults = {o.dest: o.default for o in options}
-        if positional is not None:
-            self.defaults[positional[0]] = None
         self.required = [(o.dest, o.name) for o in options if o.required]
+        parts = ["usage:", prog, "[-h]"]
+        parts += [o.usage if o.required else f"[{o.usage}]" for o in options]
         if positional is not None:
-            self.required.append((positional[0], metavar))
-        self.metavar = metavar
-        parts = ["[-h]"] + [o.usage if o.required else f"[{o.usage}]" for o in options]
-        self.usage = " ".join(["usage:", prog, *parts, metavar + (" ..." if rest else "")]).rstrip()
+            self.metavar = positional[0].upper()
+            self.defaults[positional[0]] = None
+            self.required.append((positional[0], self.metavar))
+            parts.append(self.metavar + " ..." if rest else self.metavar)
+        self.usage = " ".join(parts)
 
     def resolve(self, token: str) -> tuple[_Option | None, str | None] | None:
-        """How argparse reads one token here: None for a positional, else the
-        option it names (None for no option of this grammar) and the value
-        written after its "=" (None without one). An option may be named by
-        a unique prefix of its name."""
+        """How one token reads here: None for a positional, else the option
+        it names (None for no option of this grammar) and the value written
+        after its "=" (None without one). A long option may be named by a
+        unique prefix of its name, and a short one may have a value run on
+        ("-hx" is -h with the value x)."""
         if token[:1] != "-":
             return None
         option = self.names.get(token)
@@ -176,11 +180,10 @@ _TOP = _Grammar(
     "",
     (_Option("--format", str, "output format", choices=("text", "json", "csv"), default="text"),),
     ("verb", tuple(_VERBS)),
-    "VERB",
     rest=True,
 )
 _GRAMMARS = {
-    verb: _Grammar(f"gl2tors {verb}", help, options, positional, "HARNESS" if positional else "")
+    verb: _Grammar(f"gl2tors {verb}", help, options, positional)
     for verb, (help, options, positional) in _VERBS.items()
 }
 
@@ -193,12 +196,12 @@ def _fail(grammar: _Grammar, reason: str) -> NoReturn:
 
 
 def _scan(grammar: _Grammar, tokens: list[str], i: int, values: dict, extras: list) -> int | None:
-    """Read tokens[i:] left to right into values, as argparse does: an
-    option takes the next token as its value unless that token reads as an
-    option, the first free positional fills the grammar's positional, and
-    tokens that are no option here go to extras. Returns the index after the
-    last token read: the end, or just past the verb at the top level; or
-    None once help is printed."""
+    """Read tokens[i:] left to right into values: an option takes the next
+    token as its value unless that token reads as an option, the first free
+    positional fills the grammar's positional, and tokens that are no
+    option here go to extras, which fail once the line is read. Returns the
+    index after the last token read: the end, or just past the verb at the
+    top level; or None once help is printed."""
     n = len(tokens)
     while i < n:
         token = tokens[i]
@@ -210,7 +213,8 @@ def _scan(grammar: _Grammar, tokens: list[str], i: int, values: dict, extras: li
                 continue
             dest, choices = grammar.positional
             if token not in choices:
-                _fail(grammar, f"argument {grammar.metavar}: invalid choice: {token!r} (choose from {', '.join(choices)})")
+                reason = f"invalid choice: {token!r} (choose from {', '.join(choices)})"
+                _fail(grammar, f"argument {grammar.metavar}: {reason}")
             values[dest] = token
             if grammar.rest:
                 return i
@@ -237,7 +241,8 @@ def _scan(grammar: _Grammar, tokens: list[str], i: int, values: dict, extras: li
                 except ValueError:
                     _fail(grammar, f"argument {option.name}: invalid int value: {value!r}")
             elif option.choices and value not in option.choices:
-                _fail(grammar, f"argument {option.name}: invalid choice: {value!r} (choose from {', '.join(option.choices)})")
+                reason = f"invalid choice: {value!r} (choose from {', '.join(option.choices)})"
+                _fail(grammar, f"argument {option.name}: {reason}")
             values[option.dest] = value
     return i
 
@@ -249,10 +254,10 @@ def _require(grammar: _Grammar, values: dict) -> None:
 
 
 def _parse(argv: list[str]) -> SimpleNamespace | None:
-    """The options of a command line, as argparse read them: a namespace
-    with format, verb and every dest of the verb, its default where not
-    given; or None once -h has printed help. A bad command line, and any
-    bare "--", raises UsageError after printing a usage line."""
+    """The options of a command line: a namespace with format, verb and
+    every dest of the verb, its default where not given; or None once -h
+    has printed help. A bad command line, and any bare "--", raises
+    UsageError after printing a usage line."""
     if "--" in argv:
         _fail(_TOP, "a bare -- is not accepted; write a value that starts with - as --name=value")
     values = dict(_TOP.defaults)
