@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import LemmaViolationError, PreconditionError
 from .ntheory import isprime
-from .modarith import Mat2, mat_inv, primitive_root, unipotent
+from .modarith import Mat2, primitive_root, unipotent
 from .groups import (
     NamedGroupId,
     Subgroup,
@@ -18,7 +18,7 @@ from .groups import (
     tau,
 )
 from .lemmas import Conjugation, conjugate_into_normalizer
-from .stabilizers import ProjPoint, act_row, exhaustive_spectrum, orbit_size
+from .stabilizers import ProjPoint, exhaustive_spectrum, orbit_size
 
 INERTIA_EXPONENTS = (1, 2, 3, 4, 6)
 MOD36_RESIDUES = frozenset({7, 11, 23, 31, 35})
@@ -53,21 +53,18 @@ def _require_full_determinant(g: Subgroup) -> None:
 
 
 def _invariant_line_conjugator(g: Subgroup) -> Mat2 | None:
-    """T with the conjugated group upper triangular, from a stable projective line."""
+    """T with the conjugated group upper triangular, from the first line (c:d),
+    in ProjPoint.all_points order, with c·d' - d·c' = 0 for (c' d') = (c d)·x at
+    each generator x. T^-1 has second row (c d): T = I at (0:1), (-s 1; 1 0) at (1:s)."""
     ell = g.n
-    for p in ProjPoint.all_points(ell):
+    for c, d in [(0, 1)] + [(1, s) for s in range(ell)]:
         if all(
-            ProjPoint.from_vector(ell, *act_row(p.c, p.d, x)) == p for x in g.generators
+            (c * (c * b + d * d_) - d * (c * a + d * c_)) % ell == 0
+            for a, b, c_, d_ in g.generator_entries
         ):
-            # second row of T^-1 spans the stable line
-            tinv = (
-                Mat2(ell, 0, 1, p.c, p.d)
-                if p.d != 0 or p.c == 0
-                else Mat2(ell, 0, 1, 1, 0)
-            )
-            if not tinv.is_invertible():
-                tinv = Mat2(ell, 1, 0, p.c, p.d)
-            return mat_inv(tinv)
+            if c == 0:
+                return Mat2._reduced(ell, 1, 0, 0, 1)
+            return Mat2._reduced(ell, -d % ell, 1, 1, 0)
     return None
 
 

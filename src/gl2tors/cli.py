@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_FALSIFIED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout's reader went away
 
 
 class _Option(NamedTuple):
@@ -446,9 +448,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:  # help was printed
-            return EXIT_OK
-        return _COMMANDS[args.verb](args)
+        rc = EXIT_OK if args is None else _COMMANDS[args.verb](args)  # None: help was printed
+        sys.stdout.flush()  # here, so that a reader that went away raises below
+        return rc
+    except BrokenPipeError:
+        # stdout has no reader: point it at the null device, so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except LemmaViolationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import (
@@ -120,34 +121,30 @@ def decompose_sl2(x: Mat2) -> SL2Word:
 
 
 @lru_cache(maxsize=None)
-def _gl2_elements(ell: int) -> tuple[Mat2, ...]:
-    return tuple(
-        Mat2(ell, a, b, c, d)
-        for a in range(ell)
-        for b in range(ell)
-        for c in range(ell)
-        for d in range(ell)
-        if (a * d - b * c) % ell != 0
-    )
+def _gl2_elements(ell: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every element of GL2(F_ell) as its reduced (a, b, c, d) entry tuple, in
+    lexicographic order: the one list that the GL2 scans and table read."""
+    return tuple(e for e in product(range(ell), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % ell)
 
 
 def brute_force_cartan_conjugator(h: Subgroup) -> Conjugation | None:
     """Scan conjugators over the whole group; the oracle for the constructive path.
 
     The first t in _gl2_elements order wins, with the split Cartan tried
-    before the non-split one at the same t.
+    before the non-split one at the same t; only that t is built as a Mat2.
     """
     gids = (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN)
     targets = [named_group(gid, h.n) for gid in gids]
     for t in _gl2_elements(h.n):
-        k = _conjugation_target(h.n, t.entries(), h.generator_entries, targets)
+        k = _conjugation_target(h.n, t, h.generator_entries, targets)
         if k is not None:
-            return Conjugation(t, gids[k])
+            return Conjugation(Mat2._reduced(h.n, *t), gids[k])
     return None
 
 
-def _discriminant(x: Mat2) -> int:
-    return (x.trace() ** 2 - 4 * x.det()) % x.n
+def _discriminant(n: int, x: tuple[int, int, int, int]) -> int:
+    a, b, c, d = x
+    return ((a + d) ** 2 - 4 * (a * d - b * c)) % n
 
 
 def _eigencolumn(x: Mat2, lam: int) -> tuple[int, int]:
@@ -163,7 +160,7 @@ def _split_conjugator(x: Mat2) -> Mat2:
     """t = (v1 | v2), eigencolumns of x at its eigenvalues lam1 < lam2, for x
     with a nonzero square discriminant: t^-1 x t = diag(lam1, lam2)."""
     ell = x.n
-    root, half = sqrt_mod(_discriminant(x), ell), pow(2, -1, ell)
+    root, half = sqrt_mod(_discriminant(ell, x.entries()), ell), pow(2, -1, ell)
     lam1, lam2 = sorted((x.trace() + sign * root) * half % ell for sign in (1, -1))
     (p, r), (q, s) = _eigencolumn(x, lam1), _eigencolumn(x, lam2)
     return Mat2(ell, p, q, r, s)
@@ -184,7 +181,7 @@ def _nonsplit_conjugator(g: Mat2) -> Mat2:
     ell = g.n
     alpha, half = primitive_root(ell), pow(2, -1, ell)
     a = g.trace() * half % ell
-    b = sqrt_mod(_discriminant(g) * pow(alpha, -1, ell), ell) * half % ell
+    b = sqrt_mod(_discriminant(ell, g.entries()) * pow(alpha, -1, ell), ell) * half % ell
     e = pow(b * alpha, -1, ell)
     return Mat2(ell, g.b * e, 0, (a - g.a) * e, 1)
 
@@ -213,12 +210,14 @@ def conjugate_into_cartan(h: Subgroup) -> Conjugation:
     if not h.is_abelian():
         raise PreconditionError("group is not abelian")
 
-    x = next((x for x in h.generators if legendre(_discriminant(x), ell) == -1), None)
+    x = next((x for x in h.generator_entries if legendre(_discriminant(ell, x), ell) == -1), None)
     if x is not None:
-        emb = Conjugation(_nonsplit_conjugator(x), NamedGroupId.NONSPLIT_CARTAN)
+        t = _nonsplit_conjugator(Mat2._reduced(ell, *x))
+        emb = Conjugation(t, NamedGroupId.NONSPLIT_CARTAN)
     else:
-        x = next((x for x in h.generators if not x.is_scalar()), None)
-        t = Mat2.identity(ell) if x is None else _split_conjugator(x)
+        # the first non-scalar generator: b or c nonzero, or a != d
+        x = next((x for x in h.generator_entries if x[1] or x[2] or x[0] != x[3]), None)
+        t = Mat2.identity(ell) if x is None else _split_conjugator(Mat2._reduced(ell, *x))
         emb = Conjugation(t, NamedGroupId.SPLIT_CARTAN)
     if not emb.verify(h):
         raise LemmaViolationError(
@@ -262,8 +261,7 @@ def normalizer_in_gl2(h: Subgroup) -> Subgroup:
         )
     gens = h.generator_entries
     # h is finite, so t^-1 h t lies in h exactly when t normalizes h
-    ts = (t.entries() for t in _gl2_elements(ell))
-    out = [t for t in ts if _conjugation_target(ell, t, gens, [h]) == 0]
+    out = [t for t in _gl2_elements(ell) if _conjugation_target(ell, t, gens, [h]) == 0]
     return subgroup_from_entries(ell, out)
 
 

@@ -13,11 +13,6 @@ from .modarith import Mat2, _check_odd_prime, element_order
 from .groups import EXHAUSTIVE_SPECTRUM_CAP, Subgroup, subgroup_from_entries
 
 
-def act_row(c: int, d: int, x: Mat2) -> tuple[int, int]:
-    """Image of the row vector (c d) under right multiplication by x."""
-    return ((c * x.a + d * x.c) % x.n, (c * x.b + d * x.d) % x.n)
-
-
 @dataclass(frozen=True, order=True)
 class ProjPoint:
     """A point of the projective line over F_ell, held as a canonical row vector.

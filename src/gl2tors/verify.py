@@ -5,7 +5,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .groups import (
 )
 from .stabilizers import ProjPoint, unipotent_class
 from .lemmas import (
+    _discriminant,
     _gl2_elements,
     brute_force_cartan_conjugator,
     conjugate_into_cartan,
@@ -161,7 +162,7 @@ class _MulTable:
             conj[g] = table[table[inv[g]], g[:, None]]
         index = self.index
         cyclic = {
-            frozenset(index[e] for e in h.entries): index[h.generators[0].entries()]
+            frozenset(index[e] for e in h.entries): index[h.generator_entries[0]]
             for h in _cyclic_subgroups(self.n, self.entries)
         }
         keys = sorted(cyclic, key=len)
@@ -246,9 +247,7 @@ def _stabilizer_orders(table: _MulTable, subgroups: Sequence[frozenset[int]]) ->
 def _gl2_table(ell: int) -> _MulTable:
     if ell > 7:
         raise ResourceLimitError(f"full GL2 table not built for ell = {ell}")
-    # the entry tuples with det ≠ 0 in lexicographic order, the order of _gl2_elements
-    entries = (e for e in product(range(ell), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % ell)
-    return _MulTable(ell, entries)
+    return _MulTable(ell, _gl2_elements(ell))
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +272,8 @@ def harness_sl(ell_max: int | None = None) -> HarnessResult:
     details = {}
     for ell in _ells(ell_max, (5, 7, 11, 13)):
         details[f"ell_{ell}"] = 0
-        for x in _gl2_elements(ell):
-            if x.det() != 1:
-                continue
+        det1 = (e for e in _gl2_elements(ell) if (e[0] * e[3] - e[1] * e[2]) % ell == 1)
+        for x in (Mat2._reduced(ell, *e) for e in det1):
             details[f"ell_{ell}"] += 1
             try:
                 word = decompose_sl2(x)
@@ -287,42 +285,44 @@ def harness_sl(ell_max: int | None = None) -> HarnessResult:
     return HarnessResult("sl", sum(details.values()), tuple(violations), details)
 
 
-def _ell_divides_order(x: Mat2) -> bool:
-    """Whether the prime ell = x.n divides the order of x in GL2(F_ell): x is
-    then not semisimple, so it is not scalar and has a repeated eigenvalue."""
-    return not x.is_scalar() and (x.trace() ** 2 - 4 * x.det()) % x.n == 0
+def _ell_divides_order(ell: int, x: tuple[int, int, int, int]) -> bool:
+    """Whether the prime ell divides the order of x, reduced entries in GL2(F_ell):
+    x is then not semisimple, so it is not scalar and has a repeated eigenvalue."""
+    a, b, c, d = x
+    return (b, c, a) != (0, 0, d) and _discriminant(ell, x) == 0
 
 
 def _random_abelian(rng: random.Random, ell: int) -> Subgroup:
     """A random 2-generated abelian subgroup of order prime to ell.
 
-    The second generator is taken from the polynomial algebra of the first,
-    which is the full centralizer for a non-scalar semisimple element.
+    The first is drawn until its discriminant is nonzero, so it is semisimple
+    and not scalar; the second is taken from the polynomial algebra of the
+    first, which is then its full centralizer.
     """
     pool = _gl2_elements(ell)
-    while True:
+    x = pool[rng.randrange(len(pool))]
+    while not _discriminant(ell, x):
         x = pool[rng.randrange(len(pool))]
-        if not x.is_scalar() and not _ell_divides_order(x):
-            break
+    a, b, c, d = x
     while True:
         s, t = rng.randrange(ell), rng.randrange(ell)
-        y = Mat2(ell, s + t * x.a, t * x.b, t * x.c, s + t * x.d)
-        if y.is_invertible():
-            return closure(ell, [x, y])
+        y = ((s + t * a) % ell, t * b % ell, t * c % ell, (s + t * d) % ell)
+        if (y[0] * y[3] - y[1] * y[2]) % ell:
+            return closure(ell, [Mat2._reduced(ell, *x), Mat2._reduced(ell, *y)])
 
 
 def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
     rng = random.Random(seed)
-    prime_to_11 = (x.entries() for x in _gl2_elements(11) if not _ell_divides_order(x))
-    # (details key, group, its label in a violation), each random group drawn
-    # as the loop reaches it
+    prime_to_11 = (e for e in _gl2_elements(11) if not _ell_divides_order(11, e))
+    # (details key, group, the template of its label in a violation, formatted
+    # only for one), each random group drawn as the loop reaches it
     groups = chain(
         (
-            ("cyclic_subgroups", h, f"for cyclic group of {h.generators[0]}")
+            ("cyclic_subgroups", h, "for cyclic group of {0.generators[0]}")
             for h in _cyclic_subgroups(11, prime_to_11)
         ),
         (
-            ("random_abelian", h, f"mod {ell}, order {h.order}")
+            ("random_abelian", h, "mod {0.n}, order {0.order}")
             for ell in (5, 7, 11)
             for h in (_random_abelian(rng, ell) for _ in range(trials))
         ),
@@ -334,9 +334,9 @@ def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
         try:
             conjugate_into_cartan(h)
         except LemmaViolationError as exc:
-            violations.append(f"unverified embedding {where}: {exc}")
+            violations.append(f"unverified embedding {where.format(h)}: {exc}")
         if brute_force_cartan_conjugator(h) is None:
-            violations.append(f"oracle disagreement {where}")
+            violations.append(f"oracle disagreement {where.format(h)}")
     return HarnessResult("ab-subgp", sum(details.values()), tuple(violations), details)
 
 
@@ -396,10 +396,10 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
     violations = []
     checked = 0
     for ell in (5, 7, 11):
-        cyclic = _cyclic_subgroups(ell, (x.entries() for x in _gl2_elements(ell)))
+        cyclic = _cyclic_subgroups(ell, _gl2_elements(ell))
         sampled = (_random_abelian(rng, ell) for _ in range(trials))
         groups = chain(
-            ((h, f"generator {h.generators[0]}") for h in cyclic),
+            ((h, "generator {0.generators[0]}") for h in cyclic),
             ((h, "random group") for h in sampled),
         )
         for h, where in groups:
@@ -411,7 +411,7 @@ def harness_ns_nns(trials: int = 100, seed: int = 0) -> HarnessResult:
             try:
                 conjugate_into_normalizer(h)
             except LemmaViolationError as exc:
-                violations.append(f"ell = {ell}, {where}: {exc}")
+                violations.append(f"ell = {ell}, {where.format(h)}: {exc}")
     return HarnessResult("ns-nns", checked, tuple(violations), {"groups": checked})
 
 
@@ -448,9 +448,9 @@ def harness_easy_d(
     if sampled:
         trials = 100 if trials is None else trials
         rng = random.Random(0 if seed is None else seed)
-        pool = _gl2_elements(11)
+        pool, trusted = _gl2_elements(11), Mat2._reduced
         draws = (
-            (partial(closure, 11, [rng.choice(pool), rng.choice(pool)]), repeat(None))
+            (partial(closure, 11, [trusted(11, *rng.choice(pool)) for _ in range(2)]), repeat(None))
             for _ in range(trials)
         )
         batches.append(("ell = 11 sample", ProjPoint.all_points(11), draws))

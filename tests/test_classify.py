@@ -18,7 +18,13 @@ from gl2tors.groups import (
 )
 from gl2tors.lemmas import _gl2_elements
 from gl2tors.stabilizers import ProjPoint
-from gl2tors.verify import _MulTable, _subgroups_between, run_harness
+from gl2tors.verify import (
+    _MulTable,
+    _gl2_table,
+    _gl2_two_generated,
+    _subgroups_between,
+    run_harness,
+)
 from gl2tors.classify import (
     INERTIA_EXPONENTS,
     _cartan_power,
@@ -123,6 +129,44 @@ def test_classify_nonsplit_case():
     verdict = classify_image(conj, ProjPoint(11, 1, 0))
     assert verdict.target is NamedGroupId.NORM_NONSPLIT
     assert verdict.verify(conj)
+
+
+def _invariant_line_reference(g: Subgroup) -> Mat2 | None:
+    """The stable-line conjugator as it was first written: the first point p
+    of ProjPoint.all_points whose line every Mat2 generator x maps to itself,
+    the image (c d)·x read back through ProjPoint.from_vector, and T the
+    inverse of a T^-1 whose second row spans the line. The reference for the
+    cross-product scan on entry tuples."""
+    ell = g.n
+    for p in ProjPoint.all_points(ell):
+        if all(
+            ProjPoint.from_vector(ell, p.c * x.a + p.d * x.c, p.c * x.b + p.d * x.d) == p
+            for x in g.generators
+        ):
+            tinv = Mat2(ell, 0, 1, p.c, p.d) if p.d != 0 or p.c == 0 else Mat2(ell, 0, 1, 1, 0)
+            if not tinv.is_invertible():
+                tinv = Mat2(ell, 1, 0, p.c, p.d)
+            return mat_inv(tinv)
+    return None
+
+
+@pytest.mark.parametrize("ell, count", [(5, 461), (7, 1704)])
+def test_invariant_line_conjugator_matches_line_scan_reference(ell, count):
+    """On every two-generated subgroup of GL2(F_ell), the stable-line
+    conjugator equals the reference scan's, None included, and each one
+    returned conjugates the group into the Borel subgroup."""
+    table, subgroups = _gl2_table(ell), _gl2_two_generated(ell)
+    assert len(subgroups) == count
+    borel = named_group(NamedGroupId.BOREL, ell)
+    placed = 0
+    for ids in subgroups:
+        g = table.to_subgroup(ids)
+        t = classify._invariant_line_conjugator(g)
+        assert t == _invariant_line_reference(g)
+        if t is not None:
+            placed += 1
+            assert {mat_mul(mat_mul(mat_inv(t), x), t) for x in g.elements} <= borel.elements
+    assert 0 < placed < count
 
 
 def test_stripped_diagonal_is_projection():
@@ -368,7 +412,7 @@ def test_admissible_inertia_matches_reference_on_harness_groups(harness, calls, 
 
 def _element_entries(gid: NamedGroupId | None, ell: int) -> list[tuple[int, int, int, int]]:
     if gid is None:
-        return [x.entries() for x in _gl2_elements(ell)]
+        return list(_gl2_elements(ell))
     return list(named_group(gid, ell).entries)
 
 

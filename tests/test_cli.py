@@ -674,6 +674,46 @@ def _run_python(*argv: str) -> str:
     return proc.stdout
 
 
+def _gl2tors_process(argv: list[str], stdout) -> subprocess.Popen:
+    """`python -m gl2tors` with these arguments in a fresh interpreter,
+    importing gl2tors from src, its stderr piped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "gl2tors", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+def test_reader_closing_after_one_line_exits_141():
+    """`gl2tors sieve --max 1000000 | head -1`: the reader closes the pipe
+    after the first line, while the 225 kB of primes still fill it, so a
+    write fails. The run ends with exit 141 (128 + SIGPIPE) and writes
+    nothing to stderr, no traceback."""
+    proc = _gl2tors_process(["sieve", "--max", "1000000"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"7\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=300) == 141
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["order", "--modulus", "5"]], ids=["help", "order"])
+def test_output_to_a_closed_pipe_exits_141(argv):
+    """Output short enough to sit in the pipe's buffer fails only at the
+    flush, and a reader that has already gone makes that certain: main
+    flushes stdout itself, so this too is exit 141 with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _gl2tors_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=300) == 141
+
+
 def test_python_m_gl2tors_runs_the_cli(capsys):
     """`python -m gl2tors` runs the CLI from a checkout with no install:
     it exits 0 with the stdout that main prints."""

@@ -60,7 +60,7 @@ def _cartan_scan_reference(h: Subgroup) -> tuple[Mat2, NamedGroupId] | None:
     """The first t in _gl2_elements order conjugating h into a Cartan, split
     tried before non-split at each t: the reference for the oracle."""
     gens = h.generators or tuple(h.elements)
-    for t in _gl2_elements(h.n):
+    for t in (Mat2(h.n, *e) for e in _gl2_elements(h.n)):
         for gid in (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN):
             if _conjugates_into_reference(gens, t, named_group(gid, h.n)):
                 return t, gid
@@ -69,13 +69,14 @@ def _cartan_scan_reference(h: Subgroup) -> tuple[Mat2, NamedGroupId] | None:
 
 def _normalizer_scan_reference(h: Subgroup) -> frozenset[Mat2]:
     gens = h.generators or tuple(h.elements)
-    return frozenset(t for t in _gl2_elements(h.n) if _conjugates_into_reference(gens, t, h))
+    ts = (Mat2(h.n, *e) for e in _gl2_elements(h.n))
+    return frozenset(t for t in ts if _conjugates_into_reference(gens, t, h))
 
 
 def _cyclic_prime_to(ell: int) -> list[Subgroup]:
     """Every cyclic subgroup of GL2(F_ell) of order prime to ell."""
     return _cyclic_subgroups(
-        ell, (x.entries() for x in _gl2_elements(ell) if not _ell_divides_order(x))
+        ell, (e for e in _gl2_elements(ell) if not _ell_divides_order(ell, e))
     )
 
 
@@ -335,14 +336,14 @@ def test_conjugation_target_matches_mat2_reference(ell, i, j, k, planted_in, pla
     generators. `planted` of x, y are taken from t T t^-1 for the drawn
     target T, so the check also meets groups it must accept."""
     pool = _gl2_elements(ell)
-    t = pool[k % len(pool)]
+    t = Mat2(ell, *pool[k % len(pool)])
     source = sorted(named_group(planted_in, ell).elements, key=Mat2.entries)
     gens = []
     for pos, idx in enumerate((i, j)):
         if pos < planted:
             gens.append(mat_mul(mat_mul(t, source[idx % len(source)]), mat_inv(t)))
         else:
-            gens.append(pool[idx % len(pool)])
+            gens.append(Mat2(ell, *pool[idx % len(pool)]))
     g = closure(ell, gens)
     targets = [named_group(gid, ell) for gid in _TARGET_IDS] + [g]
     expected = [_conjugates_into_reference(g.elements, t, target) for target in targets]
@@ -384,7 +385,7 @@ def test_oracles_match_reference_scans_on_two_generators(ell, i, j, cartan, y_in
     pool = _gl2_elements(ell)
     source = sorted(named_group(cartan, ell).elements, key=Mat2.entries)
     x = source[i % len(source)]
-    y = source[j % len(source)] if y_in_cartan else pool[j % len(pool)]
+    y = source[j % len(source)] if y_in_cartan else Mat2(ell, *pool[j % len(pool)])
     h = closure(ell, [x, y])
     emb = brute_force_cartan_conjugator(h)
     reference = _cartan_scan_reference(h)
@@ -407,9 +408,9 @@ def test_cartan_witness_reads_generators_only(ell, seed, cyclic, shuffler):
     if cyclic:
         pool = _gl2_elements(ell)
         x = pool[rng.randrange(len(pool))]
-        while _ell_divides_order(x):
+        while _ell_divides_order(ell, x):
             x = pool[rng.randrange(len(pool))]
-        h = closure(ell, [x])
+        h = closure(ell, [Mat2(ell, *x)])
     else:
         h = _random_abelian(rng, ell)
     entries = list(h.entries)
@@ -480,7 +481,7 @@ def test_verify_on_generators_matches_the_entry_scan(ell, count):
         for emb in witnesses:
             assert emb.verify(g) and _verify_on_entries(emb, g)
         conjugators = [emb.conjugator for emb in witnesses]
-        conjugators += [pool[rng.randrange(len(pool))] for _ in range(2)]
+        conjugators += [Mat2(ell, *pool[rng.randrange(len(pool))]) for _ in range(2)]
         for t in conjugators:
             for gid in _TARGET_IDS:
                 emb = Conjugation(t, gid)
@@ -552,7 +553,7 @@ def test_nonsplit_conjugator_closed_form(ell):
     with a = tr/2 and b = sqrt(disc/alpha)/2, the least square root."""
     alpha, half = primitive_root(ell), pow(2, -1, ell)
     count = 0
-    for g in _gl2_elements(ell):
+    for g in (Mat2(ell, *e) for e in _gl2_elements(ell)):
         disc = (g.trace() ** 2 - 4 * g.det()) % ell
         if legendre(disc, ell) != -1:
             continue

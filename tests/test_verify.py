@@ -18,7 +18,13 @@ from gl2tors.groups import (
     named_group,
     subgroup_from_entries,
 )
-from gl2tors.lemmas import Conjugation, SL2Word, _gl2_elements
+from gl2tors.lemmas import (
+    Conjugation,
+    SL2Word,
+    _gl2_elements,
+    brute_force_cartan_conjugator,
+    normalizer_in_gl2,
+)
 from gl2tors.modarith import Mat2, element_order, mat_mul
 from gl2tors.stabilizers import ProjPoint, degree_spectrum, sl_part, vector_stabilizer
 from gl2tors.verify import (
@@ -154,7 +160,7 @@ def _small_ambient(ell: int, rng: random.Random):
     pool = _gl2_elements(ell)
     while True:
         try:
-            return closure(ell, rng.sample(pool, 2), cap=200)
+            return closure(ell, [Mat2(ell, *e) for e in rng.sample(pool, 2)], cap=200)
         except ResourceLimitError:
             continue
 
@@ -530,15 +536,70 @@ def test_stabilizer_orders_match_vector_stabilizers_on_subgroups(g):
     assert got == _stabilizer_orders_reference(table, subgroups)
 
 
+def _gl2_entries_reference(ell: int) -> list[tuple[int, int, int, int]]:
+    """GL2(F_ell) enumerated apart from the library's list: every (a, b, c, d)
+    whose Mat2 is invertible, in lexicographic order."""
+    return [
+        (a, b, c, d)
+        for a in range(ell)
+        for b in range(ell)
+        for c in range(ell)
+        for d in range(ell)
+        if Mat2(ell, a, b, c, d).is_invertible()
+    ]
+
+
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_gl2_table_builds_no_mat2(ell, monkeypatch):
-    """The GL2 table lists the entry tuples of _gl2_elements, in its order,
-    and building it constructs no Mat2."""
+    """The one GL2 list (_gl2_elements) and the GL2 table both hold the
+    entry tuples of a separate lexicographic enumeration, in its order, and
+    building either constructs no Mat2."""
     built = _counted_mat2_builds(monkeypatch)
+    elements = _gl2_elements.__wrapped__(ell)
     table = _gl2_table.__wrapped__(ell)
     assert built == []
     monkeypatch.undo()
-    assert table.entries == [x.entries() for x in _gl2_elements(ell)]
+    reference = _gl2_entries_reference(ell)
+    assert list(elements) == reference
+    assert table.entries == reference
+
+
+def test_scans_build_at_most_the_mat2_they_return(monkeypatch):
+    """The scans over GL2(F_ell) and over a group's generators read entry
+    tuples: each call builds at most one Mat2, the conjugator it returns.
+    The GL2 list is rebuilt under the count, so a list held as Mat2 shows.
+    The groups, none of them read off the GL2 list: the cyclic subgroups of
+    the Borel subgroup mod 7, some of order divisible by 7, which no Cartan
+    holds, for the Cartan oracle; three named groups mod 5 for the
+    normalizer scan; and the Borel subgroup mod 11 and its transpose,
+    wrapped so that every element is a generator, for the stable-line scan
+    (lines (0:1) and (1:0))."""
+    borel = named_group(NamedGroupId.BOREL, 11).entries
+    mod5 = (NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN, NamedGroupId.BOREL)
+    scans = [
+        (
+            brute_force_cartan_conjugator,
+            _cyclic_subgroups(7, named_group(NamedGroupId.BOREL, 7).entries),
+        ),
+        (normalizer_in_gl2, [named_group(gid, 5) for gid in mod5]),
+        (
+            classify._invariant_line_conjugator,
+            [
+                subgroup_from_entries(11, borel),
+                subgroup_from_entries(11, ((a, c, b, d) for a, b, c, d in borel)),
+            ],
+        ),
+    ]
+    results = [[scan(g) for g in groups] for scan, groups in scans]  # named groups built
+    _gl2_elements.cache_clear()
+    built = _counted_mat2_builds(monkeypatch)
+    for (scan, groups), expected in zip(scans, results):
+        for g, want in zip(groups, expected):
+            before = len(built)
+            assert scan(g) == want
+            assert len(built) - before <= 1, scan.__name__
+    assert None in results[0] and any(results[0])
+    assert [t.entries() for t in results[2]] == [(1, 0, 0, 1), (0, 1, 1, 0)]
 
 
 def _subgroups_between_reference(
@@ -607,11 +668,11 @@ def _sl2_11_entries():
 @pytest.mark.parametrize(
     "n, entries",
     [
-        pytest.param(5, lambda: [x.entries() for x in _gl2_elements(5)], id="GL2(5)"),
-        pytest.param(7, lambda: [x.entries() for x in _gl2_elements(7)], id="GL2(7)"),
+        pytest.param(5, lambda: list(_gl2_elements(5)), id="GL2(5)"),
+        pytest.param(7, lambda: list(_gl2_elements(7)), id="GL2(7)"),
         pytest.param(
             11,
-            lambda: [x.entries() for x in _gl2_elements(11) if not _ell_divides_order(x)],
+            lambda: [e for e in _gl2_elements(11) if not _ell_divides_order(11, e)],
             id="GL2(11)-prime-to-11",
         ),
         pytest.param(11, _sl2_11_entries, id="SL2(11)"),
@@ -865,8 +926,8 @@ def test_not_bl_runs_each_fallback_conclusion_once(monkeypatch):
 
 @pytest.mark.parametrize("ell", [5, 7])
 def test_ell_divides_order_matches_element_order(ell):
-    for x in _gl2_elements(ell):
-        assert _ell_divides_order(x) == (element_order(x) % ell == 0)
+    for e in _gl2_elements(ell):
+        assert _ell_divides_order(ell, e) == (element_order(Mat2(ell, *e)) % ell == 0)
 
 
 def test_ab_subgp_random_only_smoke(harness_run):
