@@ -115,7 +115,7 @@ def admissible_inertia_exponents(g: Subgroup) -> list[int]:
     for e in INERTIA_EXPONENTS:
         ae = pow(alpha, e, ell)
         # a one-generator closure finds y^0, y^1, ... in that order
-        powers = closure(ell, [gamma**e]).entries
+        powers = closure(ell, [(gamma**e).entries()]).entries
         generators = (y for k, y in enumerate(powers) if math.gcd(k, len(powers)) == 1)
         shapes.append((e, ((1 + ae) % ell, ae), {_trace_det(ell, y) for y in generators}))
     found = set()
@@ -138,7 +138,7 @@ def _trace_det(n: int, x: tuple[int, int, int, int]) -> tuple[int, int]:
 def _cartan_power(cart: Subgroup, e: int) -> Subgroup:
     """The e-th powers of an abelian group, such as a Cartan subgroup: x -> x^e
     is then a homomorphism, so they are the closure of the generators' powers."""
-    return closure(cart.n, [x**e for x in cart.generators])
+    return closure(cart.n, [(x**e).entries() for x in cart.generators])
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from .modarith import (
     gl2_order,
     mat_mul,  # not called here; bench/tests/test_bench.py reads groups.mat_mul
     primitive_root,
-    unipotent,
-    unipotent_lower,
 )
 
 DEFAULT_CLOSURE_CAP = 10**7
@@ -38,31 +36,29 @@ EXHAUSTIVE_SPECTRUM_CAP = 10**5
 
 
 class Subgroup:
-    """A subgroup of GL2(Z/nZ) held as generators plus its elements' reduced
-    (a, b, c, d) entries: as tuples (`entries`), or as the read-only 4 x |G|
-    int64 array with rows a, b, c, d (`entry_array`) that `closure` hands
-    over once it has moved to numpy blocks. The other form is built on first
-    read, the tuples in the array's column order.
+    """A subgroup of GL2(Z/nZ) held as reduced (a, b, c, d) entry tuples:
+    its generators' (`generator_entries`), and its elements' as tuples
+    (`entries`) or as the read-only 4 x |G| int64 array with rows a, b, c, d
+    (`entry_array`) that `closure` hands over once it has moved to numpy
+    blocks. The other form of the elements is built on first read, the
+    tuples in the array's column order.
 
     `Subgroup(n, generators, entries)` is the one constructor, and it is
-    trusted: it checks nothing, so the caller guarantees that the entries are
-    distinct, reduced into [0, n) and closed under multiplication, and that
-    the generators generate them. With generators None, as
-    `subgroup_from_entries` wraps a filtered subset and
+    trusted: it checks nothing, so the caller guarantees that the generator
+    and element entries are reduced into [0, n), the elements distinct and
+    closed under multiplication, and the generators generate them. With
+    generators None, as `subgroup_from_entries` wraps a filtered subset and
     `verify._MulTable.to_subgroup` an enumerated one, every element in entry
-    order is a generator, built as `Mat2` on first read. `generator_entries`
-    holds the generators' entry tuples, which for such a group are its
-    entries themselves, so the checks that read generators (`is_abelian`,
-    the conjugation check) build no `Mat2` for it. The entries are in
-    the order `closure` lists them, or ascending for such a wrapped group;
-    the one order that library code reads is that of a one-generator
-    closure, x^0, x^1, ..., x^(m-1).
+    order is a generator: `generator_entries` is then the entry tuples
+    themselves. The entries are in the order `closure` lists them, or
+    ascending for such a wrapped group; the one order that library code
+    reads is that of a one-generator closure, x^0, x^1, ..., x^(m-1).
     The order is counted when the group is made; the determinant image and
     the spectra read the entry array. Membership, containment (`<=`),
     equality and hashing read the tuples; the last three use only (n, the
-    entry set), so one group with two generating sets compares equal. The
-    `Mat2` element set (`elements`), built on first read, is a view that
-    the library never reads.
+    entry set), so one group with two generating sets compares equal.
+    The two `Mat2` views, `generators` and the element set `elements`, are
+    built on first read; no library code reads `elements`.
     """
 
     n: int
@@ -71,7 +67,7 @@ class Subgroup:
     def __init__(
         self,
         n: int,
-        generators: Iterable[Mat2] | None,
+        generators: Iterable[tuple[int, int, int, int]] | None,
         entries: Iterable[tuple[int, int, int, int]] | np.ndarray,
     ):
         if isinstance(entries, np.ndarray):
@@ -81,10 +77,7 @@ class Subgroup:
             entries = tuple(entries)
             vars(self).update(n=n, order=len(entries), entries=entries)
         if generators is not None:
-            generators = tuple(generators)
-            vars(self).update(
-                generators=generators, generator_entries=tuple(x.entries() for x in generators)
-            )
+            vars(self).update(generator_entries=tuple(generators))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Subgroup is immutable; cannot set {name}")
@@ -92,12 +85,12 @@ class Subgroup:
     @cached_property
     def generator_entries(self) -> tuple[tuple[int, int, int, int], ...]:
         """The generators' reduced entries; for a group made with generators
-        None, its entry tuples, with no Mat2 built."""
+        None, its entry tuples."""
         return self.entries
 
     @cached_property
     def generators(self) -> tuple[Mat2, ...]:
-        """Every element, in entry order, for a group made with generators None."""
+        """The generators as Mat2, a view of `generator_entries`."""
         trusted, n = Mat2._reduced, self.n
         return tuple(trusted(n, a, b, c, d) for a, b, c, d in self.generator_entries)
 
@@ -169,9 +162,14 @@ def _as_array(entries: Sequence[tuple[int, int, int, int]]) -> np.ndarray:
 
 
 def closure(
-    n: int, generators: Iterable[Mat2], cap: int = DEFAULT_CLOSURE_CAP
+    n: int, generators: Iterable[tuple[int, int, int, int]], cap: int = DEFAULT_CLOSURE_CAP
 ) -> Subgroup:
-    """Smallest subgroup of GL2(Z/nZ) containing the generators.
+    """Smallest subgroup of GL2(Z/nZ) containing the generators, given as
+    (a, b, c, d) entry tuples.
+
+    The modulus is checked first; each generator is then reduced mod n, and
+    one whose determinant is not a unit raises PreconditionError. The group
+    keeps the reduced generators as its `generator_entries`.
 
     Dimino's method on reduced (a, b, c, d) entries mod n, which computes each
     element once. A generator that is the identity or already in the group
@@ -181,8 +179,7 @@ def closure(
     each coset representative r in turn and each kept generator s whose
     product r s is not yet in the group. So the entries are the identity,
     the powers of x, then consecutive right cosets of the group before them.
-    No Mat2 is built until the element set is read, and no more than `cap`
-    entries are ever held.
+    No Mat2 is built, and no more than `cap` entries are ever held.
 
     The block size picks the arithmetic, never the order. The group is held
     as tuples, with a set of them for the lookups of r s, until n < 2^31
@@ -196,13 +193,11 @@ def closure(
     are built only if something reads them. Smaller blocks and larger moduli
     stay on tuples, the reference that tests compare the blocks against.
     """
-    gens = tuple(generators)
-    for g in gens:
-        if g.n != n:
-            raise PreconditionError(f"generator modulus {g.n} != {n}")
-        if not g.is_invertible():
-            raise PreconditionError(f"generator {g} is not invertible")
     _check_modulus(n)
+    gens = tuple((a % n, b % n, c % n, d % n) for a, b, c, d in generators)
+    for a, b, c, d in gens:
+        if math.gcd(a * d - b * c, n) != 1:
+            raise PreconditionError(f"generator [[{a},{b}],[{c},{d}]] mod {n} is not invertible")
 
     # int64 products of entries below n sum below 2^63 only for n < 2^31
     array_from = _ARRAY_BLOCK if n < 2**31 else math.inf
@@ -212,8 +207,7 @@ def closure(
     found: list[tuple[int, int, int, int]] | _Blocks = [identity]
     members: set[tuple[int, int, int, int]] | _Blocks = set()
     kept: list[tuple[int, int, int, int]] = []
-    for g in gens:
-        x = g.entries()
+    for x in gens:
         if not kept:
             if x == identity:
                 continue
@@ -346,12 +340,11 @@ def _cyclic_subgroups(n: int, entries: Iterable[tuple[int, int, int, int]]) -> l
     not covered generates none of the groups found so far, so it is the
     first listed generator of a new group; only such elements are closed.
     """
-    trusted = Mat2._reduced
     covered: set[tuple[int, int, int, int]] = set()
     out = []
     for e in entries:
         if e not in covered:
-            h = closure(n, [trusted(n, *e)])
+            h = closure(n, [e])
             covered.update(y for k, y in enumerate(h.entries) if math.gcd(k, h.order) == 1)
             out.append(h)
     return out
@@ -394,7 +387,7 @@ def _conjugation_target(
 def subgroup_from_entries(n: int, entries: Iterable[tuple[int, int, int, int]]) -> Subgroup:
     """Wrap the reduced entries of an already-closed subset, such as one cut
     out of a group by a filter, in ascending entry order; its generators are
-    every element, built on first read."""
+    every element."""
     return Subgroup(n, None, sorted(set(entries)))
 
 
@@ -449,8 +442,8 @@ def diagexp_pair(x: Mat2) -> DiagExpPair:
 
 def diagexp_span(ell: int, pairs: Iterable[tuple[int, int]]) -> Subgroup:
     """Subgroup of diagonal matrices generated by the given exponent pairs."""
-    gens = [DiagExpPair(ell, u, t).to_matrix() for u, t in pairs]
-    return closure(ell, gens)
+    alpha = primitive_root(ell)
+    return closure(ell, [(pow(alpha, u, ell), 0, 0, pow(alpha, t, ell)) for u, t in pairs])
 
 
 def tau(ell: int) -> int:
@@ -470,26 +463,26 @@ def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
     _check_odd_prime(ell)
     alpha = primitive_root(ell)
     if gid is NamedGroupId.BOREL:
-        gens = [Mat2.diag(ell, alpha, 1), Mat2.diag(ell, 1, alpha), unipotent(ell)]
+        gens = [(alpha, 0, 0, 1), (1, 0, 0, alpha), (1, 1, 0, 1)]
     elif gid is NamedGroupId.SPLIT_CARTAN:
-        gens = [Mat2.diag(ell, alpha, 1), Mat2.diag(ell, 1, alpha)]
+        gens = [(alpha, 0, 0, 1), (1, 0, 0, alpha)]
     elif gid is NamedGroupId.NONSPLIT_CARTAN:
         # (a b*alpha; b a) is a + b sqrt(alpha) acting on F_ell(sqrt(alpha)),
         # whose unit group is cyclic of order ell^2 - 1
         candidates = (
-            closure(ell, [Mat2(ell, a, b * alpha, b, a)])
+            closure(ell, [(a, b * alpha, b, a)])
             for a, b in itertools.product(range(ell), repeat=2)
             if (a, b) != (0, 0)
         )
         return next(g for g in candidates if g.order == ell * ell - 1)
     elif gid is NamedGroupId.NORM_SPLIT:
         cs = named_group(NamedGroupId.SPLIT_CARTAN, ell)
-        gens = cs.generators + (Mat2(ell, 0, 1, 1, 0),)
+        gens = cs.generator_entries + ((0, 1, 1, 0),)
     elif gid is NamedGroupId.NORM_NONSPLIT:
         cns = named_group(NamedGroupId.NONSPLIT_CARTAN, ell)
-        gens = cns.generators + (Mat2.diag(ell, 1, -1),)
+        gens = cns.generator_entries + ((1, 0, 0, -1),)
     elif gid is NamedGroupId.SL2:
-        gens = [unipotent(ell), unipotent_lower(ell)]
+        gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
     elif gid in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
         if ell < 5:
             raise PreconditionError("diagonal images require ell >= 5")
@@ -503,7 +496,7 @@ def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
             NamedGroupId.DELTA1 if gid is NamedGroupId.DELTA_U1 else NamedGroupId.DELTA2,
             ell,
         )
-        return closure(ell, base.generators + (unipotent(ell),))
+        return closure(ell, base.generator_entries + ((1, 1, 0, 1),))
     else:  # pragma: no cover
         raise PreconditionError(f"unknown named group {gid}")
     return closure(ell, gens)
@@ -512,7 +505,7 @@ def named_group(gid: NamedGroupId, ell: int) -> Subgroup:
 def subgroup_to_json(g: Subgroup) -> str:
     payload = {
         "modulus": g.n,
-        "generators": [[[x.a, x.b], [x.c, x.d]] for x in g.generators],
+        "generators": [[[a, b], [c, d]] for a, b, c, d in g.generator_entries],
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -539,7 +532,7 @@ def subgroup_from_json(payload: object) -> Subgroup:
     # type(...) is int also turns away JSON true/false, which Python reads as ints
     if not all(type(v) is int for v in (n, *(v for e in entries for v in e))):
         raise PreconditionError("malformed subgroup input: modulus and entries must be integers")
-    return closure(n, [Mat2(n, *e) for e in entries])
+    return closure(n, entries)
 
 
 def verify_named_orders(ell: int) -> dict[str, tuple[int, int]]:

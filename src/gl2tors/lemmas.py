@@ -8,20 +8,17 @@ from itertools import product
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
 from .modarith import (
     Mat2,
+    _check_modulus,
     _check_odd_prime,
     element_order,
     legendre,
-    mat_mul,
     primitive_root,
     sqrt_mod,
-    unipotent,
-    unipotent_lower,
 )
 from .groups import (
     NamedGroupId,
     Subgroup,
     _conjugation_target,
-    closure,
     named_group,
     subgroup_from_entries,
 )
@@ -68,11 +65,17 @@ class SL2Word:
     letters: tuple[tuple[str, int], ...]  # ("U"|"L", exponent mod ell)
 
     def evaluate(self) -> Mat2:
-        result = Mat2.identity(self.ell)
+        """The product, multiplied out on entries: U^e = (1 e; 0 1) and
+        L^e = (1 0; e 1), so each letter updates one column."""
+        ell = self.ell
+        _check_modulus(ell)
+        a, b, c, d = 1, 0, 0, 1
         for letter, exp in self.letters:
-            base = unipotent(self.ell) if letter == "U" else unipotent_lower(self.ell)
-            result = mat_mul(result, base ** (exp % self.ell))
-        return result
+            if letter == "U":
+                b, d = (a * exp + b) % ell, (c * exp + d) % ell
+            else:
+                a, c = (a + b * exp) % ell, (c + d * exp) % ell
+        return Mat2._reduced(ell, a, b, c, d)
 
     def __len__(self):
         return len(self.letters)
@@ -147,43 +150,44 @@ def _discriminant(n: int, x: tuple[int, int, int, int]) -> int:
     return ((a + d) ** 2 - 4 * (a * d - b * c)) % n
 
 
-def _eigencolumn(x: Mat2, lam: int) -> tuple[int, int]:
-    """A nonzero column v with (x - lam I) v = 0, for x not scalar."""
-    ell = x.n
-    a, b = (x.a - lam) % ell, x.b
-    if (a, b) != (0, 0):
-        return (b, -a % ell)
-    return ((x.d - lam) % ell, -x.c % ell)
+def _eigencolumn(ell: int, x: tuple[int, int, int, int], lam: int) -> tuple[int, int]:
+    """A nonzero column v with (x - lam I) v = 0, for reduced entries x of a
+    matrix that is not scalar."""
+    p, q, r, s = x
+    a = (p - lam) % ell
+    if (a, q) != (0, 0):
+        return (q, -a % ell)
+    return ((s - lam) % ell, -r % ell)
 
 
-def _split_conjugator(x: Mat2) -> Mat2:
-    """t = (v1 | v2), eigencolumns of x at its eigenvalues lam1 < lam2, for x
-    with a nonzero square discriminant: t^-1 x t = diag(lam1, lam2)."""
-    ell = x.n
-    root, half = sqrt_mod(_discriminant(ell, x.entries()), ell), pow(2, -1, ell)
-    lam1, lam2 = sorted((x.trace() + sign * root) * half % ell for sign in (1, -1))
-    (p, r), (q, s) = _eigencolumn(x, lam1), _eigencolumn(x, lam2)
+def _split_conjugator(ell: int, x: tuple[int, int, int, int]) -> Mat2:
+    """t = (v1 | v2), eigencolumns of x at its eigenvalues lam1 < lam2, for
+    reduced entries x with a nonzero square discriminant: t^-1 x t =
+    diag(lam1, lam2)."""
+    root, half = sqrt_mod(_discriminant(ell, x), ell), pow(2, -1, ell)
+    lam1, lam2 = sorted((x[0] + x[3] + sign * root) * half % ell for sign in (1, -1))
+    (p, r), (q, s) = _eigencolumn(ell, x, lam1), _eigencolumn(ell, x, lam2)
     return Mat2(ell, p, q, r, s)
 
 
-def _nonsplit_conjugator(g: Mat2) -> Mat2:
-    """t with t^-1 g t = (a b*alpha; b a), for g = (p q; r s) with a non-residue
-    discriminant.
+def _nonsplit_conjugator(ell: int, x: tuple[int, int, int, int]) -> Mat2:
+    """t with t^-1 x t = (a b*alpha; b a), for reduced entries x = (p q; r s)
+    with a non-residue discriminant.
 
     a = tr/2 and b = sqrt(disc/alpha)/2, with alpha = primitive_root(ell) and
-    the least square root, so g has eigenvalues a +- b sqrt(alpha); then
+    the least square root, so x has eigenvalues a +- b sqrt(alpha); then
     t = (q/(b alpha) 0; (a - p)/(b alpha) 1). This is P Q^-1 for P = (q q;
     mu - p mu' - p) and Q = (b alpha b alpha; b sqrt(alpha) -b sqrt(alpha)),
     with mu, mu' = a +- b sqrt(alpha), worked out over F_ell. q != 0 because
     a triangular matrix has rational eigenvalues, and b != 0 because
     disc != 0.
     """
-    ell = g.n
+    p, q, _, s = x
     alpha, half = primitive_root(ell), pow(2, -1, ell)
-    a = g.trace() * half % ell
-    b = sqrt_mod(_discriminant(ell, g.entries()) * pow(alpha, -1, ell), ell) * half % ell
+    a = (p + s) * half % ell
+    b = sqrt_mod(_discriminant(ell, x) * pow(alpha, -1, ell), ell) * half % ell
     e = pow(b * alpha, -1, ell)
-    return Mat2(ell, g.b * e, 0, (a - g.a) * e, 1)
+    return Mat2(ell, q * e, 0, (a - p) * e, 1)
 
 
 def conjugate_into_cartan(h: Subgroup) -> Conjugation:
@@ -212,12 +216,12 @@ def conjugate_into_cartan(h: Subgroup) -> Conjugation:
 
     x = next((x for x in h.generator_entries if legendre(_discriminant(ell, x), ell) == -1), None)
     if x is not None:
-        t = _nonsplit_conjugator(Mat2._reduced(ell, *x))
+        t = _nonsplit_conjugator(ell, x)
         emb = Conjugation(t, NamedGroupId.NONSPLIT_CARTAN)
     else:
         # the first non-scalar generator: b or c nonzero, or a != d
         x = next((x for x in h.generator_entries if x[1] or x[2] or x[0] != x[3]), None)
-        t = Mat2.identity(ell) if x is None else _split_conjugator(Mat2._reduced(ell, *x))
+        t = Mat2.identity(ell) if x is None else _split_conjugator(ell, x)
         emb = Conjugation(t, NamedGroupId.SPLIT_CARTAN)
     if not emb.verify(h):
         raise LemmaViolationError(
@@ -275,7 +279,8 @@ def conjugate_into_normalizer(h: Subgroup) -> Conjugation:
         raise PreconditionError(
             "the determinant-1 part must have odd order prime to ell, up to the scalar -1"
         )
-    if h0 <= closure(ell, [minus_i]):
+    # h0 lies in {I, -I}
+    if h0.order == 1 or (h0.order == 2 and minus_i in h0):
         emb = conjugate_into_cartan(h)
     else:
         emb = conjugate_into_cartan(h0)

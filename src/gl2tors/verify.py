@@ -308,7 +308,7 @@ def _random_abelian(rng: random.Random, ell: int) -> Subgroup:
         s, t = rng.randrange(ell), rng.randrange(ell)
         y = ((s + t * a) % ell, t * b % ell, t * c % ell, (s + t * d) % ell)
         if (y[0] * y[3] - y[1] * y[2]) % ell:
-            return closure(ell, [Mat2._reduced(ell, *x), Mat2._reduced(ell, *y)])
+            return closure(ell, [x, y])
 
 
 def harness_ab_subgp(trials: int = 500, seed: int = 0) -> HarnessResult:
@@ -448,9 +448,9 @@ def harness_easy_d(
     if sampled:
         trials = 100 if trials is None else trials
         rng = random.Random(0 if seed is None else seed)
-        pool, trusted = _gl2_elements(11), Mat2._reduced
+        pool = _gl2_elements(11)
         draws = (
-            (partial(closure, 11, [trusted(11, *rng.choice(pool)) for _ in range(2)]), repeat(None))
+            (partial(closure, 11, [rng.choice(pool) for _ in range(2)]), repeat(None))
             for _ in range(trials)
         )
         batches.append(("ell = 11 sample", ProjPoint.all_points(11), draws))

@@ -10,7 +10,7 @@ import pytest
 from sympy import factorint
 
 from gl2tors.errors import PreconditionError
-from gl2tors.modarith import gl2_order, unipotent
+from gl2tors.modarith import gl2_order
 from gl2tors.groups import NamedGroupId, closure, named_group, tau, verify_named_orders
 from gl2tors.stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
 from gl2tors.classify import cong_check, mod36_filter
@@ -88,7 +88,7 @@ def test_criterion_5_derived_diagonal_consistency():
         divisor = (ell - 1) // (2 * tau(ell))
         for gid in (NamedGroupId.DELTA1, NamedGroupId.DELTA2):
             delta = named_group(gid, ell)
-            g = closure(ell, delta.generators + (unipotent(ell),))
+            g = closure(ell, delta.generator_entries + ((1, 1, 0, 1),))
             if not cong_check(delta) or delta.order != ell - 1:
                 ok = False
             spec = exhaustive_spectrum(g)

@@ -6,7 +6,7 @@ from sympy import primerange
 
 from gl2tors import classify
 from gl2tors.errors import PreconditionError
-from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root, unipotent
+from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root
 from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
@@ -65,7 +65,7 @@ def test_cong_check_examples():
 
 def test_cong_check_rejects_nondiagonal():
     with pytest.raises(PreconditionError):
-        cong_check(closure(11, [unipotent(11)]))
+        cong_check(closure(11, [(1, 1, 0, 1)]))
 
 
 def _cong_check_reference(delta: Subgroup) -> bool:
@@ -112,7 +112,7 @@ def test_classify_borel_case():
 
 def test_classify_split_case():
     alpha = primitive_root(11)
-    g = closure(11, [Mat2.diag(11, alpha, 1)])
+    g = closure(11, [(alpha, 0, 0, 1)])
     verdict = classify_image(g, ProjPoint(11, 0, 1))  # the fixed vector, index 1
     assert verdict.target is NamedGroupId.NORM_SPLIT
     assert verdict.verify(g)
@@ -122,7 +122,7 @@ def test_classify_nonsplit_case():
     cns = named_group(NamedGroupId.NONSPLIT_CARTAN, 11)
     gen = next(x for x in cns.elements if element_order(x) == 120)
     t = Mat2(11, 2, 3, 1, 4)
-    h = closure(11, [gen**8])  # order 15
+    h = closure(11, [(gen**8).entries()])  # order 15
     conj = subgroup_from_entries(
         11, [mat_mul(mat_mul(t, x), mat_inv(t)).entries() for x in h.elements]
     )
@@ -175,7 +175,7 @@ def test_stripped_diagonal_is_projection():
 
 
 _BOREL_11 = st.builds(
-    lambda a, b, d: Mat2(11, a, b, 0, d), st.integers(1, 10), st.integers(0, 10), st.integers(1, 10)
+    lambda a, b, d: (a, b, 0, d), st.integers(1, 10), st.integers(0, 10), st.integers(1, 10)
 )
 
 
@@ -191,7 +191,7 @@ def test_stripped_diagonal_matches_elementwise_projection(gens, by_elements):
 
 def test_stripped_diagonal_rejects_non_triangular():
     for g in (
-        closure(11, [unipotent(11), Mat2(11, 1, 0, 1, 1)]),
+        closure(11, [(1, 1, 0, 1), (1, 0, 1, 1)]),
         named_group(NamedGroupId.NORM_SPLIT, 11),
     ):
         with pytest.raises(PreconditionError, match="not upper triangular"):
@@ -217,7 +217,7 @@ def test_derive_delta_examples():
     assert v2.delta_kind is NamedGroupId.DELTA2
     assert (v2.divisor, v2.congruence_ok, v2.mod36_class) == (5, True, 11)
 
-    g3 = closure(23, named_group(NamedGroupId.DELTA1, 23).generators + (unipotent(23),))
+    g3 = closure(23, named_group(NamedGroupId.DELTA1, 23).generator_entries + ((1, 1, 0, 1),))
     v3 = derive_delta(g3)
     assert v3.delta_kind is NamedGroupId.DELTA1
     assert (v3.divisor, v3.congruence_ok, v3.mod36_class) == (11, True, 23)
@@ -250,15 +250,15 @@ def test_derive_delta_rejects_shearless_group_without_inertia_shape():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: closure(7, [Mat2(7, 0, 1, 6, 0)]), "not contained in the Borel subgroup"),
-        (lambda: closure(7, [unipotent(7)]), "derivation requires ell >= 11"),
+        (lambda: closure(7, [(0, 1, 6, 0)]), "not contained in the Borel subgroup"),
+        (lambda: closure(7, [(1, 1, 0, 1)]), "derivation requires ell >= 11"),
         (
-            lambda: closure(11, [Mat2(11, 2, 0, 0, 6)]),
+            lambda: closure(11, [(2, 0, 0, 6)]),
             "determinant image is not the full unit group",
         ),
         (lambda: named_group(NamedGroupId.BOREL, 11), "exponent congruence fails"),
         (
-            lambda: closure(11, [Mat2(11, 1, 0, 0, 10), Mat2(11, 2, 0, 0, 2)]),
+            lambda: closure(11, [(1, 0, 0, 10), (2, 0, 0, 2)]),
             "no stabilizer index coprime to 6",
         ),
         (lambda: named_group(NamedGroupId.DELTA1, 11), "no admissible inertia image"),
@@ -306,7 +306,7 @@ def test_not_bl_rejects_group_outside_normalizers():
 def test_not_bl_rejects_partial_determinant():
     # diag(2, 2^-1) and the flip of determinant 1 generate a subgroup of
     # SL2 in NormSplit(11), outside the split Cartan
-    g = closure(11, [Mat2(11, 2, 0, 0, 6), Mat2(11, 0, 1, 10, 0)])
+    g = closure(11, [(2, 0, 0, 6), (0, 1, 10, 0)])
     with pytest.raises(PreconditionError, match="determinant image is not the full unit group"):
         not_bl_check(g, 1)
 
@@ -314,8 +314,8 @@ def test_not_bl_rejects_partial_determinant():
 def test_not_bl_rejects_unrealizable_inertia():
     # index 25 would appear at (1,1) here; the precondition must exclude it
     cs = named_group(NamedGroupId.SPLIT_CARTAN, 11)
-    flip = Mat2(11, 0, 1, 1, 0)
-    squares = sorted({x**2 for x in cs.elements}, key=Mat2.entries)
+    flip = (0, 1, 1, 0)
+    squares = sorted({(x**2).entries() for x in cs.elements})
     g = closure(11, tuple(squares) + (flip,))
     for e in (1, 2, 3, 4, 6):
         with pytest.raises(PreconditionError):
@@ -427,7 +427,7 @@ _INERTIA_AMBIENTS = [
 def _two_generated_in_ambient(draw):
     gid, ell = draw(st.sampled_from(_INERTIA_AMBIENTS))
     entry = st.sampled_from(_element_entries(gid, ell))
-    return closure(ell, [Mat2(ell, *draw(entry)), Mat2(ell, *draw(entry))])
+    return closure(ell, [draw(entry), draw(entry)])
 
 
 @settings(max_examples=60, deadline=None)

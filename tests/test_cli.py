@@ -387,6 +387,28 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
             [],
             "error: modulus must be an integer >= 2, got 1\n",
         ),
+        # the modulus is checked before any entry is reduced mod it, and a
+        # generator is reduced before its determinant is tested
+        (
+            '{"modulus": 0, "generators": [[[1, 1], [0, 1]]]}',
+            [],
+            "error: modulus must be an integer >= 2, got 0\n",
+        ),
+        (
+            '{"modulus": -3, "generators": [[[1, 1], [0, 1]]]}',
+            [],
+            "error: modulus must be an integer >= 2, got -3\n",
+        ),
+        (
+            '{"modulus": 6, "generators": [[[2, 0], [0, 1]]]}',
+            [],
+            "error: generator [[2,0],[0,1]] mod 6 is not invertible\n",
+        ),
+        (
+            '{"modulus": 6, "generators": [[[8, -6], [12, 7]]]}',
+            [],
+            "error: generator [[2,0],[0,1]] mod 6 is not invertible\n",
+        ),
     ],
 )
 def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):

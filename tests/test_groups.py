@@ -12,6 +12,7 @@ from gl2tors.modarith import Mat2, mat_inv, mat_mul, primitive_root, unipotent, 
 from gl2tors.groups import (
     _ARRAY_BLOCK,
     NamedGroupId,
+    _cyclic_subgroups,
     closure,
     diagexp_pair,
     diagexp_span,
@@ -24,28 +25,33 @@ from gl2tors.groups import (
 )
 
 
+def _entries(matrices) -> list[tuple[int, int, int, int]]:
+    """The entry tuples of Mat2 values, the form closure takes its generators in."""
+    return [x.entries() for x in matrices]
+
+
 def test_closure_of_shears_is_sl2():
-    g = closure(5, [unipotent(5), unipotent_lower(5)])
+    g = closure(5, [(1, 1, 0, 1), (1, 0, 1, 1)])
     assert g.order == 120
     assert all(x.det() == 1 for x in g.elements)
 
 
 def test_closure_cap():
     with pytest.raises(ResourceLimitError):
-        closure(5, [unipotent(5), unipotent_lower(5)], cap=50)
+        closure(5, [(1, 1, 0, 1), (1, 0, 1, 1)], cap=50)
 
 
 def test_closure_rejects_singular_generator():
     with pytest.raises(PreconditionError):
-        closure(5, [Mat2(5, 1, 2, 2, 4)])
+        closure(5, [(1, 2, 2, 4)])
 
 
 def test_equality_ignores_generators():
     u = unipotent(11)
-    g, h = closure(11, [u]), closure(11, [u**2])
+    g, h = closure(11, [u.entries()]), closure(11, [(u**2).entries()])
     assert g.generators != h.generators
     assert g == h and hash(g) == hash(h)
-    assert g != closure(11, [Mat2.diag(11, 2, 1)])
+    assert g != closure(11, [(2, 0, 0, 1)])
     # trivial groups mod 5 and mod 7 hold the same entries
     assert closure(5, []) != closure(7, [])
 
@@ -148,14 +154,14 @@ def _check_entry_order(n, gens, entries):
 @given(_two_generators())
 def test_closure_matches_reference(args):
     n, gens = args
-    g, ref = closure(n, gens), _closure_reference(n, gens)
+    g, ref = closure(n, _entries(gens)), _closure_reference(n, gens)
     assert g.elements == ref
     _check_entry_order(n, gens, g.entries)
     assert g.generators == tuple(gens)
     if g.order > 1:
         with pytest.raises(ResourceLimitError):
-            closure(n, gens, cap=g.order - 1)
-    assert closure(n, gens, cap=g.order).elements == ref
+            closure(n, _entries(gens), cap=g.order - 1)
+    assert closure(n, _entries(gens), cap=g.order).elements == ref
     for x in g.elements:
         assert all(0 <= v < n for v in x.entries())
         validated = Mat2(n, *x.entries())
@@ -182,8 +188,9 @@ def test_one_generator_closure_lists_powers(n, data):
     else:
         entries = data.draw(_invertible_entries(n))
     shifts = data.draw(st.tuples(*[st.integers(-2, 2)] * 4))
-    x = Mat2(n, *(v + k * n for v, k in zip(entries, shifts)))
-    g = closure(n, [x])
+    shifted = tuple(v + k * n for v, k in zip(entries, shifts))
+    x = Mat2(n, *shifted)
+    g = closure(n, [shifted])
     assert list(g.entries) == _powers(x)
     _check_entry_array(g)
 
@@ -231,7 +238,7 @@ def test_one_generator_closure_across_the_array_block(n, x, order):
     """Orders below, at and above _ARRAY_BLOCK: the powers are listed in
     order either way, and past it closure hands over its entry array. At
     order 256 one doubling ends exactly on the identity."""
-    g = closure(n, [x])
+    g = closure(n, [x.entries()])
     assert g.order == order and list(g.entries) == _powers(x)
     assert ("entry_array" in vars(g)) == (order > _ARRAY_BLOCK)
     _check_entry_array(g)
@@ -250,7 +257,7 @@ def test_cosets_of_a_large_subgroup_match_reference(ell, gens):
     """Right cosets of a subgroup H with |H| >= _ARRAY_BLOCK, whether H came
     from tuple cosets (Borel(13): |H| = 144) or from doubled powers, are
     listed in closure's entry order and close the group."""
-    g = closure(ell, gens)
+    g = closure(ell, _entries(gens))
     assert g.elements == _closure_reference(ell, gens)
     _check_entry_order(ell, gens, g.entries)
     assert "entry_array" in vars(g)
@@ -262,14 +269,14 @@ def _tuple_closure(n, gens):
     for the entry order and the entry views of a closure held as blocks."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(groups, "_ARRAY_BLOCK", math.inf)
-        return closure(n, gens)
+        return closure(n, _entries(gens))
 
 
 def _check_array_closure(n, gens, non_members=()):
     """The closure of gens, held as numpy blocks, against the tuple path
     (entries in the same order, order, the entry array) and against a group
     built from _closure_reference (==, hash, <= both ways, in, elements)."""
-    g, tuples = closure(n, gens), _tuple_closure(n, gens)
+    g, tuples = closure(n, _entries(gens)), _tuple_closure(n, gens)
     assert "entry_array" in vars(g) and "entries" not in vars(g)
     assert "entry_array" not in vars(tuples)
     ref_elements = _closure_reference(n, gens)
@@ -281,7 +288,7 @@ def _check_array_closure(n, gens, non_members=()):
     assert g.entry_array.tobytes() == tuples.entry_array.tobytes()
     assert g == ref and g == tuples and hash(g) == hash(ref) == hash(tuples)
     assert g <= ref and ref <= g
-    h = closure(n, gens[:1])
+    h = closure(n, _entries(gens[:1]))
     assert h <= g and (g <= h) == (h.order == g.order)
     assert all(x in g for x in gens)
     for x in non_members:
@@ -318,7 +325,7 @@ def _normalizer_generators_47(draw):
 def test_drawn_array_closures_match_tuple_closures(args):
     gens, others = args
     # a group past _ARRAY_BLOCK whose cosets all have |H| < _ARRAY_BLOCK stays on tuples
-    assume("entry_array" in vars(closure(47, gens)))
+    assume("entry_array" in vars(closure(47, _entries(gens))))
     _check_array_closure(47, gens, others)
 
 
@@ -334,7 +341,7 @@ def test_array_closure_membership_past_packed_entry_codes(n):
     gens = [Mat2.diag(n, a, 1), Mat2(n, 0, 1, 1, 0)]
     non_members = [Mat2.diag(n, primitive_root(n), 1), Mat2(n, 0, a, 1, 0), Mat2(n, 1, 1, 0, 1)]
     _check_array_closure(n, gens, non_members)
-    assert closure(n, gens).order == 2 * m * m
+    assert closure(n, _entries(gens)).order == 2 * m * m
 
 
 def test_closure_past_the_int64_bound_lists_tuples():
@@ -343,7 +350,7 @@ def test_closure_past_the_int64_bound_lists_tuples():
     tuples and hands over no entry array, which still refuses the modulus."""
     n = 2**32
     x = Mat2(n, 1, 2**24, 0, 1)
-    g = closure(n, [x])
+    g = closure(n, [x.entries()])
     assert g.order == 256 and list(g.entries) == _powers(x)
     with pytest.raises(ResourceLimitError, match=f"modulus {n} is too large for int64 entries"):
         g.entry_array
@@ -356,9 +363,9 @@ def test_closure_skips_redundant_generators(args):
     product of kept ones add nothing: the entries are those of [x, y]."""
     n, (x, y) = args
     ident = Mat2.identity(n)
-    want = closure(n, [x, y]).entries
+    want = closure(n, _entries([x, y])).entries
     for gens in ([ident, x, ident, y], [x, x, y, y], [x, mat_mul(x, x), y, mat_mul(x, y)]):
-        g = closure(n, gens)
+        g = closure(n, _entries(gens))
         assert g.entries == want and g.generators == tuple(gens)
 
 
@@ -366,7 +373,7 @@ def test_closure_skips_redundant_generators(args):
 def test_closure_of_identities_is_trivial(n):
     ident = Mat2.identity(n)
     for gens in ([], [ident], [ident, ident, ident]):
-        g = closure(n, gens)
+        g = closure(n, _entries(gens))
         assert g.entries == ((1, 0, 0, 1),) and g.generators == tuple(gens)
 
 
@@ -388,17 +395,17 @@ def test_closure_of_identities_is_trivial(n):
 def test_closure_cap_is_the_order(n, gens, order):
     """A cap of the group order closes the group; one less raises, for one
     generator and for several, with blocks below and above _ARRAY_BLOCK."""
-    g = closure(n, gens, cap=order)
-    assert g.order == order and g == closure(n, gens)
+    g = closure(n, _entries(gens), cap=order)
+    assert g.order == order and g == closure(n, _entries(gens))
     with pytest.raises(ResourceLimitError, match=f"closure exceeded cap of {order - 1} elements"):
-        closure(n, gens, cap=order - 1)
+        closure(n, _entries(gens), cap=order - 1)
 
 
 @pytest.mark.parametrize("ell, cap", [(13, 128), (13, 129), (47, 129), (47, 200), (47, 256)])
 def test_closure_cap_inside_a_doubled_block(ell, cap):
     """A cap that falls inside a block of doubled powers raises too."""
     with pytest.raises(ResourceLimitError, match=f"closure exceeded cap of {cap} elements"):
-        closure(ell, [_nonsplit_generator(ell)], cap=cap)
+        closure(ell, [_nonsplit_generator(ell).entries()], cap=cap)
 
 
 def _check_entry_views(g, ref):
@@ -425,7 +432,7 @@ def _check_entry_views(g, ref):
 def test_entry_views_match_element_set(args):
     n, gens = args
     ref = _closure_reference(n, gens)
-    g = closure(n, gens)
+    g = closure(n, _entries(gens))
     _check_entry_views(g, ref)
     # none of the views built the Mat2 element set
     assert "elements" not in vars(g)
@@ -458,7 +465,7 @@ def _small_groups(draw):
     elif kind == "random":
         gens.append(Mat2(ell, *draw(entries)))
     assume(all(y.is_invertible() for y in gens))
-    return closure(ell, gens)
+    return closure(ell, _entries(gens))
 
 
 @settings(max_examples=150, deadline=None)
@@ -481,9 +488,9 @@ def test_le_matches_element_sets(g, data):
     kind = data.draw(st.sampled_from(["random", "sub", "super", "named"]))
     other = data.draw(_small_groups())
     if kind == "sub":
-        h = closure(g.n, g.generators[:1])
+        h = closure(g.n, g.generator_entries[:1])
     elif kind == "super" and other.n == g.n:
-        h = closure(g.n, g.generators + other.generators)
+        h = closure(g.n, g.generator_entries + other.generator_entries)
     elif kind == "named":
         gid = data.draw(st.sampled_from(list(NamedGroupId)))
         h = named_group(gid, data.draw(st.sampled_from([5, 7])))
@@ -543,7 +550,7 @@ def test_named_groups_match_element_formulas(ell):
         g = named_group(gid, ell)
         ref = _named_group_reference(gid, ell)
         assert g == ref and g.elements == ref.elements
-        assert closure(ell, g.generators) == g
+        assert closure(ell, g.generator_entries) == g
         assert len(g.generators) <= 3
 
 
@@ -578,6 +585,28 @@ def test_named_group_builds_few_mat2(gid, monkeypatch):
     assert 0 < len(built) <= 3 * ell
 
 
+def test_building_groups_builds_no_mat2(monkeypatch):
+    """Groups are built from entry tuples alone: every named group at
+    ell = 13 and 47 (its cache cleared first), a group read from JSON and
+    the cyclic subgroups of GL2(F_5) build no Mat2."""
+    payload = {"modulus": 13, "generators": [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]]}
+    steps = {
+        f"named_group({gid.value}, {ell})": lambda gid=gid, ell=ell: named_group(gid, ell)
+        for ell in (13, 47)
+        for gid in NamedGroupId
+    }
+    steps["subgroup_from_json"] = lambda: subgroup_from_json(payload)
+    steps["_cyclic_subgroups"] = lambda: _cyclic_subgroups(5, _GL2_ENTRIES[5])
+    named_group.cache_clear()
+    built = _counted_mat2_builds(monkeypatch)
+    counts = {}
+    for name, build in steps.items():
+        before = len(built)
+        build()
+        counts[name] = len(built) - before
+    assert counts == dict.fromkeys(steps, 0)
+
+
 def test_one_generator_closure_builds_no_mat2(monkeypatch):
     """Neither a one-generator closure nor a two-generator one builds a Mat2
     per element: NormNonsplit(47) from a generator of the non-split Cartan
@@ -585,8 +614,8 @@ def test_one_generator_closure_builds_no_mat2(monkeypatch):
     gamma = _nonsplit_generator(47)
     x, y = _norm_nonsplit_47()
     built = _counted_mat2_builds(monkeypatch)
-    assert closure(47, [gamma]).order == 47 * 47 - 1
-    assert closure(47, [x, y]).order == 2 * (47 * 47 - 1)
+    assert closure(47, [gamma.entries()]).order == 47 * 47 - 1
+    assert closure(47, _entries([x, y])).order == 2 * (47 * 47 - 1)
     assert built == []
 
 
@@ -668,7 +697,7 @@ def test_delta_u1_order():
 
 
 def test_json_round_trip():
-    g = closure(7, [unipotent(7), Mat2.diag(7, 3, 1)])
+    g = closure(7, [(1, 1, 0, 1), (3, 0, 0, 1)])
     back = subgroup_from_json(json.loads(subgroup_to_json(g)))
     assert back.elements == g.elements
 

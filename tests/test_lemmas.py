@@ -17,6 +17,7 @@ from gl2tors.modarith import (
     primitive_root,
     sqrt_mod,
     unipotent,
+    unipotent_lower,
 )
 from gl2tors.groups import (
     NamedGroupId,
@@ -29,6 +30,7 @@ from gl2tors.groups import (
 )
 from gl2tors.lemmas import (
     Conjugation,
+    SL2Word,
     _gl2_elements,
     brute_force_cartan_conjugator,
     conjugate_into_cartan,
@@ -87,7 +89,7 @@ def _cyclic(ell, x):
     while not y.is_identity():
         powers.append(y)
         y = mat_mul(y, x)
-    return Subgroup(ell, (x,), [y.entries() for y in powers])
+    return Subgroup(ell, (x.entries(),), [y.entries() for y in powers])
 
 
 def test_decompose_shear_is_single_letter():
@@ -104,6 +106,32 @@ def test_decompose_antidiagonal_example():
 def test_decompose_rejects_wrong_det():
     with pytest.raises(PreconditionError):
         decompose_sl2(Mat2(5, 2, 0, 0, 1))
+
+
+def _evaluate_reference(word: SL2Word) -> Mat2:
+    """The word multiplied out by Mat2 products of shear powers, each by
+    `**` on the validated shear: the reference for SL2Word.evaluate."""
+    result = Mat2.identity(word.ell)
+    for letter, exp in word.letters:
+        base = unipotent(word.ell) if letter == "U" else unipotent_lower(word.ell)
+        result = mat_mul(result, base ** (exp % word.ell))
+    return result
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11])
+def test_word_evaluation_matches_power_reference(ell):
+    """evaluate, in closed form on entries, equals the product of shear
+    powers on every word decompose_sl2 returns mod ell, and on words with
+    exponents outside [0, ell)."""
+    det1 = [e for e in _gl2_elements(ell) if (e[0] * e[3] - e[1] * e[2]) % ell == 1]
+    assert len(det1) == ell * (ell * ell - 1)
+    for e in det1:
+        x = Mat2(ell, *e)
+        word = decompose_sl2(x)
+        assert word.evaluate() == _evaluate_reference(word) == x
+    for letters in ((), (("U", -3), ("L", 2 * ell + 1)), (("L", ell), ("U", 4), ("L", -1))):
+        word = SL2Word(ell, letters)
+        assert word.evaluate() == _evaluate_reference(word)
 
 
 def test_decompose_exhaustive_mod7():
@@ -344,7 +372,7 @@ def test_conjugation_target_matches_mat2_reference(ell, i, j, k, planted_in, pla
             gens.append(mat_mul(mat_mul(t, source[idx % len(source)]), mat_inv(t)))
         else:
             gens.append(Mat2(ell, *pool[idx % len(pool)]))
-    g = closure(ell, gens)
+    g = closure(ell, [x.entries() for x in gens])
     targets = [named_group(gid, ell) for gid in _TARGET_IDS] + [g]
     expected = [_conjugates_into_reference(g.elements, t, target) for target in targets]
     gen_entries = [x.entries() for x in g.generators]
@@ -386,7 +414,7 @@ def test_oracles_match_reference_scans_on_two_generators(ell, i, j, cartan, y_in
     source = sorted(named_group(cartan, ell).elements, key=Mat2.entries)
     x = source[i % len(source)]
     y = source[j % len(source)] if y_in_cartan else Mat2(ell, *pool[j % len(pool)])
-    h = closure(ell, [x, y])
+    h = closure(ell, [x.entries(), y.entries()])
     emb = brute_force_cartan_conjugator(h)
     reference = _cartan_scan_reference(h)
     assert (emb and (emb.conjugator, emb.target)) == reference
@@ -410,12 +438,12 @@ def test_cartan_witness_reads_generators_only(ell, seed, cyclic, shuffler):
         x = pool[rng.randrange(len(pool))]
         while _ell_divides_order(ell, x):
             x = pool[rng.randrange(len(pool))]
-        h = closure(ell, [Mat2(ell, *x)])
+        h = closure(ell, [x])
     else:
         h = _random_abelian(rng, ell)
     entries = list(h.entries)
     shuffler.shuffle(entries)
-    reordered = Subgroup(ell, h.generators, entries)
+    reordered = Subgroup(ell, h.generator_entries, entries)
     emb = conjugate_into_cartan(h)
     assert conjugate_into_cartan(reordered) == emb
     assert emb.verify(h)
@@ -437,7 +465,7 @@ def _regenerated(h: Subgroup) -> Subgroup:
     g = closure(ell, gens)
     for e in h.entries:
         if Mat2(ell, *e) not in g:
-            gens.append(Mat2(ell, *e))
+            gens.append(e)
             g = closure(ell, gens)
     return g
 
@@ -560,7 +588,7 @@ def test_nonsplit_conjugator_closed_form(ell):
         count += 1
         a = g.trace() * half % ell
         b = sqrt_mod(disc * pow(alpha, -1, ell), ell) * half % ell
-        t = lemmas._nonsplit_conjugator(g)
+        t = lemmas._nonsplit_conjugator(ell, g.entries())
         assert mat_mul(mat_mul(mat_inv(t), g), t) == Mat2(ell, a, b * alpha, b, a)
     # ell(ell - 1)/2 conjugates of the non-split Cartan, ell^2 - ell such elements in each
     assert count == ell**2 * (ell - 1) ** 2 // 2

@@ -65,7 +65,7 @@ def _closure_ids(table: _MulTable, gen_ids) -> frozenset[int]:
     closure of groups.closure and read back through the elements' entries: a
     closure that shares no code with the table search."""
     index = {e: i for i, e in enumerate(table.entries)}
-    group = closure(table.n, [Mat2(table.n, *table.entries[i]) for i in gen_ids])
+    group = closure(table.n, [table.entries[i] for i in gen_ids])
     return frozenset(index[e] for e in group.entries)
 
 
@@ -95,7 +95,7 @@ def _cyclic_subgroups_reference(n: int, entries) -> list[Subgroup]:
     appearance, each generated by the first element that generates it, by
     closing every element: the reference for groups._cyclic_subgroups."""
     # groups hash and compare on their entries, and a dict keeps the first of equal keys
-    return list(dict.fromkeys(closure(n, [Mat2(n, *e)]) for e in entries))
+    return list(dict.fromkeys(closure(n, [e]) for e in entries))
 
 
 def _cyclic_ids_reference(table: _MulTable) -> dict[frozenset[int], int]:
@@ -160,7 +160,7 @@ def _small_ambient(ell: int, rng: random.Random):
     pool = _gl2_elements(ell)
     while True:
         try:
-            return closure(ell, [Mat2(ell, *e) for e in rng.sample(pool, 2)], cap=200)
+            return closure(ell, rng.sample(pool, 2), cap=200)
         except ResourceLimitError:
             continue
 
@@ -178,7 +178,7 @@ def _small_two_generated_group(draw):
     ell = draw(st.sampled_from([5, 7]))
     ambient = _small_ambient(ell, random.Random(draw(st.integers(0, 2**32 - 1))))
     entry = st.sampled_from(ambient.entries)
-    return closure(ell, [Mat2(ell, *draw(entry)), Mat2(ell, *draw(entry))])
+    return closure(ell, [draw(entry), draw(entry)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -353,7 +353,7 @@ def test_table_closure_edge_cases(name):
 
 @pytest.mark.parametrize(
     "entries",
-    [[(1, 0, 0, 1)], sorted(closure(5, [Mat2(5, 2, 0, 0, 1)]).entries)],
+    [[(1, 0, 0, 1)], sorted(closure(5, [(2, 0, 0, 1)]).entries)],
     ids=["trivial", "cyclic-4"],
 )
 def test_two_generated_with_no_pair_to_close(entries):
@@ -718,7 +718,7 @@ def _cyclic_harness_pairs_reference() -> set[Subgroup]:
     for i, first in enumerate(cyclics):
         for second in cyclics[i + 1 :]:
             try:
-                candidates.add(closure(ell, first.generators + second.generators, cap=15))
+                candidates.add(closure(ell, first.generator_entries + second.generator_entries, cap=15))
             except ResourceLimitError:
                 continue  # order exceeds 15, so it is even or divisible by 11
     return {h for h in candidates if h.order % 2 and h.order % ell}
