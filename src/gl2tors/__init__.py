@@ -33,6 +33,7 @@ from .stabilizers import (
     degree_spectrum,
     exhaustive_indices,
     exhaustive_spectrum,
+    line_indices,
     orbit_size,
     sl_part,
     stabilizer,

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 from .errors import LemmaViolationError, PreconditionError
 from .ntheory import isprime
-from .modarith import Mat2, primitive_root, unipotent
+from .modarith import Mat2, primitive_root
 from .groups import (
     NamedGroupId,
     Subgroup,
     _cyclic_subgroups,
+    _diag_exponents,
     closure,
-    diagexp_pair,
     named_group,
     subgroup_from_entries,
     tau,
@@ -38,10 +38,10 @@ def cong_check(delta: Subgroup) -> bool:
     exponent pairs, so it holds on the group exactly when it holds on the
     generators; a non-diagonal group has a non-diagonal generator.
     """
-    modulus = delta.n - 1
-    for x in delta.generators:
-        pair = diagexp_pair(x)  # raises on non-diagonal input
-        if 6 * (pair.u - pair.t) % modulus:
+    ell = delta.n
+    for x in delta.generator_entries:
+        u, t = _diag_exponents(ell, x)  # raises on non-diagonal input
+        if 6 * (u - t) % (ell - 1):
             return False
     return True
 
@@ -257,7 +257,7 @@ def _delta_verdict(g: Subgroup, spectrum: dict[tuple[int, int], int]) -> BlVerdi
     """derive_delta on a group that passed _bl_candidate_spectrum, which
     returned this spectrum."""
     ell = g.n
-    if unipotent(ell) not in g:
+    if (1, 1, 0, 1) not in g._entry_set:  # the shear
         if not admissible_inertia_exponents(g):
             raise PreconditionError(
                 "no admissible inertia image; the group cannot occur as a"

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, NoReturn
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
 from .groups import NamedGroupId, subgroup_from_json
-from .stabilizers import ProjPoint, degree_spectrum, exhaustive_indices
+from .stabilizers import ProjPoint, degree_spectrum, exhaustive_indices, line_indices
 from .lemmas import decompose_sl2
 from .classify import classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
@@ -279,18 +279,25 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 @functools.cache
-def _exhaustive_reply(ell: int) -> tuple[tuple[str, ...], str, operator.itemgetter]:
-    """The parts of a `spectrum --exhaustive` reply mod ell that no group
-    changes: the text and csv points "(c,d)" of the nonzero vectors in
-    exhaustive_indices' order; the JSON reply as a template, its keys "c,d"
-    in the string order of json.dumps(sort_keys=True) with one %d each and a
-    last %d for the group order; and the itemgetter that puts the indices
+def _spectrum_reply(ell: int, exhaustive: bool) -> tuple[tuple[str, ...], str, operator.itemgetter]:
+    """The parts of a `spectrum` reply mod ell that no group changes: the
+    text and csv points, "(c:d)" for the projective points in
+    ProjPoint.all_points order, or with exhaustive "(c,d)" for the nonzero
+    vectors in exhaustive_indices' order; the JSON reply as a template, its
+    keys ("(c:d)" or "c,d") in the string order of json.dumps(sort_keys=True)
+    with one %d each, then a %d for the group order and, for the projective
+    points, one for the sl_index; and the itemgetter that puts the indices
     in the template's order."""
-    keys = [f"{c},{d}" for c in range(ell) for d in range(ell)][1:]
+    if exhaustive:
+        keys = [f"{c},{d}" for c in range(ell) for d in range(ell)][1:]
+        points = tuple(f"({key})" for key in keys)
+        tail = '"group_order": %d}'
+    else:
+        keys = points = tuple(repr(p) for p in ProjPoint.all_points(ell))
+        tail = '"group_order": %d, "sl_index": %d}'
     order = sorted(range(len(keys)), key=keys.__getitem__)
     entries = ", ".join(f'"{keys[i]}": %d' for i in order)
-    template = f'{{"entries": {{{entries}}}, "group_order": %d}}'
-    return tuple(f"({key})" for key in keys), template, operator.itemgetter(*order)
+    return points, f'{{"entries": {{{entries}}}, {tail}', operator.itemgetter(*order)
 
 
 def _emit(fmt: str, payload: dict, rows: Iterable[tuple], header: tuple[str, ...]) -> None:
@@ -360,26 +367,22 @@ def _cmd_classify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = subgroup_from_json(_read_input(args.input, "subgroup"))
-    header = ("point", "stab_order", "index")
-    if not args.exhaustive:
-        spec = degree_spectrum(g)
-        rows = list(spec.as_rows()) + [("sl_index", "-", spec.sl_index)]
-        payload = {
-            "group_order": spec.group_order,
-            "entries": {repr(p): idx for p, idx in spec.entries.items()},
-            "sl_index": spec.sl_index,
-        }
-        _emit(args.format, payload, rows, header)
-        return EXIT_OK
-    # the indices come first: they check the cap before any part of the reply is built
-    indices = exhaustive_indices(g)
-    points, template, in_key_order = _exhaustive_reply(g.n)
-    if args.format == "json":
-        # json.dumps({"entries": {"c,d": index}, "group_order": order}, sort_keys=True)
-        print(template % (*in_key_order(indices), g.order))
+    # the indices come first: exhaustive_indices checks the cap before any
+    # part of the reply is built
+    if args.exhaustive:
+        indices, tail = exhaustive_indices(g), ()
     else:
-        rows = ((point, g.order // idx, idx) for point, idx in zip(points, indices))
-        _emit(args.format, {}, rows, header)
+        # the degree spectrum's entries and sl_index, with no ProjPoint built
+        indices, tail = line_indices(g), (len(g.det_image()),)
+    points, template, in_key_order = _spectrum_reply(g.n, args.exhaustive)
+    if args.format == "json":
+        # json.dumps({"entries": {point: index}, "group_order": order[, "sl_index": s]}, sort_keys=True)
+        print(template % (*in_key_order(indices), g.order, *tail))
+    else:
+        rows = [(point, g.order // idx, idx) for point, idx in zip(points, indices)]
+        if not args.exhaustive:
+            rows.append(("sl_index", "-", *tail))
+        _emit(args.format, {}, rows, ("point", "stab_order", "index"))
     return EXIT_OK
 
 

@@ -432,12 +432,19 @@ def _dlog_table(ell: int) -> dict[int, int]:
     return table
 
 
+def _diag_exponents(ell: int, x: tuple[int, int, int, int]) -> tuple[int, int]:
+    """(u, t) with x = diag(alpha^u, alpha^t), alpha = primitive_root(ell),
+    for the reduced entries x of an invertible diagonal matrix over F_ell."""
+    a, b, c, d = x
+    if b != 0 or c != 0:
+        raise PreconditionError(f"matrix [[{a},{b}],[{c},{d}]] mod {ell} is not diagonal")
+    table = _dlog_table(ell)
+    return table[a], table[d]
+
+
 def diagexp_pair(x: Mat2) -> DiagExpPair:
     """Exponent coordinates of an invertible diagonal matrix over F_ell."""
-    if x.b != 0 or x.c != 0:
-        raise PreconditionError(f"matrix {x} is not diagonal")
-    table = _dlog_table(x.n)
-    return DiagExpPair(x.n, table[x.a], table[x.d])
+    return DiagExpPair(x.n, *_diag_exponents(x.n, x.entries()))
 
 
 def diagexp_span(ell: int, pairs: Iterable[tuple[int, int]]) -> Subgroup:

@@ -273,14 +273,14 @@ def conjugate_into_normalizer(h: Subgroup) -> Conjugation:
     """Conjugator into a Cartan normalizer for groups with odd prime-to-ell SL2 part."""
     ell = h.n
     h0 = sl_part(h)
-    minus_i = Mat2.diag(ell, -1, -1)
-    odd_up_to_scalars = h0.order % 2 == 1 or (h0.order % 4 == 2 and minus_i in h0)
+    minus_i = (ell - 1, 0, 0, ell - 1)
+    odd_up_to_scalars = h0.order % 2 == 1 or (h0.order % 4 == 2 and minus_i in h0._entry_set)
     if not odd_up_to_scalars or h0.order % ell == 0:
         raise PreconditionError(
             "the determinant-1 part must have odd order prime to ell, up to the scalar -1"
         )
     # h0 lies in {I, -I}
-    if h0.order == 1 or (h0.order == 2 and minus_i in h0):
+    if h0.order == 1 or (h0.order == 2 and minus_i in h0._entry_set):
         emb = conjugate_into_cartan(h)
     else:
         emb = conjugate_into_cartan(h0)

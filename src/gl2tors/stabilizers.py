@@ -1,6 +1,7 @@
 """Right action on row vectors: stabilizers and degree spectra."""
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -9,7 +10,7 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import LemmaViolationError, PreconditionError, ResourceLimitError
-from .modarith import Mat2, _check_odd_prime, element_order
+from .modarith import Mat2, _check_odd_prime
 from .groups import EXHAUSTIVE_SPECTRUM_CAP, Subgroup, subgroup_from_entries
 
 
@@ -42,7 +43,15 @@ class ProjPoint:
 
     @staticmethod
     def all_points(ell: int) -> list["ProjPoint"]:
-        return [ProjPoint(ell, 0, 1)] + [ProjPoint(ell, 1, s) for s in range(ell)]
+        """The ell + 1 points in sorted order, (0:1) first. ell is checked
+        once, and the points, canonical by construction, skip __post_init__."""
+        _check_odd_prime(ell)
+        points = []
+        for c, d in [(0, 1), *((1, s) for s in range(ell))]:
+            p = object.__new__(ProjPoint)
+            vars(p).update(ell=ell, c=c, d=d)
+            points.append(p)
+        return points
 
     def __repr__(self):
         return f"({self.c}:{self.d})"
@@ -105,29 +114,32 @@ def unipotent_class(g: Subgroup, p: ProjPoint) -> UnipotentResult:
         raise LemmaViolationError(
             f"det-1 stabilizer of {p} in a group of order {g.order} has order {len(det1)}"
         )
-    gen = Mat2(ell, *next(e for e in det1 if e != (1, 0, 0, 1)))
-    if gen.trace() != 2 or element_order(gen) != ell:
-        raise LemmaViolationError(f"non-unipotent generator {gen} in det-1 stabilizer")
-    t = _unipotent_conjugator(gen)
-    return UnipotentResult(UnipotentClass.ORDER_ELL, t)
+    gen = next(e for e in det1 if e != (1, 0, 0, 1))
+    # det 1 and trace 2 give (gen - I)^2 = 0 by Cayley-Hamilton, so
+    # gen^k = I + k (gen - I) and gen != I has order ell
+    if (gen[0] + gen[3]) % ell != 2:
+        a, b, c_, d_ = gen
+        raise LemmaViolationError(
+            f"non-unipotent generator [[{a},{b}],[{c_},{d_}]] mod {ell} in det-1 stabilizer"
+        )
+    return UnipotentResult(UnipotentClass.ORDER_ELL, _unipotent_conjugator(ell, gen))
 
 
-def _unipotent_conjugator(gen: Mat2) -> Mat2:
-    """T with T^-1 gen T = (1 1; 0 1), built from the nilpotent part of gen.
+def _unipotent_conjugator(ell: int, gen: tuple[int, int, int, int]) -> Mat2:
+    """T with T^-1 gen T = (1 1; 0 1), built from the nilpotent part of gen,
+    the reduced entries of a unipotent element other than I.
 
     gen - I is rank one and squares to zero, so T = (Ms2 | s2) for any column
-    s2 outside the kernel of M := gen - I.
+    s2 outside the kernel of M := gen - I. Only the T returned is built as a
+    Mat2.
     """
-    ell = gen.n
-    m_a, m_b = gen.a - 1, gen.b
-    m_c, m_d = gen.c, gen.d - 1
+    a, b, c, d = gen
+    m_a, m_b, m_c, m_d = a - 1, b, c, d - 1
     for s2 in ((1, 0), (0, 1)):
         s1 = ((m_a * s2[0] + m_b * s2[1]) % ell, (m_c * s2[0] + m_d * s2[1]) % ell)
-        if s1 != (0, 0):
-            t = Mat2(ell, s1[0], s2[0], s1[1], s2[1])
-            if t.is_invertible():
-                return t
-    raise LemmaViolationError(f"no conjugator onto the shear for {gen}")
+        if s1 != (0, 0) and (s1[0] * s2[1] - s2[0] * s1[1]) % ell:
+            return Mat2._reduced(ell, s1[0], s2[0], s1[1], s2[1])
+    raise LemmaViolationError(f"no conjugator onto the shear for [[{a},{b}],[{c},{d}]] mod {ell}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +153,6 @@ class DegreeSpectrum:
     def odd_index_point(self) -> ProjPoint | None:
         """The first point, in sorted order, whose stabilizer index is odd."""
         return next((p for p in sorted(self.entries) if self.entries[p] % 2 == 1), None)
-
-    def as_rows(self) -> list[tuple[str, int, int]]:
-        return [(repr(p), self.group_order // i, i) for p, i in sorted(self.entries.items())]
 
 
 def _orbit_indices(ell: int, entries: np.ndarray, labels: array) -> array:
@@ -185,23 +194,47 @@ def orbit_size(g: Subgroup, c: int, d: int) -> int:
     return g.order // int(np.count_nonzero(fixed))
 
 
-def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
-    """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
+def line_indices(g: Subgroup) -> array:
+    """[g : Stab(v)] at the representative v of each projective point, in
+    ProjPoint.all_points order.
+
+    The index is the same at every vector of a line, since Stab(lam v) =
+    Stab(v). The representatives (0, 1) and (1, s) have codes 1 and
+    ell..2ell-1, so labels below 2ell, -1 at the codes 0 and 2..ell-1, cover
+    them in O(ell) memory, and a pass labels every representative in its
+    seed's orbit.
+    """
     _check_odd_prime(g.n)
     ell = g.n
-    # the representatives (0, 1) and (1, s) have codes 1 and ell..2ell-1, so
-    # labels below 2ell, -1 at the codes 0 and 2..ell-1, cover them in O(ell)
-    # memory
     labels = array("q", [-1, 0]) + array("q", [-1]) * (ell - 2) + array("q", [0]) * ell
     labels = _orbit_indices(ell, g.entry_array, labels)
-    indices = [labels[1], *labels[ell:]]
-    entries = dict(zip(ProjPoint.all_points(ell), indices))
+    return labels[1:2] + labels[ell:]
+
+
+def degree_spectrum(g: Subgroup) -> DegreeSpectrum:
+    """Index of each projective-representative stabilizer, plus [g : g ∩ SL2]."""
+    entries = dict(zip(ProjPoint.all_points(g.n), line_indices(g)))
     # g / (g ∩ SL2) is the determinant image
     return DegreeSpectrum(g.order, entries, len(g.det_image()))
 
 
+@functools.cache
+def _vector_lines(ell: int) -> np.ndarray:
+    """The place in ProjPoint.all_points of the line of each nonzero row
+    vector (c d), in ascending (c, d) order: 0 for c = 0, else 1 + d/c."""
+    inverses = np.array([pow(c, -1, ell) for c in range(1, ell)])
+    affine = np.outer(inverses, np.arange(ell)) % ell + 1
+    lines = np.concatenate((np.zeros(ell - 1, np.intp), affine.ravel()))
+    lines.flags.writeable = False
+    return lines
+
+
 def exhaustive_indices(g: Subgroup) -> array:
-    """[g : Stab(v)] for every nonzero row vector v = (c d), in ascending (c, d) order."""
+    """[g : Stab(v)] for every nonzero row vector v = (c d), in ascending (c, d) order.
+
+    The cap is checked before any work. Each vector reads its line's index
+    from line_indices, the passes that degree_spectrum makes.
+    """
     _check_odd_prime(g.n)
     ell = g.n
     if ell * ell - 1 > EXHAUSTIVE_SPECTRUM_CAP:
@@ -209,8 +242,8 @@ def exhaustive_indices(g: Subgroup) -> array:
             f"exhaustive spectrum mod {ell} has {ell * ell - 1} vectors,"
             f" over the cap of {EXHAUSTIVE_SPECTRUM_CAP}"
         )
-    labels = array("q", [-1]) + array("q", [0]) * (ell * ell - 1)
-    return _orbit_indices(ell, g.entry_array, labels)[1:]
+    lines = np.frombuffer(line_indices(g), dtype=np.int64)
+    return array("q", lines[_vector_lines(ell)].tobytes())
 
 
 def exhaustive_spectrum(g: Subgroup) -> dict[tuple[int, int], int]:

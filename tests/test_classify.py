@@ -6,7 +6,7 @@ from sympy import primerange
 
 from gl2tors import classify
 from gl2tors.errors import PreconditionError
-from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root
+from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, primitive_root, unipotent
 from gl2tors.groups import (
     NamedGroupId,
     Subgroup,
@@ -16,8 +16,13 @@ from gl2tors.groups import (
     named_group,
     subgroup_from_entries,
 )
-from gl2tors.lemmas import _gl2_elements
-from gl2tors.stabilizers import ProjPoint
+from gl2tors.lemmas import (
+    Conjugation,
+    _gl2_elements,
+    conjugate_into_cartan,
+    conjugate_into_normalizer,
+)
+from gl2tors.stabilizers import ProjPoint, sl_part
 from gl2tors.verify import (
     _MulTable,
     _gl2_table,
@@ -95,6 +100,61 @@ def _diagonal_group(draw):
 @given(_diagonal_group())
 def test_cong_check_matches_elementwise(g):
     assert cong_check(g) == _cong_check_reference(g)
+
+
+def _normalizer_reference(h: Subgroup) -> Conjugation:
+    """conjugate_into_normalizer on the Mat2 path: -I built as a Mat2 and
+    looked up in the determinant-1 part."""
+    ell, h0 = h.n, sl_part(h)
+    minus_i = Mat2.diag(ell, -1, -1)
+    if not (h0.order % 2 == 1 or (h0.order % 4 == 2 and minus_i in h0)) or h0.order % ell == 0:
+        raise PreconditionError("determinant-1 part refused")
+    emb = conjugate_into_cartan(h if h0.order == 1 or (h0.order == 2 and minus_i in h0) else h0)
+    split = emb.target is NamedGroupId.SPLIT_CARTAN
+    return Conjugation(emb.conjugator, NamedGroupId.NORM_SPLIT if split else NamedGroupId.NORM_NONSPLIT)
+
+
+def _cong_check_mat2(delta: Subgroup) -> bool:
+    """cong_check on the Mat2 path: diagexp_pair on each Mat2 generator in
+    turn, so a non-diagonal generator raises only if no earlier one fails."""
+    for x in delta.generators:
+        pair = diagexp_pair(x)
+        if 6 * (pair.u - pair.t) % (delta.n - 1):
+            return False
+    return True
+
+
+def _outcome(f, *args):
+    """f(*args), or the PreconditionError class if it raises one."""
+    try:
+        return f(*args)
+    except PreconditionError:
+        return PreconditionError
+
+
+def test_tuple_decisions_match_the_mat2_path_on_enumerated_groups():
+    """On every two-generated subgroup of GL2(F_5) and GL2(F_7): cong_check,
+    which reads generator entries through _dlog_table, agrees with
+    diagexp_pair on the Mat2 generators, on the group's diagonal part and on
+    the group itself (both raise on a non-diagonal group); the shear test
+    of _delta_verdict and the -I test of conjugate_into_normalizer, entry
+    tuples looked up in the entry set, agree with Mat2 membership, and the
+    normalizer lemma returns the Mat2 path's conjugator."""
+    placed = 0
+    for ell in (5, 7):
+        table = _gl2_table(ell)
+        for ids in _gl2_two_generated(ell):
+            g = table.to_subgroup(ids)
+            diagonal = subgroup_from_entries(ell, (x for x in g.entries if x[1] == x[2] == 0))
+            for delta in (diagonal, g):
+                assert _outcome(cong_check, delta) == _outcome(_cong_check_mat2, delta)
+            assert ((1, 1, 0, 1) in g._entry_set) == (unipotent(ell) in g)
+            h0 = sl_part(g)
+            assert ((ell - 1, 0, 0, ell - 1) in h0._entry_set) == (Mat2.diag(ell, -1, -1) in h0)
+            got = _outcome(conjugate_into_normalizer, g)
+            assert got == _outcome(_normalizer_reference, g)
+            placed += got is not PreconditionError
+    assert placed > 0
 
 
 def test_classify_rejects_even_witness():

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from sympy import primerange
 
 from gl2tors import cli, groups, verify
 from gl2tors.bounds import SIEVE_CAP
@@ -20,7 +21,7 @@ from gl2tors.errors import UsageError
 from gl2tors.groups import NamedGroupId, Subgroup, named_group, subgroup_from_json
 from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
-from gl2tors.stabilizers import exhaustive_spectrum
+from gl2tors.stabilizers import ProjPoint, exhaustive_spectrum
 from gl2tors.verify import HARNESS_IDS
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
@@ -35,6 +36,8 @@ NORM_NONSPLIT_47 = '{"modulus": 47, "generators": [[[1,20],[4,1]],[[1,0],[0,46]]
 # groups that classify places in NormSplit and in NormNonsplit, each by a
 # conjugator that is not scalar
 NORM_SPLIT_7 = '{"modulus": 7, "generators": [[[6,6],[3,6]],[[0,2],[1,0]]]}'
+# 25 orbits on the nonzero vectors but 3 on the lines: (0:1), (1:0), and the rest
+DIAG_2_1_13 = '{"modulus": 13, "generators": [[[2,0],[0,1]]]}'
 NORM_NONSPLIT_11 = '{"modulus": 11, "generators": [[[8,3],[0,3]],[[6,6],[2,4]]]}'
 FIELD = '{"label": "ex", "merel_constant": 210, "lv14_bound": 13, "pdi2_primes": [7,11,23]}'
 
@@ -182,6 +185,19 @@ def test_exhaustive_reply_matches_json_dumps(text, tmp_path, capsys):
     assert capsys.readouterr().out == "".join(rows)
 
 
+def test_degree_reply_matches_json_dumps():
+    """The projective spectrum's JSON template is json.dumps(payload,
+    sort_keys=True) byte for byte at every odd prime ell <= 101, its keys
+    "(c:d)" sorted as strings (so "(1:1)" precedes "(1:10)"): each point
+    gets a distinct index, so a key out of place shows."""
+    for ell in primerange(3, 102):
+        points, template, in_key_order = cli._spectrum_reply(ell, False)
+        assert list(points) == [repr(p) for p in ProjPoint.all_points(ell)]
+        indices = [1000 + k for k in range(ell + 1)]
+        payload = {"group_order": 7, "entries": dict(zip(points, indices)), "sl_index": 3}
+        assert template % (*in_key_order(indices), 7, 3) == json.dumps(payload, sort_keys=True)
+
+
 def test_emit_refuses_a_numpy_integer(capsys):
     """A value that JSON cannot hold, such as a numpy integer leaked from the
     array arithmetic, raises TypeError instead of printing as a string."""
@@ -202,6 +218,7 @@ _GROUPS = {
     "DELTA_U2_11": DELTA_U2_11,
     "BOREL_CONG_11": BOREL_CONG_11,
     "NORM_NONSPLIT_47": NORM_NONSPLIT_47,
+    "DIAG_2_1_13": DIAG_2_1_13,
 }
 _PINNED_STDOUT = {
     ("BOREL_7", "spectrum", "text"): "03c9dfab20d9b47e5288c2023321cb5538d7daae5ddf18c36198dc46ef53761e",
@@ -240,6 +257,13 @@ _PINNED_STDOUT = {
     ("NORM_NONSPLIT_47", "spectrum --exhaustive", "text"): "2399fe446776065a2e7a558045d00f7c04b2a29ae16eebb4a14c59c4b0a2d0bd",
     ("NORM_NONSPLIT_47", "spectrum --exhaustive", "csv"): "c35cab73c51f74b3ca55c7e620b80dc07bcfeffe57e01b80a9fcad736a58721e",
     ("NORM_NONSPLIT_47", "spectrum --exhaustive", "json"): "e230d169a5e5a3ed7c8b7e7008df07e6b536db854dc77eab63bffb6f73e12ee3",
+    # more vector orbits than line orbits: each vector reads its line's index
+    ("DIAG_2_1_13", "spectrum", "text"): "12d12271b511d6413853b97e10c767746a264ace4675218646bddddc654926ff",
+    ("DIAG_2_1_13", "spectrum", "csv"): "aa2d28a0d93ced4823092a1ecef441dba5cdc4ad166c7ddf314befab598056df",
+    ("DIAG_2_1_13", "spectrum", "json"): "d27837090ecd2a243e7cfcf5a5ef0cf6a47dffff4c8b6e84080128c8ce3c3023",
+    ("DIAG_2_1_13", "spectrum --exhaustive", "text"): "82238d04f1b7f03594d535b2a05df90b0801dddb480d27df54e520c0a56f5a26",
+    ("DIAG_2_1_13", "spectrum --exhaustive", "csv"): "d3ee20be6abf544438fd232f9291a384df79ec64879925bf5653a0b0c194bb43",
+    ("DIAG_2_1_13", "spectrum --exhaustive", "json"): "59faae901430c3b50ee131c0220319fa172cc9d1c2de609309a1a9cbd15702c7",
 }
 
 
@@ -414,12 +438,12 @@ def test_spectrum_non_integer_entry_exit_2(tmp_path, capsys):
 def test_spectrum_rejected_input_exit_2(text, flags, err, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(text)
-    misses = cli._exhaustive_reply.cache_info().misses
+    misses = cli._spectrum_reply.cache_info().misses
     assert main(["spectrum", "--input", str(path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err)
     # past the cap no part of the reply is built, not even the 10^6 keys of ell = 1009
-    assert cli._exhaustive_reply.cache_info().misses == misses
+    assert cli._spectrum_reply.cache_info().misses == misses
 
 
 def test_input_past_closure_cap_exit_2(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gl2tors.errors import PreconditionError, ResourceLimitError
-from gl2tors.modarith import Mat2, mat_inv, mat_mul, unipotent
+from gl2tors import stabilizers
+from gl2tors.errors import LemmaViolationError, PreconditionError, ResourceLimitError
+from gl2tors.modarith import Mat2, element_order, mat_inv, mat_mul, unipotent
 from gl2tors.groups import (
     EXHAUSTIVE_SPECTRUM_CAP,
     NamedGroupId,
@@ -14,6 +17,8 @@ from gl2tors.groups import (
 from gl2tors.stabilizers import (
     ProjPoint,
     UnipotentClass,
+    UnipotentResult,
+    _orbit_indices,
     degree_spectrum,
     exhaustive_indices,
     exhaustive_spectrum,
@@ -23,6 +28,7 @@ from gl2tors.stabilizers import (
     unipotent_class,
     vector_stabilizer,
 )
+from gl2tors.verify import _gl2_table, _gl2_two_generated
 
 
 def _exhaustive_spectrum_reference(g):
@@ -44,6 +50,26 @@ def _exhaustive_spectrum_reference(g):
             )
             out[(c, d)] = g.order // int(fixed)
     return out
+
+
+def _vector_orbit_indices(g):
+    """[g : Stab(v)] for every nonzero row vector v, in ascending (c, d)
+    order, from one _orbit_indices pass per vector orbit over all ell^2 - 1
+    vectors: the reference for exhaustive_indices, which makes the passes of
+    the ell + 1 line representatives alone and reads each vector's index off
+    its line."""
+    ell = g.n
+    labels = array("q", [-1]) + array("q", [0]) * (ell * ell - 1)
+    return _orbit_indices(ell, g.entry_array, labels)[1:]
+
+
+def _enumerated_groups():
+    """Every two-generated subgroup of GL2(F_5) and GL2(F_7), as the easy-d
+    and classify harnesses enumerate them (461 and 1704)."""
+    for ell in (5, 7):
+        table = _gl2_table(ell)
+        for ids in _gl2_two_generated(ell):
+            yield table.to_subgroup(ids)
 
 
 def _gl2(ell):
@@ -322,3 +348,102 @@ def test_exhaustive_spectrum_cap():
     spec = degree_spectrum(g)
     assert spec.entries[ProjPoint(ell, 0, 1)] == 1
     assert set(spec.entries.values()) == {1, ell}
+
+
+def test_exhaustive_indices_match_vector_orbits_on_enumerated_groups():
+    """On every enumerated subgroup mod 5 and 7, the line-based indices
+    equal the vector-orbit reference, as an array('q') of plain ints."""
+    count = 0
+    for g in _enumerated_groups():
+        indices = exhaustive_indices(g)
+        assert type(indices) is array and indices.typecode == "q"
+        assert indices == _vector_orbit_indices(g)
+        count += 1
+    assert count == 461 + 1704
+
+
+@st.composite
+def _line_group(draw):
+    """A subgroup of GL2(F_ell) for ell in {3, 11, 13, 47, 313}: the
+    closure of one or two drawn matrices at 3, 11 and 13; at 47 and 313,
+    where two random matrices generate groups of 10^5 elements and more, the
+    closure of one drawn matrix, the trivial group, or a named group."""
+    ell = draw(st.sampled_from([3, 11, 13, 47, 313]))
+    if ell <= 13:
+        return closure(ell, draw(st.lists(_matrix(ell), min_size=1, max_size=2)))
+    kind = draw(st.sampled_from(["cyclic", "trivial", "named"]))
+    if kind == "cyclic":
+        return closure(ell, [draw(_matrix(ell))])
+    if kind == "trivial":
+        return closure(ell, [])
+    gid = draw(st.sampled_from([NamedGroupId.SPLIT_CARTAN, NamedGroupId.NONSPLIT_CARTAN]))
+    return named_group(gid, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_group())
+@example(closure(13, [(2, 0, 0, 1)]))
+def test_exhaustive_indices_match_vector_orbits(g):
+    """The line-based indices equal the vector-orbit reference on drawn
+    groups up to the cap's ell = 313. The example, <diag(2, 1)> mod 13, has
+    25 vector orbits and 3 line orbits."""
+    assert exhaustive_indices(g) == _vector_orbit_indices(g)
+
+
+def test_exhaustive_indices_check_the_cap_before_any_pass(monkeypatch):
+    """Past EXHAUSTIVE_SPECTRUM_CAP exhaustive_indices raises before any
+    orbit pass, before it reads the group's entries and before it builds the
+    per-ell map from vectors to lines."""
+
+    def forbidden(*args):
+        raise AssertionError("work done past the cap")
+
+    g = closure(317, [(1, 1, 0, 1)])
+    monkeypatch.setattr(stabilizers, "_orbit_indices", forbidden)
+    monkeypatch.setattr(stabilizers, "_vector_lines", forbidden)
+    monkeypatch.setattr(type(g), "entry_array", property(forbidden))
+    with pytest.raises(ResourceLimitError, match="over the cap"):
+        exhaustive_indices(g)
+
+
+def _unipotent_class_reference(g, p):
+    """unipotent_class on the Mat2 path: the generator built as a Mat2, its
+    order found by element_order, and the conjugator built before its
+    invertibility is tested."""
+    ell = g.n
+    det1 = [
+        x
+        for x in g.entries
+        if ((p.c * x[0] + p.d * x[2]) % ell, (p.c * x[1] + p.d * x[3]) % ell) == (p.c, p.d)
+        and (x[0] * x[3] - x[1] * x[2]) % ell == 1
+    ]
+    if len(det1) == 1:
+        return UnipotentResult(UnipotentClass.TRIVIAL, None)
+    if len(det1) != ell:
+        raise LemmaViolationError("det-1 stabilizer of the wrong order")
+    gen = Mat2(ell, *next(e for e in det1 if e != (1, 0, 0, 1)))
+    if gen.trace() != 2 or element_order(gen) != ell:
+        raise LemmaViolationError("non-unipotent generator")
+    for s2 in ((1, 0), (0, 1)):
+        s1 = (
+            ((gen.a - 1) * s2[0] + gen.b * s2[1]) % ell,
+            (gen.c * s2[0] + (gen.d - 1) * s2[1]) % ell,
+        )
+        if s1 != (0, 0):
+            t = Mat2(ell, s1[0], s2[0], s1[1], s2[1])
+            if t.is_invertible():
+                return UnipotentResult(UnipotentClass.ORDER_ELL, t)
+    raise LemmaViolationError("no conjugator")
+
+
+def test_unipotent_class_matches_the_mat2_path_on_enumerated_groups():
+    """On every enumerated subgroup mod 5 and 7 and at every point, the
+    order-ell decision on the entry tuple gives the Mat2 path's kind and the
+    same conjugator."""
+    kinds = {UnipotentClass.TRIVIAL: 0, UnipotentClass.ORDER_ELL: 0}
+    for g in _enumerated_groups():
+        for p in ProjPoint.all_points(g.n):
+            res = unipotent_class(g, p)
+            assert res == _unipotent_class_reference(g, p)
+            kinds[res.kind] += 1
+    assert all(kinds.values())

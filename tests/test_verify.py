@@ -602,6 +602,34 @@ def test_scans_build_at_most_the_mat2_they_return(monkeypatch):
     assert [t.entries() for t in results[2]] == [(1, 0, 0, 1), (0, 1, 1, 0)]
 
 
+def test_easy_d_and_cong_check_build_no_mat2_but_the_conjugators(monkeypatch):
+    """A default easy-d run decides order ell on entry tuples and builds one
+    Mat2 per conjugator that unipotent_class returns (380, one per point
+    whose det-1 stabilizer is not trivial); cong_check, over a default bl
+    run, builds none."""
+    results = []
+    lemma = verify.unipotent_class
+    monkeypatch.setattr(verify, "unipotent_class", lambda g, p: results.append(lemma(g, p)))
+    built = _counted_mat2_builds(monkeypatch)
+    assert run_harness("easy-d").ok
+    conjugators = [r.conjugator for r in results if r.conjugator is not None]
+    assert len(conjugators) == len(results) == 380
+    assert len(built) == len(conjugators)
+
+    built_in_check = []
+    check = classify.cong_check
+
+    def counted_check(delta):
+        before = len(built)
+        result = check(delta)
+        built_in_check.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(classify, "cong_check", counted_check)
+    assert run_harness("bl").ok
+    assert len(built_in_check) > 0 and set(built_in_check) == {0}
+
+
 def _subgroups_between_reference(
     ambient: Subgroup, normal: frozenset[Mat2]
 ) -> list[frozenset[Mat2]]:
