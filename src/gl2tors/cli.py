@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, NoReturn
 from .errors import Gl2Error, LemmaViolationError, PreconditionError, UsageError
 from .modarith import Mat2, gl2_order
 from .groups import NamedGroupId, subgroup_from_json
-from .stabilizers import ProjPoint, degree_spectrum, exhaustive_indices, line_indices
+from .stabilizers import ProjPoint, exhaustive_indices, line_indices
 from .lemmas import decompose_sl2
 from .classify import classify_image, derive_delta
 from .bounds import FieldInput, bound_report, congruence_sieve, torsion_preservation_report
@@ -349,9 +349,11 @@ def _cmd_classify(args) -> int:
             raise UsageError("witness must be two integers c,d") from exc
         witness = ProjPoint.from_vector(g.n, c, d)
     else:
-        witness = degree_spectrum(g).odd_index_point()
-        if witness is None:
+        # the first point, in sorted order, whose stabilizer index is odd
+        odd = [i for i, index in enumerate(line_indices(g)) if index % 2]
+        if not odd:
             raise PreconditionError("no projective point with odd stabilizer index")
+        witness = ProjPoint.all_points(g.n)[odd[0]]
     verdict = classify_image(g, witness)
     payload = verdict.to_dict()
     payload["witness"] = [witness.c, witness.d]

@@ -155,32 +155,36 @@ class DegreeSpectrum:
         return next((p for p in sorted(self.entries) if self.entries[p] % 2 == 1), None)
 
 
-def _orbit_indices(ell: int, entries: np.ndarray, labels: array) -> array:
-    """Fill in each 0 of labels, indexed by the row vector code c*ell + d,
-    with [G : Stab(v)] for that vector v, and return labels.
+def _orbit_indices(ell: int, entries: np.ndarray) -> array:
+    """[G : Stab(v)] at the representative v of each projective point, in
+    ProjPoint.all_points order, for the group G with these entries.
 
     By orbit-stabilizer the index is the size of v's orbit, and it is the
-    same for every vector in that orbit. One numpy pass over the elements
-    gives the images of the next seed, the first 0 label, which
-    `labels.index` finds in one C scan; numpy labels every image coded below
-    len(labels) with the index, so each orbit costs one pass and no Python
-    step per vector. A caller marks the codes it does not ask about with -1,
-    which a pass may overwrite. Over all of F_ell^2 the passes cost
-    sum |Fix(x)| <= ell^2 + ell*|G| (Burnside), and no generating set is
-    used: a filtered group carries every element as a generator.
+    same for every vector in that orbit. The labels are indexed by the row
+    vector code c*ell + d. The representatives (0, 1) and (1, s) have codes
+    1 and ell..2ell-1, so labels below 2ell, -1 at the codes 0 and 2..ell-1
+    (which a pass may overwrite), cover them in O(ell) memory. One numpy
+    pass over the elements gives the images of the next seed, the first 0
+    label, which `labels.index` finds in one C scan; numpy labels every
+    image coded below 2ell with the index, so each orbit costs one pass and
+    no Python step per representative. No generating set is used: a
+    filtered group carries every element as a generator.
     """
-    a, b, c_, d_ = entries
-    order, size = entries.shape[1], len(labels)
+    a, b, c, d = entries
+    order = entries.shape[1]
+    labels = array("q", [-1, 0]) + array("q", [-1]) * (ell - 2) + array("q", [0]) * ell
     marks = np.frombuffer(labels, dtype=np.int64)
-    v = 0
+    # the first seed is (0 1), whose image under x is the reduced second row
+    # of x; a later seed is some (1 s), whose image is (a + s c, b + s d)
+    v, images = 1, c * ell + d
     while True:
+        marks[images[images < 2 * ell]] = order // int(np.count_nonzero(images == v))
         try:
             v = labels.index(0, v)
-        except ValueError:  # every label is filled in
-            return labels
-        c, d = divmod(v, ell)
-        images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
-        marks[images[images < size]] = order // int(np.count_nonzero(images == v))
+        except ValueError:  # every representative is labelled
+            return labels[1:2] + labels[ell:]
+        s = v - ell
+        images = (a + s * c) % ell * ell + (b + s * d) % ell
 
 
 def orbit_size(g: Subgroup, c: int, d: int) -> int:
@@ -199,16 +203,10 @@ def line_indices(g: Subgroup) -> array:
     ProjPoint.all_points order.
 
     The index is the same at every vector of a line, since Stab(lam v) =
-    Stab(v). The representatives (0, 1) and (1, s) have codes 1 and
-    ell..2ell-1, so labels below 2ell, -1 at the codes 0 and 2..ell-1, cover
-    them in O(ell) memory, and a pass labels every representative in its
-    seed's orbit.
+    Stab(v), so these are the degrees of all the points of E[ell].
     """
     _check_odd_prime(g.n)
-    ell = g.n
-    labels = array("q", [-1, 0]) + array("q", [-1]) * (ell - 2) + array("q", [0]) * ell
-    labels = _orbit_indices(ell, g.entry_array, labels)
-    return labels[1:2] + labels[ell:]
+    return _orbit_indices(g.n, g.entry_array)
 
 
 def degree_spectrum(g: Subgroup) -> DegreeSpectrum:

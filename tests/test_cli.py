@@ -21,7 +21,7 @@ from gl2tors.errors import UsageError
 from gl2tors.groups import NamedGroupId, Subgroup, named_group, subgroup_from_json
 from gl2tors.lemmas import SL2Word, conjugate_into_normalizer
 from gl2tors.modarith import Mat2
-from gl2tors.stabilizers import ProjPoint, exhaustive_spectrum
+from gl2tors.stabilizers import ProjPoint, degree_spectrum, exhaustive_spectrum
 from gl2tors.verify import HARNESS_IDS
 
 DELTA_U1_11 = '{"modulus": 11, "generators": [[[4,0],[0,4]],[[1,0],[0,10]],[[1,1],[0,1]]]}'
@@ -533,6 +533,34 @@ def test_verify_easy_d_sampling_below_ell_11_exit_1(argv, given, capsys):
     assert captured.err == (
         f"error: harness easy-d does not take {given} unless --ell-max is at least 11\n"
     )
+
+
+def test_classify_witness_is_the_first_odd_index_point(tmp_path, capsys, monkeypatch):
+    """Without --witness, classify hands classify_image the point that
+    DegreeSpectrum.odd_index_point names, the first in sorted order whose
+    stabilizer index is odd, and exits 2 where there is none: on every
+    two-generated subgroup of GL2(F_5) and GL2(F_7)."""
+    seen = []
+    place = cli.classify_image
+    monkeypatch.setattr(cli, "classify_image", lambda g, p: seen.append(p) or place(g, p))
+    path = tmp_path / "g.json"
+    outcomes = {"witness": 0, "none": 0}
+    for ell in (5, 7):
+        table = verify._gl2_table(ell)
+        for ids in verify._gl2_two_generated(ell):
+            g = table.to_subgroup(ids)
+            path.write_text(groups.subgroup_to_json(g))
+            seen.clear()
+            rc = main(["--format", "json", "classify", "--input", str(path)])
+            err = capsys.readouterr().err
+            expected = degree_spectrum(g).odd_index_point()
+            if expected is None:
+                assert (rc, seen, err) == (2, [], "error: no projective point with odd stabilizer index\n")
+                outcomes["none"] += 1
+            else:
+                assert seen == [expected]
+                outcomes["witness"] += 1
+    assert all(outcomes.values())
 
 
 @pytest.mark.parametrize("witness", ["a,b", "1", "1,2,3", ""])

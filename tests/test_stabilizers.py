@@ -18,7 +18,6 @@ from gl2tors.stabilizers import (
     ProjPoint,
     UnipotentClass,
     UnipotentResult,
-    _orbit_indices,
     degree_spectrum,
     exhaustive_indices,
     exhaustive_spectrum,
@@ -54,13 +53,19 @@ def _exhaustive_spectrum_reference(g):
 
 def _vector_orbit_indices(g):
     """[g : Stab(v)] for every nonzero row vector v, in ascending (c, d)
-    order, from one _orbit_indices pass per vector orbit over all ell^2 - 1
-    vectors: the reference for exhaustive_indices, which makes the passes of
-    the ell + 1 line representatives alone and reads each vector's index off
-    its line."""
+    order, from one numpy pass per orbit of all ell^2 - 1 vectors, each
+    labelling every vector of its orbit: the reference for
+    exhaustive_indices, which makes the passes of the ell + 1 line
+    representatives alone and reads each vector's index off its line."""
     ell = g.n
-    labels = array("q", [-1]) + array("q", [0]) * (ell * ell - 1)
-    return _orbit_indices(ell, g.entry_array, labels)[1:]
+    a, b, c_, d_ = g.entry_array
+    labels = np.zeros(ell * ell, np.int64)
+    for v in range(1, ell * ell):
+        if labels[v] == 0:
+            c, d = divmod(v, ell)
+            images = (c * a + d * c_) % ell * ell + (c * b + d * d_) % ell
+            labels[images] = g.order // int(np.count_nonzero(images == v))
+    return array("q", labels[1:].tobytes())
 
 
 def _enumerated_groups():
